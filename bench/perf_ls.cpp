@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "box.hpp"
 #include "mmph/core/lazy_greedy.hpp"
 #include "mmph/core/problem.hpp"
 #include "mmph/io/args.hpp"
@@ -150,6 +151,7 @@ int main(int argc, char** argv) try {
   out << "{\n  \"bench\": \"ls\",\n  \"scenario\": "
          "\"lazy greedy seed polished by shift/swap local search, values "
          "against the certified upper bound (2d, l2, zipf weights)\",\n"
+      << "  \"box\": " << bench::box_json() << ",\n"
       << "  \"config\": {\"k\": " << k << "},\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     out << scenario_json(results[i]) << (i + 1 < results.size() ? ",\n" : "\n");

@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "box.hpp"
 #include "mmph/io/args.hpp"
 #include "mmph/io/stats.hpp"
 #include "mmph/net/client.hpp"
@@ -329,21 +330,6 @@ std::vector<std::size_t> parse_list(const std::string& text) {
   return out;
 }
 
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto pos = line.find("model name");
-    if (pos == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos && colon + 2 <= line.size()) {
-        return line.substr(colon + 2);
-      }
-    }
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -379,7 +365,7 @@ int main(int argc, char** argv) try {
 
   const unsigned cpus = std::thread::hardware_concurrency();
   std::printf("perf_net: box has %u cpu(s), model %s\n", cpus,
-              cpu_model().c_str());
+              bench::cpu_model().c_str());
 
   std::vector<RunResult> sweep;
   for (const std::size_t loops : sweep_loops) {
@@ -443,8 +429,7 @@ int main(int argc, char** argv) try {
       << "  \"scenario\": \"loopback query_placement (pipelined) with "
          "background churn; loops x store-shards x clients sweep + "
          "large-instance churn run\",\n"
-      << "  \"box\": {\"cpus\": " << cpus << ", \"model\": \"" << cpu_model()
-      << "\"},\n"
+      << "  \"box\": " << bench::box_json() << ",\n"
       << "  \"config\": {\"sweep_users\": " << users << ", \"k\": " << k
       << ", \"pipeline_window\": " << window
       << ", \"seconds_per_run\": " << seconds << "},\n"

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "box.hpp"
 #include "mmph/core/lazy_greedy.hpp"
 #include "mmph/io/args.hpp"
 #include "mmph/io/stats.hpp"
@@ -226,7 +227,8 @@ int main(int argc, char** argv) try {
   std::ofstream out(out_path);
   out << "{\n  \"bench\": \"serve\",\n  \"scenario\": "
          "\"uniform 2-D L2 box 4.0, k 8, radius 1.0, 1% churn per slot\","
-         "\n  \"config\": {\"slots\": " << slots << "},\n  \"results\": [\n";
+         "\n  \"box\": " << bench::box_json()
+      << ",\n  \"config\": {\"slots\": " << slots << "},\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"n\": " << r.n << ", \"strategy\": \"" << r.strategy

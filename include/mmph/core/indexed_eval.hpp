@@ -40,12 +40,17 @@ namespace mmph::core::kernels {
 /// The kAuto policy predicate: true when indexing \p problem is expected
 /// to beat the full scan. Requires a large population
 /// (>= kAutoIndexMinPoints), a grid-friendly dimension
-/// (<= spatial::kGridMaxDim), and a sparse enough box that a radius query
-/// visits at most kAutoMaxQueryFraction of the points (estimated from the
-/// bounding box; one O(n) pass). Dense workloads — coverage balls
-/// comparable to the whole box — scan faster than they gather, so kAuto
-/// declines them; kGrid still forces the index for such cases.
+/// (<= spatial::kGridMaxDim), and query_box_sparse. Dense workloads —
+/// coverage balls comparable to the whole box — scan faster than they
+/// gather, so kAuto declines them; kGrid still forces the index for such
+/// cases.
 [[nodiscard]] bool auto_index_profitable(const Problem& problem);
+
+/// The density clause alone: true when a radius query is estimated to
+/// visit at most kAutoMaxQueryFraction of the points (the 3r query box
+/// against the bounding box; one O(n) pass). core::SwapEvaluator applies
+/// it at any n to choose between an owned index and a full scan.
+[[nodiscard]] bool query_box_sparse(const Problem& problem);
 
 class IndexedActiveSet {
  public:

@@ -23,16 +23,16 @@
 ///
 /// The cost model is the point: a swap's objective delta only involves
 /// points inside ball(old center) ∪ ball(new candidate) — everywhere else
-/// u_i is exactly 0 for both — so DeltaEvaluator answers it with two
-/// spatial radius queries and an O(|ball|) merge instead of the O(n) scan
-/// core::SwapEvaluator pays (let alone the O(n·k) rescan of a from-scratch
-/// objective_value). Deltas accumulate term by term in ascending point-id
-/// order, so two runs of the same polish are bit-identical.
+/// u_i is exactly 0 for both — so core::SwapEvaluator answers it with one
+/// spatial radius query and an O(|ball|) merge instead of the O(n·k)
+/// rescan of a from-scratch objective_value. Deltas accumulate term by
+/// term in ascending point-id order, so two runs of the same polish are
+/// bit-identical.
 ///
 /// Guarantee the test oracles lean on: polish() re-derives the final
-/// per-round accounting exactly (core::apply_center) and returns the seed
-/// verbatim whenever the polished total is not >= the seed's total, so
-/// `f(ls) >= f(seed)` holds machine-checkably, never just up to drift.
+/// per-round accounting exactly (SwapEvaluator::account) and returns the
+/// seed verbatim whenever the polished total is not >= the seed's total,
+/// so `f(ls) >= f(seed)` holds machine-checkably, never just up to drift.
 
 #include <cstddef>
 #include <cstdint>
@@ -44,6 +44,7 @@
 
 #include "mmph/core/problem.hpp"
 #include "mmph/core/solver.hpp"
+#include "mmph/core/swap_evaluator.hpp"
 #include "mmph/geometry/point_set.hpp"
 #include "mmph/spatial/spatial_index.hpp"
 
@@ -64,7 +65,7 @@ struct LsConfig {
   /// Full improvement passes before giving up on convergence.
   std::size_t max_sweeps = 8;
   /// Strict-improvement threshold; rejects float-noise "improvements".
-  double min_gain = 1e-9;
+  double min_gain = core::kMinSwapGain;
   /// 0 = plain first-improvement. > 0 = best-improvement with a tabu list:
   /// a candidate swapped out of the solution may not re-enter for this
   /// many committed moves (diversifies the improvement path; worsening
@@ -91,71 +92,13 @@ struct LsStats {
   bool aborted = false;    ///< an eval threw -> seed returned verbatim
 };
 
-/// Incremental objective evaluation for 1-swap neighborhoods, delta-style:
-/// like core::SwapEvaluator it caches units_[j][i] = u_i(c_j) and the
-/// per-point totals, but it answers "what does replacing c_j by c' change"
-/// by radius queries on a spatial index over the population, touching only
-/// the points inside the two coverage balls. The cached unit rows are
-/// likewise only materialized inside each center's ball (exact zeros
-/// elsewhere), so construction is O(k · ball), not O(k · n).
-class DeltaEvaluator {
- public:
-  /// Caches coverage of \p centers (copied) against \p problem. When
-  /// \p borrowed_index is non-null it is used for the radius queries
-  /// (unmask_all() is called first — a prior indexed solve may have left
-  /// masks set); it must index exactly problem.points() at
-  /// problem.radius() and outlive the evaluator. Null builds an owned
-  /// index via spatial::make_index.
-  DeltaEvaluator(const core::Problem& problem, const geo::PointSet& centers,
-                 spatial::SpatialIndex* borrowed_index = nullptr);
-
-  [[nodiscard]] const geo::PointSet& centers() const noexcept {
-    return centers_;
-  }
-
-  /// f(C) for the current center set, maintained by accumulated deltas.
-  [[nodiscard]] double current_value() const noexcept { return value_; }
-
-  /// f(C with centers[j] := candidate) − f(C), without changing state.
-  /// O(|ball(centers[j])| + |ball(candidate)|).
-  [[nodiscard]] double delta_for_swap(std::size_t j,
-                                      geo::ConstVec candidate) const;
-
-  /// Applies the swap and updates the caches. Same cost as a delta.
-  void commit_swap(std::size_t j, geo::ConstVec candidate);
-
-  /// Full O(n) recompute of f(C) from the cached totals (test hook for
-  /// pinning the accumulated value_ against drift).
-  [[nodiscard]] double exact_value() const;
-
- private:
-  /// Ids whose coverage can change under (j, candidate): the merged
-  /// ascending union of the two balls, written to touched_.
-  void gather_touched(std::size_t j, geo::ConstVec candidate) const;
-
-  const core::Problem& problem_;
-  geo::PointSet centers_;
-  spatial::SpatialIndex* index_;  ///< borrowed, or owned_.get()
-  std::unique_ptr<spatial::SpatialIndex> owned_;
-  std::vector<double> units_;   ///< units_[j * n + i] = u_i(c_j)
-  std::vector<double> totals_;  ///< sum_j u_i(c_j), uncapped
-  double value_ = 0.0;
-
-  /// ball(centers_[j]) is re-used across every candidate tried against
-  /// slot j, so it is fetched once per slot and invalidated on commit.
-  mutable std::vector<std::size_t> ball_old_;
-  mutable std::size_t ball_old_slot_;
-  mutable std::vector<std::size_t> ball_new_;
-  mutable std::vector<std::size_t> touched_;
-};
-
 /// Polishes \p seed by shift/swap local search over \p candidates (the
 /// center domain; must be nonempty and match the problem's dimension).
 /// Returns a solution with exact per-round accounting whose total_reward
 /// is >= seed.total_reward — the seed itself when no improving move
 /// survives, or when an evaluation throws (LsStats::aborted). \p stats,
 /// when non-null, receives the run's counters. \p population_index is the
-/// optional borrowed index of DeltaEvaluator.
+/// optional lent index of core::SwapEvaluator.
 [[nodiscard]] core::Solution polish(
     const core::Problem& problem, const core::Solution& seed,
     const geo::PointSet& candidates, const LsConfig& config = {},

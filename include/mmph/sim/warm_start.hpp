@@ -20,6 +20,7 @@
 
 #include "mmph/core/solver.hpp"
 #include "mmph/sim/simulator.hpp"
+#include "mmph/spatial/spatial_index.hpp"
 
 namespace mmph::sim {
 
@@ -40,9 +41,13 @@ class WarmStartPlanner {
   explicit WarmStartPlanner(SolverFactory cold, std::size_t max_sweeps = 2,
                             CandidateProvider candidates = nullptr);
 
-  /// Plans one slot: refine the previous centers, or cold-solve.
+  /// Plans one slot: refine the previous centers, or cold-solve. A
+  /// non-null \p index (indexing exactly problem.points() at
+  /// problem.radius(), e.g. a serving layer's carried grid) serves the
+  /// refine's radius queries; see core::SwapEvaluator.
   [[nodiscard]] core::Solution plan(const core::Problem& problem,
-                                    std::size_t k);
+                                    std::size_t k,
+                                    spatial::SpatialIndex* index = nullptr);
 
   /// Adapts the planner to the BroadcastSimulator's SolverFactory shape.
   /// The returned factory shares this planner; the planner must outlive

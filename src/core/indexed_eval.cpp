@@ -25,6 +25,10 @@ namespace {
 bool auto_index_profitable(const Problem& problem) {
   if (problem.size() < kAutoIndexMinPoints) return false;
   if (problem.dim() > spatial::kGridMaxDim) return false;
+  return query_box_sparse(problem);
+}
+
+bool query_box_sparse(const Problem& problem) {
   // Estimate the population fraction a query gathers: the 3^dim cell
   // neighborhood is an L-inf box of side 3r, so under a roughly uniform
   // spread the visited fraction is the volume ratio against the bounding

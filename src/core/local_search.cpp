@@ -1,10 +1,7 @@
 #include "mmph/core/local_search.hpp"
 
 #include "mmph/core/greedy_local.hpp"
-#include "mmph/core/objective.hpp"
 #include "mmph/core/swap_evaluator.hpp"
-#include "mmph/core/reward.hpp"
-#include "mmph/geometry/vec.hpp"
 #include "mmph/support/assert.hpp"
 
 namespace mmph::core {
@@ -41,15 +38,13 @@ Solution LocalSearchSolver::solve(const Problem& problem,
   last_swaps_ = 0;
 
   // First-improvement sweeps over (center j, candidate c) pairs, using the
-  // incremental evaluator so each trial is O(n) instead of O(k n).
-  constexpr double kMinGain = 1e-9;  // reject float-noise "improvements"
+  // ball-local evaluator so each trial costs two coverage balls.
   SwapEvaluator evaluator(problem, sol.centers);
   for (std::size_t sweep = 0; sweep < max_sweeps_; ++sweep) {
     bool improved = false;
     for (std::size_t j = 0; j < evaluator.centers().size(); ++j) {
       for (std::size_t c = 0; c < candidates_.size(); ++c) {
-        const double value = evaluator.value_with_swap(j, candidates_[c]);
-        if (value > evaluator.current_value() + kMinGain) {
+        if (evaluator.delta_for_swap(j, candidates_[c]) > kMinSwapGain) {
           evaluator.commit_swap(j, candidates_[c]);
           improved = true;
           ++last_swaps_;
@@ -58,18 +53,10 @@ Solution LocalSearchSolver::solve(const Problem& problem,
     }
     if (!improved) break;
   }
-  sol.centers = evaluator.centers();
 
   // Rebuild the per-round accounting for the final center sequence.
+  sol = evaluator.account();
   sol.solver_name = name();
-  sol.residual = fresh_residual(problem);
-  sol.round_rewards.clear();
-  sol.total_reward = 0.0;
-  for (std::size_t j = 0; j < sol.centers.size(); ++j) {
-    const double g = apply_center(problem, sol.centers[j], sol.residual);
-    sol.round_rewards.push_back(g);
-    sol.total_reward += g;
-  }
   return sol;
 }
 

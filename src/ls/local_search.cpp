@@ -1,133 +1,22 @@
 #include "mmph/ls/local_search.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "mmph/core/candidate_set.hpp"
-#include "mmph/core/reward.hpp"
-#include "mmph/geometry/vec.hpp"
 #include "mmph/random/pcg64.hpp"
 #include "mmph/support/assert.hpp"
 
 namespace mmph::ls {
 
 namespace {
+
 constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
-}  // namespace
-
-DeltaEvaluator::DeltaEvaluator(const core::Problem& problem,
-                               const geo::PointSet& centers,
-                               spatial::SpatialIndex* borrowed_index)
-    : problem_(problem), centers_(centers), ball_old_slot_(kNoSlot) {
-  MMPH_REQUIRE(centers_.dim() == problem.dim(),
-               "DeltaEvaluator: center dimension mismatch");
-  MMPH_REQUIRE(!centers_.empty(), "DeltaEvaluator: empty center set");
-  if (borrowed_index != nullptr) {
-    MMPH_REQUIRE(borrowed_index->size() == problem.size() &&
-                     borrowed_index->dim() == problem.dim() &&
-                     borrowed_index->radius() == problem.radius(),
-                 "DeltaEvaluator: borrowed index does not match the problem");
-    // A prior indexed solve may have masked residual-exhausted points;
-    // delta evaluation needs the whole population visible.
-    borrowed_index->unmask_all();
-    index_ = borrowed_index;
-  } else {
-    owned_ = spatial::make_index(problem.points(), problem.radius(),
-                                 problem.metric());
-    index_ = owned_.get();
-  }
-
-  const std::size_t n = problem_.size();
-  const std::size_t k = centers_.size();
-  units_.assign(k * n, 0.0);
-  totals_.assign(n, 0.0);
-  for (std::size_t j = 0; j < k; ++j) {
-    index_->query(centers_[j], ball_new_);
-    for (const std::size_t i : ball_new_) {
-      const double u = core::unit_coverage(problem_, centers_[j], i);
-      units_[j * n + i] = u;
-      totals_[i] += u;
-    }
-  }
-  value_ = exact_value();
-}
-
-double DeltaEvaluator::exact_value() const {
-  double f = 0.0;
-  for (std::size_t i = 0; i < totals_.size(); ++i) {
-    f += problem_.weight(i) * std::min(totals_[i], 1.0);
-  }
-  return f;
-}
-
-void DeltaEvaluator::gather_touched(std::size_t j,
-                                    geo::ConstVec candidate) const {
-  if (ball_old_slot_ != j) {
-    index_->query(centers_[j], ball_old_);
-    ball_old_slot_ = j;
-  }
-  index_->query(candidate, ball_new_);
-  // Merge the two ascending id lists (spatial contract: strictly
-  // ascending), so the delta accumulates in ascending point order — the
-  // same association every time, hence bit-reproducible polishes.
-  touched_.clear();
-  std::set_union(ball_old_.begin(), ball_old_.end(), ball_new_.begin(),
-                 ball_new_.end(), std::back_inserter(touched_));
-}
-
-double DeltaEvaluator::delta_for_swap(std::size_t j,
-                                      geo::ConstVec candidate) const {
-  MMPH_REQUIRE(j < centers_.size(), "DeltaEvaluator: center index");
-  gather_touched(j, candidate);
-  const std::size_t n = problem_.size();
-  double delta = 0.0;
-  for (const std::size_t i : touched_) {
-    const double u_new = core::unit_coverage(problem_, candidate, i);
-    const double total = totals_[i] - units_[j * n + i] + u_new;
-    delta += problem_.weight(i) *
-             (std::min(total, 1.0) - std::min(totals_[i], 1.0));
-  }
-  return delta;
-}
-
-void DeltaEvaluator::commit_swap(std::size_t j, geo::ConstVec candidate) {
-  const double delta = delta_for_swap(j, candidate);
-  const std::size_t n = problem_.size();
-  for (const std::size_t i : touched_) {
-    const double u_new = core::unit_coverage(problem_, candidate, i);
-    totals_[i] += u_new - units_[j * n + i];
-    units_[j * n + i] = u_new;
-  }
-  geo::assign(centers_.mutable_point(j), candidate);
-  value_ += delta;
-  // Only slot j's ball changed; a cached ball for another slot stays valid.
-  if (ball_old_slot_ == j) ball_old_slot_ = kNoSlot;
-}
-
-namespace {
-
-/// Exact per-round re-accounting of \p centers (the solvers' invariant:
-/// total_reward == sum of round rewards == f(centers)).
-core::Solution account(const core::Problem& problem,
-                       const geo::PointSet& centers) {
-  core::Solution out;
-  out.centers = centers;
-  out.residual = core::fresh_residual(problem);
-  for (std::size_t j = 0; j < centers.size(); ++j) {
-    const double g = core::apply_center(problem, centers[j], out.residual);
-    out.round_rewards.push_back(g);
-    out.total_reward += g;
-  }
-  return out;
-}
 
 struct PolishRun {
-  const core::Problem& problem;
   const geo::PointSet& candidates;
   const LsConfig& config;
-  DeltaEvaluator& eval;
+  core::SwapEvaluator& eval;
   LsStats& stats;
 
   [[nodiscard]] double try_eval(std::size_t j, geo::ConstVec cand) {
@@ -225,14 +114,14 @@ core::Solution polish(const core::Problem& problem, const core::Solution& seed,
   MMPH_REQUIRE(seed.centers.dim() == problem.dim(),
                "ls::polish: seed dimension mismatch");
 
-  DeltaEvaluator eval(problem, seed.centers, population_index);
+  core::SwapEvaluator eval(problem, seed.centers, population_index);
   std::unique_ptr<spatial::SpatialIndex> cand_index;
   if (config.shift_moves) {
     cand_index =
         spatial::make_index(candidates, problem.radius(), problem.metric());
   }
 
-  PolishRun run{problem, candidates, config, eval, st};
+  PolishRun run{candidates, config, eval, st};
   try {
     if (config.tabu_tenure == 0) {
       for (std::size_t sweep = 0; sweep < config.max_sweeps; ++sweep) {
@@ -265,10 +154,9 @@ core::Solution polish(const core::Problem& problem, const core::Solution& seed,
 
   // Exact final accounting. Deltas accumulate with different float
   // association than a from-scratch pass; re-derive the per-round rewards
-  // with apply_center and keep the seed whenever polishing did not
-  // strictly beat it, so f(result) >= f(seed) is structural, not "up to
-  // drift".
-  core::Solution out = account(problem, eval.centers());
+  // and keep the seed whenever polishing did not strictly beat it, so
+  // f(result) >= f(seed) is structural, not "up to drift".
+  core::Solution out = eval.account();
   if (!(out.total_reward > seed.total_reward)) return seed;
   st.improved = true;
   out.solver_name = seed.solver_name + "+ls";

@@ -709,7 +709,8 @@ const PlacementView& PlacementService::solve_locked() {
 
   // Carry the coverage index into the solve: rebuilt only when dirty or
   // out of step, otherwise the incremental mirror already brought it to
-  // this epoch. The sharded solver evaluates (and grid-splits) through it.
+  // this epoch. The sharded solver evaluates (and grid-splits) through it,
+  // and the warm refine gathers its swap balls from it.
   ensure_index_locked(problem);
   sharded_->set_shared_index(index_.get());
   // With a region-sharded store the full solve runs exactly one greedy
@@ -722,7 +723,7 @@ const PlacementView& PlacementService::solve_locked() {
 
   const std::uint64_t warm_before = planner_->warm_solves();
   const auto start = Clock::now();
-  core::Solution solution = planner_->plan(problem, config_.k);
+  core::Solution solution = planner_->plan(problem, config_.k, index_.get());
   if (config_.solver == SolverTier::kLs && !solution.centers.empty()) {
     // Polish the solve's output (warm path: the previous placement's
     // refined centers — LS is seeded from the previous epoch). The carried
@@ -889,7 +890,7 @@ void PlacementService::process_batch(std::vector<Request> batch) {
       mutated = true;
     }
   }
-  if (config_.wal != nullptr && mutated) {
+  if ((config_.wal != nullptr || config_.shard_wal != nullptr) && mutated) {
     try {
       commit_wal_locked();
       maybe_snapshot_locked();

@@ -130,7 +130,8 @@ const StoreSnapshot& ShardedInstanceStore::shard_snapshot(std::size_t s) {
 }
 
 StoreSnapshot ShardedInstanceStore::global_snapshot() {
-  if (shards_.size() == 1) return shard_snapshot(0);
+  // One shard: its snapshot is the global one; copy it once, uncached.
+  if (shards_.size() == 1) return shards_[0].snapshot();
   StoreSnapshot out;
   out.epoch = epoch();
   out.points = geo::PointSet(dim_);

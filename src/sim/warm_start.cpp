@@ -3,10 +3,7 @@
 #include <utility>
 
 #include "mmph/core/candidate_set.hpp"
-#include "mmph/core/objective.hpp"
 #include "mmph/core/swap_evaluator.hpp"
-#include "mmph/core/reward.hpp"
-#include "mmph/geometry/vec.hpp"
 #include "mmph/support/assert.hpp"
 
 namespace mmph::sim {
@@ -43,7 +40,8 @@ WarmStartPlanner::WarmStartPlanner(SolverFactory cold, std::size_t max_sweeps,
 }
 
 core::Solution WarmStartPlanner::plan(const core::Problem& problem,
-                                      std::size_t k) {
+                                      std::size_t k,
+                                      spatial::SpatialIndex* index) {
   const bool history_usable = previous_.has_value() &&
                               previous_->dim() == problem.dim() &&
                               previous_->size() == k;
@@ -56,21 +54,19 @@ core::Solution WarmStartPlanner::plan(const core::Problem& problem,
   ++warm_solves_;
 
   // 1-swap refinement of the previous centers over the current points,
-  // via the O(n)-per-trial incremental evaluator. A custom provider can
-  // shrink the swap pool from "every point" to a curated few.
+  // via the ball-local evaluator. A custom provider can shrink the swap
+  // pool from "every point" to a curated few.
   geo::PointSet candidates =
       candidates_ ? candidates_(problem) : core::candidates_from_points(problem);
   if (candidates.empty() || candidates.dim() != problem.dim()) {
     candidates = core::candidates_from_points(problem);
   }
-  constexpr double kMinGain = 1e-9;
-  core::SwapEvaluator evaluator(problem, *previous_);
+  core::SwapEvaluator evaluator(problem, *previous_, index);
   for (std::size_t sweep = 0; sweep < max_sweeps_; ++sweep) {
     bool improved = false;
     for (std::size_t j = 0; j < evaluator.centers().size(); ++j) {
       for (std::size_t c = 0; c < candidates.size(); ++c) {
-        const double value = evaluator.value_with_swap(j, candidates[c]);
-        if (value > evaluator.current_value() + kMinGain) {
+        if (evaluator.delta_for_swap(j, candidates[c]) > core::kMinSwapGain) {
           evaluator.commit_swap(j, candidates[c]);
           improved = true;
         }
@@ -78,17 +74,9 @@ core::Solution WarmStartPlanner::plan(const core::Problem& problem,
     }
     if (!improved) break;
   }
-  const geo::PointSet& centers = evaluator.centers();
 
-  core::Solution sol;
+  core::Solution sol = evaluator.account();
   sol.solver_name = "warm-start";
-  sol.centers = centers;
-  sol.residual = core::fresh_residual(problem);
-  for (std::size_t j = 0; j < centers.size(); ++j) {
-    const double g = core::apply_center(problem, centers[j], sol.residual);
-    sol.round_rewards.push_back(g);
-    sol.total_reward += g;
-  }
   previous_ = sol.centers;
   return sol;
 }

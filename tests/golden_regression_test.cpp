@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "mmph/core/registry.hpp"
 #include "mmph/random/workload.hpp"
 
@@ -29,6 +32,13 @@ struct GoldenCase {
   const char* solver;
   double expected_total;
 };
+
+// Without a printer gtest shows the raw bytes of the case, including the
+// `solver` pointer, which moves from process to process under ASLR; the
+// test names built from --gtest_list_tests would then change every build.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << '"' << c.solver << '"';
+}
 
 class GoldenRegression : public ::testing::TestWithParam<GoldenCase> {};
 

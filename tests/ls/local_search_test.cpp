@@ -1,5 +1,5 @@
-// Tests for the ls polish tier: DeltaEvaluator agreement with the O(n)
-// SwapEvaluator it accelerates, the polish-never-hurts guarantee, bitwise
+// Tests for the ls polish tier: the swap evaluator's deltas against a
+// from-scratch objective, the polish-never-hurts guarantee, bitwise
 // determinism (plain and tabu modes), the fault-abort path, and the
 // borrowed-vs-owned spatial index equivalence.
 
@@ -15,6 +15,7 @@
 #include "mmph/core/objective.hpp"
 #include "mmph/core/reward.hpp"
 #include "mmph/core/swap_evaluator.hpp"
+#include "mmph/geometry/vec.hpp"
 #include "mmph/ls/local_search.hpp"
 #include "mmph/ls/registry.hpp"
 #include "mmph/random/workload.hpp"
@@ -71,24 +72,32 @@ void expect_identical(const core::Solution& got, const core::Solution& want,
 
 TEST(DeltaEvaluator, Validation) {
   const core::Problem p = random_problem(20, 1);
-  EXPECT_THROW(DeltaEvaluator(p, geo::PointSet(2)), InvalidArgument);
-  EXPECT_THROW(DeltaEvaluator(p, geo::PointSet::from_rows({{0.0, 0.0, 0.0}})),
-               InvalidArgument);
-  // A borrowed index must describe exactly this problem.
+  EXPECT_THROW(core::SwapEvaluator(p, geo::PointSet(2)), InvalidArgument);
+  EXPECT_THROW(
+      core::SwapEvaluator(p, geo::PointSet::from_rows({{0.0, 0.0, 0.0}})),
+      InvalidArgument);
+  // A lent index must describe exactly this problem.
   const core::Problem other = random_problem(21, 2);
   auto wrong =
       spatial::make_index(other.points(), other.radius(), other.metric());
-  EXPECT_THROW(DeltaEvaluator(p, first_points(p, 3), wrong.get()),
+  EXPECT_THROW(core::SwapEvaluator(p, first_points(p, 3), wrong.get()),
                InvalidArgument);
+}
+
+/// f(centers with slot j replaced by \p candidate), from scratch.
+double swapped_value(const core::Problem& problem, geo::PointSet centers,
+                     std::size_t j, geo::ConstVec candidate) {
+  geo::assign(centers.mutable_point(j), candidate);
+  return core::objective_value(problem, centers);
 }
 
 TEST(DeltaEvaluator, AgreesWithSwapEvaluatorAcrossSwapSequence) {
   const core::Problem problem = random_problem(160, 7);
   const std::size_t k = 5;
-  DeltaEvaluator delta(problem, first_points(problem, k));
-  core::SwapEvaluator full(problem, first_points(problem, k));
+  core::SwapEvaluator delta(problem, first_points(problem, k));
 
-  EXPECT_NEAR(delta.current_value(), full.current_value(), 1e-9);
+  EXPECT_NEAR(delta.current_value(),
+              core::objective_value(problem, delta.centers()), 1e-9);
   EXPECT_NEAR(delta.exact_value(),
               core::objective_value(problem, delta.centers()), 1e-9);
 
@@ -101,12 +110,13 @@ TEST(DeltaEvaluator, AgreesWithSwapEvaluatorAcrossSwapSequence) {
     const geo::ConstVec candidate = problem.points()[c];
     const double got = delta.delta_for_swap(j, candidate);
     const double want =
-        full.value_with_swap(j, candidate) - full.current_value();
+        swapped_value(problem, delta.centers(), j, candidate) -
+        core::objective_value(problem, delta.centers());
     EXPECT_NEAR(got, want, 1e-9) << "step " << step;
     if (step % 3 == 0) {
       delta.commit_swap(j, candidate);
-      full.commit_swap(j, candidate);
-      EXPECT_NEAR(delta.current_value(), full.current_value(), 1e-9);
+      EXPECT_NEAR(delta.current_value(),
+                  core::objective_value(problem, delta.centers()), 1e-9);
       // The accumulated value never drifts from the cached totals.
       EXPECT_NEAR(delta.current_value(), delta.exact_value(), 1e-9);
     }
@@ -116,12 +126,12 @@ TEST(DeltaEvaluator, AgreesWithSwapEvaluatorAcrossSwapSequence) {
 TEST(DeltaEvaluator, BinaryRewardShapeAgreesToo) {
   const core::Problem problem = random_problem(
       90, 3, geo::l2_metric(), core::RewardShape::kBinary);
-  DeltaEvaluator delta(problem, first_points(problem, 4));
-  core::SwapEvaluator full(problem, first_points(problem, 4));
+  const core::SwapEvaluator delta(problem, first_points(problem, 4));
+  const double base = core::objective_value(problem, delta.centers());
   for (std::size_t c = 0; c < problem.size(); c += 7) {
     const double got = delta.delta_for_swap(1, problem.points()[c]);
     const double want =
-        full.value_with_swap(1, problem.points()[c]) - full.current_value();
+        swapped_value(problem, delta.centers(), 1, problem.points()[c]) - base;
     EXPECT_NEAR(got, want, 1e-9) << "candidate " << c;
   }
 }

@@ -2,26 +2,31 @@
 // across churn epochs (incremental add/update/swap-remove mirror, warm
 // index) must answer with placements bit-identical to a twin service
 // running unindexed — and to a cold service fed the same final state.
-// Also pins the mmph_spatial_* counters: present in the registry at zero
-// when the index is off, advancing when it is on.
+// The warm 1-swap refine reads the same carried grid, bit-identical to an
+// unindexed twin. Also pins the mmph_spatial_* counters: present in the
+// registry at zero when the index is off, advancing when it is on.
 
 #include "mmph/serve/placement_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
 #include "mmph/core/kernels.hpp"
+#include "mmph/core/objective.hpp"
 #include "mmph/random/rng.hpp"
 #include "mmph/random/workload.hpp"
 
 namespace mmph::serve {
 namespace {
 
-std::vector<UserRecord> make_users(std::size_t n, std::uint64_t seed) {
+std::vector<UserRecord> make_users(std::size_t n, std::uint64_t seed,
+                                   double side = 4.0) {
   rnd::WorkloadSpec spec;
   spec.n = n;
+  spec.box_side = side;
   rnd::Rng rng(seed);
   const rnd::Workload workload = rnd::generate_workload(spec, rng);
   std::vector<UserRecord> users;
@@ -36,11 +41,11 @@ std::vector<UserRecord> make_users(std::size_t n, std::uint64_t seed) {
   return users;
 }
 
-UserRecord fresh_user(std::uint64_t id, rnd::Rng& rng) {
+UserRecord fresh_user(std::uint64_t id, rnd::Rng& rng, double side = 4.0) {
   UserRecord rec;
   rec.id = id;
   rec.weight = 1.0 + static_cast<double>(rng.uniform_int(0, 4));
-  rec.interest = {rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)};
+  rec.interest = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
   return rec;
 }
 
@@ -226,6 +231,86 @@ TEST(SpatialServe, ChurnToZeroAndRegrowKeepsTheGridExact) {
   EXPECT_GT(snap.spatial_incremental_updates, 0u);
   EXPECT_LE(snap.spatial_rebuilds, 3u)
       << "final-row evictions must mirror into the grid, not force rebuilds";
+}
+
+/// The warm 1-swap refine borrows the carried grid. Twin services at
+/// ~10 users/unit² (sparse enough that both the kAuto policy and the swap
+/// evaluator's density test pick an index) stay on the warm path for 25
+/// churn epochs — one lending its kGrid index, one at kNone (the evaluator
+/// gathers through an index of its own). Placements must be bitwise equal,
+/// the reported objective must be f(C) on the live population, and every
+/// epoch after the first must be counted as incremental.
+TEST(SpatialServe, WarmRefineOnTheCarriedGridMatchesUnindexed) {
+  constexpr std::size_t kUsers = 4096;
+  const double side = std::sqrt(static_cast<double>(kUsers) / 10.0);
+  ServiceConfig config;
+  config.full_solve_churn_fraction = 1.0;  // warm after the first solve
+  PlacementService indexed(config);
+  PlacementService plain(config);
+
+  std::vector<UserRecord> live = make_users(kUsers, 2011, side);
+  rnd::Rng rng(77);
+  std::uint64_t next_id = kUsers;
+  std::uint64_t warm_queries = 0;
+  for (int epoch = 0; epoch <= 25; ++epoch) {
+    // Epoch 0 loads the population (the one full solve); each later epoch
+    // churns 4 leaves, 4 moves and 4 joins.
+    std::vector<UserRecord> upserts = epoch == 0 ? live
+                                                 : std::vector<UserRecord>{};
+    std::vector<std::uint64_t> removes;
+    for (int m = 0; epoch > 0 && m < 4; ++m) {
+      const auto leave = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      removes.push_back(live[leave].id);
+      live[leave] = live.back();
+      live.pop_back();
+    }
+    for (int m = 0; epoch > 0 && m < 4; ++m) {
+      const auto move = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      live[move].interest = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
+      upserts.push_back(live[move]);
+      live.push_back(fresh_user(next_id++, rng, side));
+      upserts.push_back(live.back());
+    }
+
+    PlacementView warm, unindexed;
+    {
+      const core::kernels::ScopedIndexMode on(core::kernels::IndexMode::kGrid);
+      if (!removes.empty()) indexed.apply_remove(removes);
+      const std::uint64_t before = indexed.metrics().spatial_queries;
+      indexed.apply_add(upserts);
+      warm = indexed.placement();
+      if (epoch > 0) warm_queries += indexed.metrics().spatial_queries - before;
+    }
+    {
+      const core::kernels::ScopedIndexMode off(core::kernels::IndexMode::kNone);
+      if (!removes.empty()) plain.apply_remove(removes);
+      plain.apply_add(upserts);
+      unindexed = plain.placement();
+    }
+    const std::string context = "epoch " + std::to_string(epoch);
+    expect_same_placement(warm, unindexed, context);
+
+    // Independent oracle: f(C) from scratch on the live population.
+    geo::PointSet points(2);
+    std::vector<double> weights;
+    for (const UserRecord& rec : live) {
+      points.push_back(rec.interest);
+      weights.push_back(rec.weight);
+    }
+    const core::Problem problem(std::move(points), std::move(weights),
+                                config.radius, config.metric, config.shape);
+    const double want = core::objective_value(problem, warm.solution.centers);
+    EXPECT_NEAR(warm.objective, want, 1e-9 * want) << context;
+  }
+
+  for (const PlacementService* service : {&indexed, &plain}) {
+    const MetricsSnapshot snap = service->metrics();
+    EXPECT_EQ(snap.full_solves, 1u);
+    EXPECT_EQ(snap.incremental_solves, 25u);
+  }
+  EXPECT_GT(warm_queries, 0u) << "the warm refine must query the lent grid";
 }
 
 /// The counters are registered (scrapable) even before any index exists,

@@ -1,13 +1,15 @@
 // PlacementService with a region-sharded InstanceStore: config
 // validation, shards == 1 bit-identity against the unsharded service,
 // content equivalence across shard counts, per-shard WAL crash recovery
-// (restore_sharded round-trip), the store.shard.alloc_fail and
-// wal.barrier.fsync_fail fault sites, replication rejection while
+// (restore_sharded round-trip, direct and batched), the
+// store.shard.alloc_fail and wal.barrier.fsync_fail fault sites (direct and
+// batched), replication rejection while
 // sharded, and the loop->shard affinity counters.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -255,6 +257,51 @@ TEST(ShardService, CrashRecoveryRestoresEveryShardBitwise) {
   resumed.apply_add({user(9001, 1.0, 0.4, 0.6)});
   EXPECT_EQ(resumed.epoch(), live.epoch + 1);
   EXPECT_GT(resumed.placement().objective, 0.0);
+
+  // Batched path (submit + pump) at every shard count: an acked mutation
+  // implies the commit barrier ran, checkpoints still roll, and recovery
+  // reproduces the rows.
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("store_shards " + std::to_string(shards));
+    wal::MemFileOps fs;
+    wal::WalConfig cfg = base;
+    cfg.file_ops = &fs;
+    cfg.snapshot_every_ops = 4;
+    wal::ShardedWal logs(cfg, shards, wal::ShardedRecovery{});
+    ServiceConfig batched_config = sharded_config(shards);
+    batched_config.shard_wal = &logs;
+    PlacementService batched(batched_config);
+    rnd::Pcg64 rng(shards);
+    for (std::uint64_t round = 0; round < 4; ++round) {
+      std::vector<UserRecord> users;
+      for (std::uint64_t j = 1; j <= 5; ++j) {
+        users.push_back(user(round * 5 + j, 0.5 + rng.next_double(),
+                             rng.next_double(), rng.next_double()));
+      }
+      const std::uint64_t before = logs.commit_epoch();
+      std::future<Response> add = batched.submit(Request::add_users(users));
+      std::future<Response> remove =
+          batched.submit(Request::remove_users({round * 5 + 1}));
+      (void)batched.pump();
+      ASSERT_EQ(add.get().status, ResponseStatus::kOk);
+      ASSERT_EQ(remove.get().status, ResponseStatus::kOk);
+      EXPECT_GT(logs.commit_epoch(), before);
+    }
+    const std::vector<std::string> paths = fs.all_paths();
+    EXPECT_TRUE(std::any_of(paths.begin(), paths.end(), [](const auto& p) {
+      return p.find("snap-") != std::string::npos &&
+             p.find("snap-00000000000000000000") == std::string::npos;
+    })) << "batched mutations never reached a checkpoint";
+    const std::unique_ptr<wal::MemFileOps> image = fs.clone();
+    const wal::ShardedRecovery got =
+        wal::recover_sharded("wal", shards, 2, *image);
+    EXPECT_EQ(got.global_epoch, batched.epoch());
+    EXPECT_EQ(got.rows, batched.population());
+    PlacementService restored(sharded_config(shards));
+    restored.restore_sharded(got);
+    EXPECT_EQ(sorted_rows(restored.wal_snapshot()),
+              sorted_rows(batched.wal_snapshot()));
+  }
 }
 
 TEST(ShardService, ShardAllocFaultFiresBeforeAnyMutation) {
@@ -307,6 +354,38 @@ TEST(ShardService, BarrierFaultPoisonsTheWholeLogSet) {
   const std::uint64_t epoch = service.epoch();
   EXPECT_THROW(service.apply_add({user(3, 1.0, 0.5, 0.5)}), wal::WalError);
   EXPECT_EQ(service.epoch(), epoch);
+
+  // Batched path (submit + pump) at every shard count: the failed barrier
+  // turns the batch's kOk into kInternalError.
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("store_shards " + std::to_string(shards));
+    wal::MemFileOps fs;
+    wal::WalConfig cfg = base;
+    cfg.file_ops = &fs;
+    wal::ShardedWal logs(cfg, shards, wal::ShardedRecovery{}, hook);
+    ServiceConfig batched_config = sharded_config(shards);
+    batched_config.shard_wal = &logs;
+    PlacementService batched(batched_config);
+    std::future<Response> ok =
+        batched.submit(Request::add_users({user(1, 1.0, 0.1, 0.2)}));
+    (void)batched.pump();
+    EXPECT_EQ(ok.get().status, ResponseStatus::kOk);
+
+    armed = true;
+    std::future<Response> lost =
+        batched.submit(Request::add_users({user(2, 1.0, 0.9, 0.8)}));
+    (void)batched.pump();
+    EXPECT_EQ(lost.get().status, ResponseStatus::kInternalError);
+    EXPECT_TRUE(logs.failed());
+    armed = false;
+
+    const std::uint64_t poisoned_epoch = batched.epoch();
+    std::future<Response> refused =
+        batched.submit(Request::add_users({user(3, 1.0, 0.5, 0.5)}));
+    (void)batched.pump();
+    EXPECT_EQ(refused.get().status, ResponseStatus::kInternalError);
+    EXPECT_EQ(batched.epoch(), poisoned_epoch);
+  }
 }
 
 TEST(ShardService, ReplicationEndpointsRejectedWhileSharded) {

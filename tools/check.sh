@@ -54,6 +54,14 @@
 #                               # is the pre-merge gate for mmph::ls /
 #                               # bounds / solver changes (same run under
 #                               # ASan/UBSan).
+#   tools/check.sh bench-smoke  # build + `perfbench/run.py --smoke`: every
+#                               # benchmark workload briefly, untraced and
+#                               # traced, with all of its output checks
+#                               # (exactly-once replies, epochs, objective
+#                               # against the mirror, durability) and the
+#                               # metric names/units of BENCHMARK.json.
+#                               # The benchmark builds into
+#                               # $BUILD_DIR/perfbench.
 #   tools/check.sh tsan         # ThreadSanitizer build (MMPH_TSAN=ON, own
 #                               # build-tsan dir) + the net/chaos suites +
 #                               # a multi-loop chaos_runner net sweep at
@@ -97,6 +105,10 @@ fi
 
 if [ "$1" = "stats-smoke" ]; then
   exec sh tests/stats_smoke.sh "$BUILD_DIR/tools/mmph_cli"
+fi
+
+if [ "$1" = "bench-smoke" ]; then
+  CARGO_TARGET_DIR="$BUILD_DIR/perfbench" exec python3 perfbench/run.py --smoke
 fi
 
 if [ "$1" = "net-fuzz" ]; then
