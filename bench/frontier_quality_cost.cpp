@@ -32,9 +32,8 @@ int main(int argc, char** argv) {
               << " trials (ratio vs exhaustive)\n\n";
 
     const std::vector<std::string> solvers{
-        "random",  "kmeans",        "greedy3",     "greedy2-stoch",
-        "greedy2", "greedy2-lazy",  "greedy2-indexed", "greedy2+ls",
-        "greedy1", "greedy4"};
+        "random",       "kmeans",     "greedy3", "greedy2-stoch", "greedy2",
+        "greedy2-lazy", "greedy2+ls", "greedy1", "greedy4"};
 
     std::map<std::string, io::RunningStats> ratio_stats;
     std::map<std::string, io::RunningStats> time_stats;
@@ -69,7 +68,7 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::cout << "\nreading: the frontier runs random -> kmeans -> greedy3 "
                  "-> greedy2 family -> greedy4;\npay more compute, get a "
-                 "higher ratio — with lazy/indexed variants shifting cost "
+                 "higher ratio — with the lazy variant shifting cost "
                  "without\nchanging quality.\n";
     return 0;
   } catch (const std::exception& e) {

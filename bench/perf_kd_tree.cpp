@@ -1,12 +1,15 @@
-// Performance benchmark: kd-tree vs cell grid vs linear scan for ball
-// queries, on uniform and clustered point sets. Shows where each index
-// pays off (grid on uniform density, kd-tree on clustered).
+// Performance benchmark: kd-tree vs uniform grid vs linear scan for ball
+// queries, on uniform and clustered point sets — the two engines
+// spatial::make_index picks between. Shows where each index pays off
+// (grid on uniform density, kd-tree on clustered).
 
 #include <benchmark/benchmark.h>
 
-#include "mmph/geometry/cell_grid.hpp"
+#include <vector>
+
 #include "mmph/geometry/kd_tree.hpp"
 #include "mmph/random/workload.hpp"
+#include "mmph/spatial/uniform_grid.hpp"
 
 namespace {
 
@@ -45,23 +48,25 @@ BENCHMARK(BM_LinearScan<false>)->RangeMultiplier(4)->Range(256, 16384);
 BENCHMARK(BM_LinearScan<true>)->RangeMultiplier(4)->Range(256, 16384);
 
 template <bool kClustered>
-void BM_CellGridQuery(benchmark::State& state) {
+void BM_UniformGridQuery(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const geo::PointSet ps = make_points(n, kClustered, 1);
-  const geo::CellGrid grid(ps, 1.0);
+  const spatial::UniformGridIndex grid(ps, 1.0);
   const geo::Metric metric = geo::l2_metric();
+  std::vector<std::size_t> box;
   std::size_t q = 0;
   for (auto _ : state) {
     std::size_t hits = 0;
-    grid.for_each_in_box(ps[q % n], 1.0, [&](std::size_t i) {
+    grid.query(ps[q % n], box);
+    for (const std::size_t i : box) {
       if (metric.distance(ps[q % n], ps[i]) <= 1.0) ++hits;
-    });
+    }
     benchmark::DoNotOptimize(hits);
     ++q;
   }
 }
-BENCHMARK(BM_CellGridQuery<false>)->RangeMultiplier(4)->Range(256, 16384);
-BENCHMARK(BM_CellGridQuery<true>)->RangeMultiplier(4)->Range(256, 16384);
+BENCHMARK(BM_UniformGridQuery<false>)->RangeMultiplier(4)->Range(256, 16384);
+BENCHMARK(BM_UniformGridQuery<true>)->RangeMultiplier(4)->Range(256, 16384);
 
 template <bool kClustered>
 void BM_KdTreeQuery(benchmark::State& state) {
@@ -91,15 +96,15 @@ void BM_KdTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_KdTreeBuild)->RangeMultiplier(4)->Range(256, 16384);
 
-void BM_CellGridBuild(benchmark::State& state) {
+void BM_UniformGridBuild(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const geo::PointSet ps = make_points(n, true, 2);
   for (auto _ : state) {
-    const geo::CellGrid grid(ps, 1.0);
-    benchmark::DoNotOptimize(grid.cell_count());
+    const spatial::UniformGridIndex grid(ps, 1.0);
+    benchmark::DoNotOptimize(grid.occupied_cells());
   }
 }
-BENCHMARK(BM_CellGridBuild)->RangeMultiplier(4)->Range(256, 16384);
+BENCHMARK(BM_UniformGridBuild)->RangeMultiplier(4)->Range(256, 16384);
 
 }  // namespace
 

@@ -42,13 +42,18 @@ class GreedyComplexSolver final : public RoundSolverBase {
   void select_center(const Problem& problem, std::span<const double> y,
                      std::span<double> out) const override;
 
- private:
-  /// Runs the full new-center walk from one seed point; leaves the final
-  /// center and its coverage reward in the out-parameters.
-  void walk_from_seed(const Problem& problem, std::span<const double> y,
-                      std::size_t seed, std::vector<double>& center,
-                      double& reward) const;
+  /// Both inner steps of a walk — the heaviest point the disk rewards and
+  /// the coverage reward of a trial center — only involve points within r
+  /// of the center, so the indexed path takes each step's ball from the
+  /// spatial index instead of scanning all n points. Candidates are still
+  /// visited in ascending index order with the same strict-> tie-breaks,
+  /// so the indexed path picks identical centers.
+  [[nodiscard]] bool supports_indexed_scan() const override { return true; }
+  bool indexed_select(const Problem& problem,
+                      const kernels::IndexedActiveSet& active,
+                      std::span<double> out) const override;
 
+ private:
   geo::L1CenterRule l1_rule_;
 };
 

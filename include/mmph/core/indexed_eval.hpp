@@ -77,6 +77,12 @@ class IndexedActiveSet {
   /// Points whose residual is still positive.
   [[nodiscard]] std::size_t active_count() const noexcept { return active_; }
 
+  /// The full residual vector (masked rows exactly 0.0): bit for bit the y
+  /// a scan-path solve holds after the same rounds.
+  [[nodiscard]] std::span<const double> residual() const noexcept {
+    return residual_;
+  }
+
   /// g(c) against the internal residual — equals block_coverage_reward on
   /// the equivalent full residual vector, bit for bit. Thread-safe.
   [[nodiscard]] double coverage_reward(geo::ConstVec center) const;

@@ -136,12 +136,13 @@ class ScopedIndexMode {
 double block_apply_center(const Problem& problem, geo::ConstVec center,
                           std::span<double> y);
 
-/// Index-list variants for spatial-index callers (e.g. CellGrid cell
-/// ranges): evaluate only the points named by \p indices, in order,
-/// accumulating term by term onto \p g. Accumulate-into (rather than
-/// return-a-partial) keeps the floating-point association identical to one
-/// per-point loop over the concatenated index lists, so a caller visiting
-/// several cell spans gets bit-identical sums to the unblocked path.
+/// Index-list variants for spatial-index callers (IndexedActiveSet feeds
+/// them a SpatialIndex query): evaluate only the points named by
+/// \p indices, in order, accumulating term by term onto \p g.
+/// Accumulate-into (rather than return-a-partial) keeps the floating-point
+/// association identical to one per-point loop over the concatenated index
+/// lists, so a caller feeding several spans gets bit-identical sums to the
+/// unblocked path.
 void block_coverage_reward(const Problem& problem, geo::ConstVec center,
                            std::span<const double> y,
                            std::span<const std::size_t> indices, double& g);

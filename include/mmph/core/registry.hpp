@@ -22,8 +22,12 @@ struct SolverConfig {
   bool l1_exact_center = false;
 };
 
-/// Known names: "greedy1", "greedy2", "greedy2-lazy", "greedy3",
-/// "greedy4", "exhaustive", "exhaustive-points".
+/// Every name make_solver accepts: the paper's algorithms ("greedy1",
+/// "greedy2", "greedy3", "greedy4"), their variants ("greedy1+polish",
+/// "greedy2-lazy", "greedy2-stoch", "greedy2+ls"), the exact baseline
+/// ("exhaustive", "exhaustive-points") and the reference baselines
+/// ("random", "kmeans", "sieve"). Spatial indexing is not a name: every
+/// solver that supports it follows kernels::index_mode() (--index).
 [[nodiscard]] std::vector<std::string> solver_names();
 
 /// Builds the named solver for \p problem.

@@ -50,12 +50,13 @@ class RoundSolverBase : public Solver {
                              std::span<const double> y,
                              std::span<double> out) const = 0;
 
-  /// Solvers whose select_center is an all-candidates reward scan can opt
-  /// into the spatial-index evaluation path by returning true here and
-  /// implementing indexed_select. The base loop then builds an
-  /// IndexedActiveSet (subject to kernels::index_mode()) and calls
-  /// indexed_select instead; selections must match select_center bit for
-  /// bit (the indexed evaluator guarantees identical rewards).
+  /// Solvers whose select_center only reads points within the coverage
+  /// radius of the centers it scores (greedy2's candidate scan, greedy4's
+  /// new-center walk) can opt into the spatial-index evaluation path by
+  /// returning true here and implementing indexed_select. The base loop
+  /// then builds an IndexedActiveSet (subject to kernels::index_mode())
+  /// and calls indexed_select instead; selections must match select_center
+  /// bit for bit (the indexed evaluator guarantees identical rewards).
   [[nodiscard]] virtual bool supports_indexed_scan() const { return false; }
 
   /// Indexed counterpart of select_center, evaluating candidates through

@@ -1,12 +1,15 @@
 #pragma once
 
 /// \file kd_tree.hpp
-/// \brief Kd-tree over a PointSet for ball and nearest-neighbor queries.
+/// \brief Kd-tree over a PointSet for ball queries: the engine behind
+/// spatial::KdTreeIndex.
 ///
-/// Complements CellGrid: a uniform grid is ideal when points spread evenly
-/// (the paper's workloads), but clustered populations concentrate in a few
-/// cells and queries degrade toward linear scans. The kd-tree adapts to
-/// density: median splits give a balanced tree regardless of clustering.
+/// Complements spatial::UniformGridIndex: a uniform grid is ideal when
+/// points spread evenly in few dimensions (the paper's workloads), but its
+/// query enumerates 3^dim cells, and clustered populations concentrate in
+/// a few cells so queries degrade toward linear scans. The kd-tree adapts
+/// to density and dimension: median splits give a balanced tree regardless
+/// of clustering.
 ///
 /// Queries work under any p-norm: subtrees are pruned by the metric
 /// distance from the query to the node's axis-aligned bounding box, which
@@ -44,16 +47,6 @@ class KdTree {
   [[nodiscard]] std::vector<std::size_t> query_ball(
       ConstVec center, double radius, const Metric& metric) const;
 
-  /// Index of a nearest point to \p center under \p metric (ties resolve
-  /// to the first found in tree order, which is deterministic).
-  [[nodiscard]] std::size_t nearest(ConstVec center,
-                                    const Metric& metric) const;
-
-  /// Indices of the k nearest points, ordered by increasing distance
-  /// (ties by index). k is clamped to size().
-  [[nodiscard]] std::vector<std::size_t> k_nearest(
-      ConstVec center, std::size_t k, const Metric& metric) const;
-
  private:
   struct Node {
     std::size_t begin = 0;   ///< range into order_
@@ -70,9 +63,6 @@ class KdTree {
   void search(std::size_t node_id, ConstVec center, double radius,
               const Metric& metric,
               const std::function<void(std::size_t)>& fn) const;
-  void nearest_impl(std::size_t node_id, ConstVec center,
-                    const Metric& metric, double& best_d,
-                    std::size_t& best_i) const;
 
   const PointSet& points_;
   std::vector<std::size_t> order_;

@@ -12,7 +12,6 @@
 
 // Geometry substrate
 #include "mmph/geometry/ball.hpp"
-#include "mmph/geometry/cell_grid.hpp"
 #include "mmph/geometry/enclosing.hpp"
 #include "mmph/geometry/enclosing_ball.hpp"
 #include "mmph/geometry/enclosing_l1.hpp"
@@ -47,7 +46,6 @@
 #include "mmph/core/greedy_complex.hpp"
 #include "mmph/core/greedy_local.hpp"
 #include "mmph/core/greedy_simple.hpp"
-#include "mmph/core/indexed_reward.hpp"
 #include "mmph/core/kernels.hpp"
 #include "mmph/core/lazy_greedy.hpp"
 #include "mmph/core/local_search.hpp"

@@ -62,12 +62,9 @@ namespace mmph::serve {
 
 /// Which solver tier produces placements (the --solver CLI flag).
 enum class SolverTier {
-  /// Plain greedy. Lazy greedy's selections are bitwise-identical to
-  /// greedy's (the lazy queue only skips evaluations whose stale bound
-  /// already loses), so this runs the same sharded path as kLazy and is
-  /// kept as an explicit name for operators and A/B configs.
-  kGreedy,
-  /// Sharded lazy greedy with global merge — the default since PR 1.
+  /// Sharded lazy greedy with global merge — the default. Its selections
+  /// are bitwise-identical to plain greedy's (the lazy queue only skips
+  /// evaluations whose stale bound already loses).
   kLazy,
   /// kLazy, then every solve's output is polished by shift/swap local
   /// search (ls::polish) over the instance points, riding the carried
@@ -78,7 +75,7 @@ enum class SolverTier {
 };
 
 [[nodiscard]] const char* solver_tier_name(SolverTier tier) noexcept;
-/// Parses "greedy" / "lazy" / "ls"; std::nullopt for anything else.
+/// Parses "lazy" / "ls"; std::nullopt for anything else.
 [[nodiscard]] std::optional<SolverTier> parse_solver_tier(
     std::string_view name) noexcept;
 

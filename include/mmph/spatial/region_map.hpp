@@ -16,7 +16,7 @@
 ///   - keeps whole cells together (every point of a cell shares a shard,
 ///     which is what makes per-shard solves spatially meaningful),
 ///   - needs no fitted bounding box (works on an unbounded domain, like
-///     the grid index and unlike geo::CellGrid).
+///     the grid index).
 ///
 /// shards == 1 collapses to the constant 0 without hashing, which is the
 /// bit-identity mode: a 1-shard store behaves exactly like the unsharded

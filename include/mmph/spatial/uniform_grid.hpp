@@ -7,9 +7,8 @@
 /// query radius, so a radius query touches at most 3^dim cells). Cells live
 /// in a hash map keyed on integer cell coordinates — the domain is
 /// unbounded, cells materialize only when occupied, and incremental
-/// add/update/swap_remove stay O(1) amortized with no bounding-box to
-/// outgrow (unlike geo::CellGrid, which is CSR over a fixed box and
-/// rebuild-only).
+/// add/update/swap_remove stay O(1) amortized with no bounding box to
+/// outgrow or rebuild.
 ///
 /// A query enumerates the cell box covering [c - r, c + r] per dimension,
 /// concatenates the buckets, and sorts ascending — the sort keeps the
@@ -68,8 +67,7 @@ class UniformGridIndex final : public SpatialIndex {
   }
 
   /// Cell coordinates of row \p id. Lexicographic order over cells is a
-  /// row-major spatial order — the serve layer's grid sharding sorts by it
-  /// (the shared-structure replacement for geo::CellGrid's flattened ids).
+  /// row-major spatial order — the serve layer's grid sharding sorts by it.
   [[nodiscard]] Cell cell_of(std::size_t id) const {
     return cell_of_vec(point(id));
   }

@@ -5,7 +5,6 @@
 #include "mmph/core/greedy_complex.hpp"
 #include "mmph/core/greedy_local.hpp"
 #include "mmph/core/greedy_simple.hpp"
-#include "mmph/core/indexed_reward.hpp"
 #include "mmph/core/lazy_greedy.hpp"
 #include "mmph/core/local_search.hpp"
 #include "mmph/core/round_based.hpp"
@@ -17,11 +16,10 @@
 namespace mmph::core {
 
 std::vector<std::string> solver_names() {
-  return {"greedy1",         "greedy2",       "greedy2-lazy",
-          "greedy2-indexed", "greedy2-stoch", "greedy2+ls",
-          "greedy3",         "greedy4",       "exhaustive",
-          "exhaustive-points", "random",      "kmeans",
-          "sieve",           "greedy4-indexed",
+  return {"greedy1",       "greedy2",    "greedy2-lazy",
+          "greedy2-stoch", "greedy2+ls", "greedy3",
+          "greedy4",       "exhaustive", "exhaustive-points",
+          "random",        "kmeans",     "sieve",
           "greedy1+polish"};
 }
 
@@ -42,9 +40,6 @@ std::unique_ptr<Solver> make_solver(const std::string& name,
   if (name == "greedy2-lazy") {
     return std::make_unique<LazyGreedySolver>();
   }
-  if (name == "greedy2-indexed") {
-    return std::make_unique<IndexedGreedyLocalSolver>();
-  }
   if (name == "greedy2-stoch") {
     return std::make_unique<StochasticGreedySolver>();
   }
@@ -54,11 +49,6 @@ std::unique_ptr<Solver> make_solver(const std::string& name,
   }
   if (name == "greedy3") {
     return std::make_unique<GreedySimpleSolver>();
-  }
-  if (name == "greedy4-indexed") {
-    return std::make_unique<IndexedGreedyComplexSolver>(
-        config.l1_exact_center ? geo::L1CenterRule::kExactIfPossible
-                               : geo::L1CenterRule::kPaperProjection);
   }
   if (name == "greedy4") {
     return std::make_unique<GreedyComplexSolver>(

@@ -1,9 +1,7 @@
 #include "mmph/geometry/kd_tree.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
-#include <utility>
 
 #include "mmph/support/assert.hpp"
 
@@ -118,103 +116,6 @@ std::vector<std::size_t> KdTree::query_ball(ConstVec center, double radius,
   for_each_in_ball(center, radius, metric,
                    [&](std::size_t i) { out.push_back(i); });
   std::sort(out.begin(), out.end());
-  return out;
-}
-
-void KdTree::nearest_impl(std::size_t node_id, ConstVec center,
-                          const Metric& metric, double& best_d,
-                          std::size_t& best_i) const {
-  const Node& node = nodes_[node_id];
-  if (box_distance(node, center, metric) >= best_d) return;
-  if (node.left == 0) {
-    for (std::size_t s = node.begin; s < node.end; ++s) {
-      const std::size_t i = order_[s];
-      const double d = metric.distance(center, points_[i]);
-      if (d < best_d) {
-        best_d = d;
-        best_i = i;
-      }
-    }
-    return;
-  }
-  // Visit the closer child first for tighter early bounds.
-  const double dl = box_distance(nodes_[node.left], center, metric);
-  const double dr = box_distance(nodes_[node.right], center, metric);
-  if (dl <= dr) {
-    nearest_impl(node.left, center, metric, best_d, best_i);
-    nearest_impl(node.right, center, metric, best_d, best_i);
-  } else {
-    nearest_impl(node.right, center, metric, best_d, best_i);
-    nearest_impl(node.left, center, metric, best_d, best_i);
-  }
-}
-
-std::size_t KdTree::nearest(ConstVec center, const Metric& metric) const {
-  MMPH_REQUIRE(center.size() == points_.dim(),
-               "KdTree: query dimension mismatch");
-  double best_d = std::numeric_limits<double>::infinity();
-  std::size_t best_i = 0;
-  nearest_impl(0, center, metric, best_d, best_i);
-  return best_i;
-}
-
-std::vector<std::size_t> KdTree::k_nearest(ConstVec center, std::size_t k,
-                                           const Metric& metric) const {
-  MMPH_REQUIRE(center.size() == points_.dim(),
-               "KdTree: query dimension mismatch");
-  MMPH_REQUIRE(k >= 1, "KdTree: k_nearest needs k >= 1");
-  k = std::min(k, size());
-
-  // Bounded max-heap of (distance, index); the root is the current k-th
-  // nearest, which prunes subtrees farther than it.
-  using Entry = std::pair<double, std::size_t>;
-  std::vector<Entry> heap;
-  heap.reserve(k);
-  const auto worst = [&] {
-    return heap.size() < k ? std::numeric_limits<double>::infinity()
-                           : heap.front().first;
-  };
-
-  // Iterative best-first traversal with an explicit stack (visit closer
-  // child first; prune by box distance against the current k-th).
-  std::vector<std::size_t> stack{0};
-  while (!stack.empty()) {
-    const std::size_t node_id = stack.back();
-    stack.pop_back();
-    const Node& node = nodes_[node_id];
-    if (box_distance(node, center, metric) > worst()) continue;
-    if (node.left == 0) {
-      for (std::size_t s = node.begin; s < node.end; ++s) {
-        const std::size_t i = order_[s];
-        const double d = metric.distance(center, points_[i]);
-        if (d < worst() ||
-            (heap.size() < k && d <= worst())) {
-          if (heap.size() == k) {
-            std::pop_heap(heap.begin(), heap.end());
-            heap.pop_back();
-          }
-          heap.emplace_back(d, i);
-          std::push_heap(heap.begin(), heap.end());
-        }
-      }
-      continue;
-    }
-    // Push the farther child first so the closer one is processed first.
-    const double dl = box_distance(nodes_[node.left], center, metric);
-    const double dr = box_distance(nodes_[node.right], center, metric);
-    if (dl <= dr) {
-      stack.push_back(node.right);
-      stack.push_back(node.left);
-    } else {
-      stack.push_back(node.left);
-      stack.push_back(node.right);
-    }
-  }
-
-  std::sort(heap.begin(), heap.end());
-  std::vector<std::size_t> out;
-  out.reserve(heap.size());
-  for (const Entry& e : heap) out.push_back(e.second);
   return out;
 }
 

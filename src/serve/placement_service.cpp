@@ -51,8 +51,6 @@ double region_cell_for(const ServiceConfig& config) {
 
 const char* solver_tier_name(SolverTier tier) noexcept {
   switch (tier) {
-    case SolverTier::kGreedy:
-      return "greedy";
     case SolverTier::kLazy:
       return "lazy";
     case SolverTier::kLs:
@@ -62,7 +60,6 @@ const char* solver_tier_name(SolverTier tier) noexcept {
 }
 
 std::optional<SolverTier> parse_solver_tier(std::string_view name) noexcept {
-  if (name == "greedy") return SolverTier::kGreedy;
   if (name == "lazy") return SolverTier::kLazy;
   if (name == "ls") return SolverTier::kLs;
   return std::nullopt;

@@ -123,4 +123,8 @@ if "$CLI" serve-replay --users 20 --slots 2 --solver frob 2>"$DIR/err5.txt"; the
   echo "unknown solver tier accepted"; exit 1
 fi
 grep -q "unknown --solver" "$DIR/err5.txt"
+if "$CLI" serve-replay --users 20 --slots 2 --solver greedy 2>"$DIR/err6.txt"; then
+  echo "retired solver tier 'greedy' accepted"; exit 1
+fi
+grep -q "unknown --solver" "$DIR/err6.txt"
 echo "cli_test OK"

@@ -51,10 +51,9 @@ TEST_P(SolverDeterminism, FreshSolverObjectIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     AllSolvers, SolverDeterminism,
     ::testing::Values("greedy1", "greedy2", "greedy2-lazy",
-                      "greedy2-indexed", "greedy2-stoch", "greedy2+ls",
-                      "greedy3", "greedy4", "exhaustive",
-                      "exhaustive-points", "random", "kmeans", "sieve",
-                      "greedy4-indexed", "greedy1+polish"),
+                      "greedy2-stoch", "greedy2+ls", "greedy3", "greedy4",
+                      "exhaustive", "exhaustive-points", "random", "kmeans",
+                      "sieve", "greedy1+polish"),
     [](const ::testing::TestParamInfo<std::string>& param_info) {
       std::string name = param_info.param;
       for (char& ch : name) {

@@ -7,16 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
-#include "mmph/core/indexed_reward.hpp"
+#include "mmph/core/greedy_local.hpp"
 #include "mmph/core/lazy_greedy.hpp"
 #include "mmph/core/reward.hpp"
 #include "mmph/random/rng.hpp"
 #include "mmph/random/workload.hpp"
 #include "mmph/serve/sharded_solver.hpp"
+#include "mmph/spatial/uniform_grid.hpp"
 
 namespace mmph::core {
 namespace {
@@ -113,31 +116,40 @@ TEST(BlockKernels, LargeBlockCountAndTailHandled) {
   }
 }
 
+// The index-list kernels fed from a grid query, one short span at a time
+// (the accumulate-into contract), equal the per-point reference path over
+// the whole population.
 TEST(IndexedKernels, BlockedCellSpansMatchReferencePath) {
+  constexpr std::size_t kSpan = 7;
   for (const geo::Metric& metric : {geo::l1_metric(), geo::l2_metric()}) {
     const Problem p =
         random_problem(400, 2, metric, RewardShape::kLinear, 53);
-    const IndexedProblem indexed(p);
-    auto y_on = fresh_residual(p);
-    auto y_off = fresh_residual(p);
+    const spatial::UniformGridIndex grid(p.points(), p.radius());
+    auto y_index = fresh_residual(p);
+    auto y_ref = fresh_residual(p);
+    std::vector<std::size_t> ids;
     for (std::size_t c = 0; c < 8; ++c) {
       const geo::ConstVec center = p.point(c * 13);
-      double cov_on, cov_off, app_on, app_off;
-      {
-        kernels::ScopedBlockedKernels on(true);
-        cov_on = indexed.coverage_reward(center, y_on);
-        app_on = indexed.apply_center(center, y_on);
-      }
-      {
-        kernels::ScopedBlockedKernels off(false);
-        cov_off = indexed.coverage_reward(center, y_off);
-        app_off = indexed.apply_center(center, y_off);
-      }
-      EXPECT_NEAR(cov_on, cov_off, 1e-12 * (1.0 + std::fabs(cov_off)));
-      EXPECT_NEAR(app_on, app_off, 1e-12 * (1.0 + std::fabs(app_off)));
+      grid.query(center, ids);
+      const auto for_each_span = [&](const auto& fn) {
+        const std::span<const std::size_t> all(ids);
+        for (std::size_t at = 0; at < all.size(); at += kSpan) {
+          fn(all.subspan(at, std::min(kSpan, all.size() - at)));
+        }
+      };
+      double cov = 0.0;
+      for_each_span([&](std::span<const std::size_t> span) {
+        kernels::block_coverage_reward(p, center, y_index, span, cov);
+      });
+      double app = 0.0;
+      for_each_span([&](std::span<const std::size_t> span) {
+        kernels::block_apply_center(p, center, y_index, span, app);
+      });
+      EXPECT_EQ(cov, reference_coverage(p, center, y_ref));
+      EXPECT_EQ(app, reference_apply(p, center, y_ref));
     }
     for (std::size_t i = 0; i < p.size(); ++i) {
-      EXPECT_NEAR(y_on[i], y_off[i], 1e-13);
+      EXPECT_EQ(y_index[i], y_ref[i]) << "point " << i;
     }
   }
 }
@@ -265,16 +277,17 @@ TEST(SolverIdentity, LazyGreedyParallelInitSameCenters) {
 TEST(SolverIdentity, IndexedGreedySameCentersKernelsOnAndOff) {
   const Problem p =
       random_problem(250, 2, geo::l2_metric(), RewardShape::kLinear, 103);
-  Solution on, off;
+  Solution indexed, reference;
   {
-    kernels::ScopedBlockedKernels guard(true);
-    on = IndexedGreedyLocalSolver().solve(p, 5);
+    kernels::ScopedIndexMode grid(kernels::IndexMode::kGrid);
+    indexed = GreedyLocalSolver().solve(p, 5);
   }
   {
-    kernels::ScopedBlockedKernels guard(false);
-    off = IndexedGreedyLocalSolver().solve(p, 5);
+    kernels::ScopedIndexMode none(kernels::IndexMode::kNone);
+    kernels::ScopedBlockedKernels scalar(false);
+    reference = GreedyLocalSolver().solve(p, 5);
   }
-  expect_identical_centers(on, off);
+  expect_identical_centers(indexed, reference);
 }
 
 TEST(SolverIdentity, ShardedSolverSameCentersKernelsOnAndOff) {

@@ -19,7 +19,7 @@ Problem small_problem() {
 
 TEST(Registry, ListsAllNames) {
   const auto names = solver_names();
-  EXPECT_EQ(names.size(), 15u);
+  EXPECT_EQ(names.size(), 13u);
 }
 
 TEST(Registry, EveryListedNameConstructsAndSolves) {

@@ -1,15 +1,14 @@
 // Tests for the kd-tree: ball queries vs brute force across metrics and
-// densities, nearest-neighbor correctness, determinism.
+// densities, agreement with the uniform grid index, determinism.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <tuple>
 
-#include "mmph/geometry/cell_grid.hpp"
 #include "mmph/geometry/kd_tree.hpp"
 #include "mmph/random/rng.hpp"
 #include "mmph/random/workload.hpp"
+#include "mmph/spatial/uniform_grid.hpp"
 #include "mmph/support/error.hpp"
 
 namespace mmph::geo {
@@ -46,20 +45,6 @@ std::vector<std::size_t> brute_ball(const PointSet& ps, ConstVec center,
   return out;
 }
 
-std::size_t brute_nearest(const PointSet& ps, ConstVec center,
-                          const Metric& metric) {
-  std::size_t best = 0;
-  double best_d = metric.distance(center, ps[0]);
-  for (std::size_t i = 1; i < ps.size(); ++i) {
-    const double d = metric.distance(center, ps[i]);
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
-  }
-  return best;
-}
-
 TEST(KdTree, Validation) {
   EXPECT_THROW(KdTree(PointSet(2)), InvalidArgument);
   const PointSet ps = uniform_points(10, 2, 1);
@@ -71,7 +56,6 @@ TEST(KdTree, SinglePoint) {
   const KdTree tree(ps);
   EXPECT_EQ(tree.size(), 1u);
   const std::vector<double> q{1.0, 2.0};
-  EXPECT_EQ(tree.nearest(q, l2_metric()), 0u);
   EXPECT_EQ(tree.query_ball(q, 0.0, l2_metric()).size(), 1u);
 }
 
@@ -89,7 +73,6 @@ TEST(KdTree, QueryDimensionMismatchThrows) {
   const KdTree tree(ps);
   const std::vector<double> q3{0.0, 0.0, 0.0};
   EXPECT_THROW((void)tree.query_ball(q3, 1.0, l2_metric()), InvalidArgument);
-  EXPECT_THROW((void)tree.nearest(q3, l2_metric()), InvalidArgument);
 }
 
 class KdTreeQuerySweep
@@ -124,88 +107,24 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 8),
                        ::testing::Values(false, true)));
 
-TEST(KdTree, NearestMatchesBruteForceAcrossMetrics) {
-  const PointSet ps = uniform_points(150, 2, 19);
-  const KdTree tree(ps);
-  rnd::Rng rng(23);
-  for (const Metric& metric :
-       {l1_metric(), l2_metric(), linf_metric(), Metric(3.0)}) {
-    for (int trial = 0; trial < 30; ++trial) {
-      const std::vector<double> q{rng.uniform(-1.0, 5.0),
-                                  rng.uniform(-1.0, 5.0)};
-      const std::size_t got = tree.nearest(q, metric);
-      const std::size_t want = brute_nearest(ps, q, metric);
-      // Allow distinct indices only at exactly equal distance.
-      EXPECT_DOUBLE_EQ(metric.distance(q, ps[got]),
-                       metric.distance(q, ps[want]));
-    }
-  }
-}
-
-TEST(KdTree, KNearestMatchesBruteForce) {
-  const PointSet ps = uniform_points(120, 2, 43);
-  const KdTree tree(ps, 4);
-  rnd::Rng rng(47);
-  for (const Metric& metric : {l1_metric(), l2_metric(), linf_metric()}) {
-    for (int trial = 0; trial < 20; ++trial) {
-      const std::vector<double> q{rng.uniform(-1.0, 5.0),
-                                  rng.uniform(-1.0, 5.0)};
-      const std::size_t k = 1 + static_cast<std::size_t>(trial % 12);
-      const auto got = tree.k_nearest(q, k, metric);
-      ASSERT_EQ(got.size(), k);
-      // Brute force: sort all points by (distance, index).
-      std::vector<std::pair<double, std::size_t>> all;
-      for (std::size_t i = 0; i < ps.size(); ++i) {
-        all.emplace_back(metric.distance(q, ps[i]), i);
-      }
-      std::sort(all.begin(), all.end());
-      for (std::size_t j = 0; j < k; ++j) {
-        // Compare by distance (ties may legitimately reorder indices).
-        EXPECT_DOUBLE_EQ(metric.distance(q, ps[got[j]]), all[j].first)
-            << "k=" << k << " j=" << j;
-      }
-      // Results come back sorted by distance.
-      for (std::size_t j = 1; j < k; ++j) {
-        EXPECT_LE(metric.distance(q, ps[got[j - 1]]),
-                  metric.distance(q, ps[got[j]]) + 1e-15);
-      }
-    }
-  }
-}
-
-TEST(KdTree, KNearestClampsAndValidates) {
-  const PointSet ps = uniform_points(5, 2, 44);
-  const KdTree tree(ps);
-  const std::vector<double> q{1.0, 1.0};
-  EXPECT_EQ(tree.k_nearest(q, 100, l2_metric()).size(), 5u);
-  EXPECT_THROW((void)tree.k_nearest(q, 0, l2_metric()), InvalidArgument);
-  const std::vector<double> q3{1.0, 1.0, 1.0};
-  EXPECT_THROW((void)tree.k_nearest(q3, 2, l2_metric()), InvalidArgument);
-}
-
-TEST(KdTree, KNearestOneMatchesNearest) {
-  const PointSet ps = uniform_points(80, 3, 45);
-  const KdTree tree(ps);
-  rnd::Rng rng(46);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> q(3);
-    for (auto& v : q) v = rng.uniform(0.0, 4.0);
-    const auto top = tree.k_nearest(q, 1, l2_metric());
-    EXPECT_DOUBLE_EQ(l2_distance(q, ps[top[0]]),
-                     l2_distance(q, ps[tree.nearest(q, l2_metric())]));
-  }
-}
-
+// The two engines spatial::make_index picks between answer the same ball:
+// the grid's box superset, filtered by distance, is the kd-tree's exact
+// ball.
 TEST(KdTree, AgreesWithCellGrid) {
   const PointSet ps = clustered_points(200, 29);
   const KdTree tree(ps);
-  const CellGrid grid(ps, 1.0);
   rnd::Rng rng(31);
+  std::vector<std::size_t> box;
   for (int trial = 0; trial < 30; ++trial) {
     const std::vector<double> q{rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)};
     const double r = rng.uniform(0.2, 2.0);
-    EXPECT_EQ(tree.query_ball(q, r, l2_metric()),
-              grid.query_ball(q, r, l2_metric()));
+    const spatial::UniformGridIndex grid(ps, r, /*cell_size=*/1.0);
+    grid.query(q, box);
+    std::vector<std::size_t> ball;
+    for (const std::size_t i : box) {
+      if (l2_metric().distance(q, ps[i]) <= r) ball.push_back(i);
+    }
+    EXPECT_EQ(tree.query_ball(q, r, l2_metric()), ball);
   }
 }
 

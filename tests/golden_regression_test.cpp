@@ -15,6 +15,7 @@
 #include <ostream>
 #include <string>
 
+#include "mmph/core/kernels.hpp"
 #include "mmph/core/registry.hpp"
 #include "mmph/random/workload.hpp"
 
@@ -28,22 +29,32 @@ core::Problem golden_problem() {
                                       geo::l2_metric());
 }
 
+using core::kernels::IndexMode;
+
 struct GoldenCase {
   const char* solver;
   double expected_total;
+  /// kGrid rows pin the spatial-index path; under the default kAuto the
+  /// 40-point golden instance is never indexed.
+  IndexMode index = IndexMode::kAuto;
 };
 
 // Without a printer gtest shows the raw bytes of the case, including the
 // `solver` pointer, which moves from process to process under ASLR; the
 // test names built from --gtest_list_tests would then change every build.
 void PrintTo(const GoldenCase& c, std::ostream* os) {
-  *os << '"' << c.solver << '"';
+  *os << '"' << c.solver;
+  if (c.index != IndexMode::kAuto) {
+    *os << " --index " << core::kernels::index_mode_name(c.index);
+  }
+  *os << '"';
 }
 
 class GoldenRegression : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenRegression, TotalRewardIsPinned) {
   const GoldenCase& c = GetParam();
+  const core::kernels::ScopedIndexMode index(c.index);
   const core::Problem p = golden_problem();
   const double got =
       core::make_solver(c.solver, p)->solve(p, 4).total_reward;
@@ -57,18 +68,24 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{"greedy1+polish", 54.515130530836885},
                       GoldenCase{"greedy2", 53.454110154622086},
                       GoldenCase{"greedy2-lazy", 53.454110154622086},
-                      GoldenCase{"greedy2-indexed", 53.454110154622086},
+                      GoldenCase{"greedy2", 53.454110154622086,
+                                 IndexMode::kGrid},
                       GoldenCase{"greedy2+ls", 54.394178540702413},
                       GoldenCase{"greedy2-stoch", 53.101500734581599},
                       GoldenCase{"greedy3", 47.647518605761121},
                       GoldenCase{"greedy4", 55.009471112685659},
-                      GoldenCase{"greedy4-indexed", 55.009471112685659},
+                      GoldenCase{"greedy4", 55.009471112685659,
+                                 IndexMode::kGrid},
                       GoldenCase{"exhaustive", 54.394178540702413},
                       GoldenCase{"sieve", 51.806820970031666},
                       GoldenCase{"kmeans", 40.318840808943769},
                       GoldenCase{"random", 35.24408129537057}),
     [](const ::testing::TestParamInfo<GoldenCase>& param_info) {
       std::string name = param_info.param.solver;
+      if (param_info.param.index != IndexMode::kAuto) {
+        name += std::string("_") +
+                core::kernels::index_mode_name(param_info.param.index);
+      }
       for (char& ch : name) {
         if (ch == '-' || ch == '+') ch = '_';
       }

@@ -1,22 +1,29 @@
 // Indexed-vs-unindexed differential sweep: the spatial coverage index is
 // an acceleration, never an approximation. Over the same ~210-instance
-// seeded corpus as core/differential_test.cpp, every production solver
-// (greedy2, lazy, stochastic, sharded) must produce *bit-identical*
-// solutions under IndexMode::kGrid and IndexMode::kNone — the index
-// returns an ascending superset of the coverage ball and out-of-ball
-// terms contribute exact +0.0, so sums associate identically. Also pins
-// the kd-tree fallback (dim > kGridMaxDim) and the kAuto threshold.
+// seeded corpus as core/differential_test.cpp, every solver with an
+// indexed path (greedy2, greedy4 under both L1 center rules, lazy,
+// stochastic, sharded) must produce *bit-identical* solutions under
+// IndexMode::kGrid and IndexMode::kNone — the index returns an ascending
+// superset of the coverage ball and out-of-ball terms contribute exact
+// +0.0, so sums associate identically. Also pins the kd-tree fallback
+// (dim > kGridMaxDim), the kAuto threshold, and IndexedActiveSet's
+// coverage/apply against the plain reward kernels.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "mmph/core/greedy_complex.hpp"
 #include "mmph/core/greedy_local.hpp"
 #include "mmph/core/indexed_eval.hpp"
 #include "mmph/core/kernels.hpp"
 #include "mmph/core/lazy_greedy.hpp"
+#include "mmph/core/objective.hpp"
 #include "mmph/core/problem.hpp"
+#include "mmph/core/reward.hpp"
 #include "mmph/core/solution.hpp"
 #include "mmph/core/stochastic_greedy.hpp"
 #include "mmph/geometry/norms.hpp"
@@ -24,6 +31,7 @@
 #include "mmph/random/workload.hpp"
 #include "mmph/serve/sharded_solver.hpp"
 #include "mmph/spatial/spatial_index.hpp"
+#include "mmph/support/error.hpp"
 
 namespace mmph::core {
 namespace {
@@ -72,6 +80,8 @@ TEST(IndexedSolver, GridIndexIsBitInvisibleAcrossCorpus) {
   par::ThreadPool pool(2);
   const serve::ShardedSolver sharded(pool, serve::ShardedSolverConfig{});
   const GreedyLocalSolver greedy2;
+  const GreedyComplexSolver greedy4(geo::L1CenterRule::kPaperProjection);
+  const GreedyComplexSolver greedy4_exact(geo::L1CenterRule::kExactIfPossible);
   const LazyGreedySolver lazy;
   const StochasticGreedySolver stochastic(0.2, 2011);
 
@@ -98,6 +108,11 @@ TEST(IndexedSolver, GridIndexIsBitInvisibleAcrossCorpus) {
       expect_index_invisible(
           [&] { return greedy2.solve(problem, k); }, context + " greedy2");
       expect_index_invisible(
+          [&] { return greedy4.solve(problem, k); }, context + " greedy4");
+      expect_index_invisible(
+          [&] { return greedy4_exact.solve(problem, k); },
+          context + " greedy4-l1-exact");
+      expect_index_invisible(
           [&] { return lazy.solve(problem, k); }, context + " lazy");
       expect_index_invisible(
           [&] { return stochastic.solve(problem, k); },
@@ -122,10 +137,13 @@ TEST(IndexedSolver, KdFallbackIsBitInvisibleHighDim) {
 
   const LazyGreedySolver lazy;
   const GreedyLocalSolver greedy2;
+  const GreedyComplexSolver greedy4;
   expect_index_invisible([&] { return lazy.solve(problem, 4); },
                          "high-dim lazy");
   expect_index_invisible([&] { return greedy2.solve(problem, 4); },
                          "high-dim greedy2");
+  expect_index_invisible([&] { return greedy4.solve(problem, 4); },
+                         "high-dim greedy4");
 }
 
 /// kAuto must engage the index at kAutoIndexMinPoints (given a sparse
@@ -202,6 +220,127 @@ TEST(IndexedSolver, ParseAndNameRoundTrip) {
        {IndexMode::kNone, IndexMode::kGrid, IndexMode::kAuto}) {
     EXPECT_EQ(kernels::parse_index_mode(kernels::index_mode_name(mode)), mode);
   }
+}
+
+Problem random_problem(std::size_t n, std::size_t dim, double radius,
+                       geo::Metric metric, std::uint64_t seed) {
+  rnd::WorkloadSpec spec;
+  spec.n = n;
+  spec.dim = dim;
+  rnd::Rng rng(seed);
+  return Problem::from_workload(rnd::generate_workload(spec, rng), radius,
+                                metric);
+}
+
+/// An IndexedActiveSet forced onto the index (fresh residual 1).
+std::unique_ptr<kernels::IndexedActiveSet> indexed_set(const Problem& p) {
+  const kernels::ScopedIndexMode grid(kernels::IndexMode::kGrid);
+  return kernels::IndexedActiveSet::try_make(p);
+}
+
+TEST(IndexedReward, CoverageMatchesPlainKernel) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const Problem p = random_problem(60, 2, 1.0, geo::l2_metric(), seed);
+    const auto active = indexed_set(p);
+    const auto y = fresh_residual(p);
+    rnd::Rng rng(seed + 100);
+    for (int trial = 0; trial < 30; ++trial) {
+      const std::vector<double> c{rng.uniform(0.0, 4.0),
+                                  rng.uniform(0.0, 4.0)};
+      EXPECT_EQ(active->coverage_reward(c), coverage_reward(p, c, y));
+    }
+  }
+}
+
+TEST(IndexedReward, CoverageMatchesUnderL1AndLinf) {
+  for (geo::Metric metric : {geo::l1_metric(), geo::linf_metric()}) {
+    const Problem p = random_problem(50, 3, 1.5, metric, 7);
+    const auto active = indexed_set(p);
+    const auto y = fresh_residual(p);
+    rnd::Rng rng(8);
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> c(3);
+      for (auto& v : c) v = rng.uniform(0.0, 4.0);
+      EXPECT_EQ(active->coverage_reward(c), coverage_reward(p, c, y));
+    }
+  }
+}
+
+TEST(IndexedReward, ApplyMatchesPlainKernel) {
+  const Problem p = random_problem(40, 2, 1.0, geo::l2_metric(), 9);
+  const auto active = indexed_set(p);
+  auto y_plain = fresh_residual(p);
+  rnd::Rng rng(10);
+  for (int round = 0; round < 5; ++round) {
+    const std::vector<double> c{rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)};
+    EXPECT_EQ(active->apply_center(c), apply_center(p, c, y_plain));
+    const std::span<const double> y_indexed = active->residual();
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      EXPECT_EQ(y_indexed[i], y_plain[i]) << "round " << round << " point "
+                                          << i;
+    }
+  }
+}
+
+TEST(IndexedReward, PartialResidualsHandled) {
+  const Problem p = random_problem(30, 2, 1.5, geo::l2_metric(), 11);
+  const auto active = indexed_set(p);
+  auto y = fresh_residual(p);
+  // Overlapping commits leave a mix of full, partial and exhausted rows;
+  // exhausted rows are masked out of the index.
+  for (const std::vector<double>& c :
+       {std::vector<double>{1.5, 1.5}, std::vector<double>{2.5, 2.0}}) {
+    (void)active->apply_center(c);
+    (void)apply_center(p, c, y);
+  }
+  const std::vector<double> c{2.0, 2.0};
+  EXPECT_EQ(active->coverage_reward(c), coverage_reward(p, c, y));
+}
+
+TEST(IndexedGreedy, RejectsZeroK) {
+  const Problem p = random_problem(5, 2, 1.0, geo::l2_metric(), 13);
+  const kernels::ScopedIndexMode grid(kernels::IndexMode::kGrid);
+  EXPECT_THROW((void)GreedyLocalSolver().solve(p, 0), InvalidArgument);
+}
+
+TEST(IndexedGreedy, MatchesPlainGreedy2) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Problem p = random_problem(50, 2, 1.0, geo::l2_metric(), seed);
+    expect_index_invisible([&] { return GreedyLocalSolver().solve(p, 4); },
+                           "seed " + std::to_string(seed));
+  }
+}
+
+TEST(IndexedGreedy, SolutionAccountingConsistent) {
+  const Problem p = random_problem(40, 3, 1.5, geo::l1_metric(), 14);
+  const kernels::ScopedIndexMode grid(kernels::IndexMode::kGrid);
+  const Solution s = GreedyLocalSolver().solve(p, 3);
+  EXPECT_NEAR(s.total_reward, objective_value(p, s.centers), 1e-9);
+  double sum = 0.0;
+  for (double g : s.round_rewards) sum += g;
+  EXPECT_NEAR(sum, s.total_reward, 1e-12);
+}
+
+TEST(IndexedGreedyComplex, MatchesPlainGreedy4) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Problem p = random_problem(40, 2, 1.0, geo::l2_metric(), seed);
+    expect_index_invisible([&] { return GreedyComplexSolver().solve(p, 4); },
+                           "seed " + std::to_string(seed));
+  }
+}
+
+TEST(IndexedGreedyComplex, MatchesPlainUnderL1In3D) {
+  const Problem p = random_problem(30, 3, 1.5, geo::l1_metric(), 21);
+  expect_index_invisible([&] { return GreedyComplexSolver().solve(p, 3); },
+                         "3-D L1");
+}
+
+TEST(IndexedGreedyComplex, AccountingConsistent) {
+  const Problem p = random_problem(25, 2, 1.0, geo::l2_metric(), 22);
+  const kernels::ScopedIndexMode grid(kernels::IndexMode::kGrid);
+  const Solution s = GreedyComplexSolver().solve(p, 3);
+  EXPECT_NEAR(s.total_reward, objective_value(p, s.centers), 1e-9);
+  EXPECT_THROW((void)GreedyComplexSolver().solve(p, 0), InvalidArgument);
 }
 
 }  // namespace

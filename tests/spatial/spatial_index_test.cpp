@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include "mmph/geometry/norms.hpp"
@@ -84,6 +85,36 @@ TEST(SpatialIndex, GridQueryIsAscendingSupersetOfBall) {
     }
   }
 }
+
+/// The grid's cell size is a free parameter (the serve layer's grid
+/// sharding picks its own); cells smaller than, equal to and larger than
+/// the query radius must all keep the query contract, including for
+/// centers outside the points' box.
+class CellGridQuerySweep
+    : public ::testing::TestWithParam<std::tuple<std::size_t, double, int>> {
+};
+
+TEST_P(CellGridQuerySweep, MatchesBruteForceAcrossMetrics) {
+  const auto [dim, cell_size, norm_id] = GetParam();
+  const geo::Metric metric = norm_id == 1   ? geo::l1_metric()
+                             : norm_id == 2 ? geo::l2_metric()
+                                            : geo::linf_metric();
+  rnd::Rng rng(7 + dim);
+  const geo::PointSet points = random_points(150, dim, rng, 0.0, 4.0);
+  std::vector<double> center(dim);
+  for (int trial = 0; trial < 40; ++trial) {
+    for (auto& v : center) v = rng.uniform(-1.0, 5.0);
+    const double radius = rng.uniform(0.1, 2.5);
+    const UniformGridIndex index(points, radius, cell_size);
+    expect_query_contract(index, center, metric);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, CellGridQuerySweep,
+    ::testing::Combine(::testing::Values(std::size_t{2}, std::size_t{3}),
+                       ::testing::Values(0.3, 1.0, 5.0),
+                       ::testing::Values(1, 2, 0)));
 
 TEST(SpatialIndex, KdQueryIsExactClosedBall) {
   for (const std::size_t dim : {std::size_t{2}, std::size_t{6}}) {

@@ -33,7 +33,8 @@
 #                               # corpus, the serve-path warm-index test).
 #                               # MMPH_SANITIZE=ON tools/check.sh index
 #                               # runs the same gate under ASan/UBSan —
-#                               # the pre-merge gate for index changes.
+#                               # the pre-merge gate for index changes
+#                               # (CI job sanitize-index).
 #   tools/check.sh shards       # region-sharded store gate: the shard
 #                               # unit/wal suites, the golden replay
 #                               # digests (--store-shards 1 bit-identity

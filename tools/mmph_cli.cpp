@@ -67,10 +67,10 @@ int usage() {
       "            [--drift SIGMA] [--churn P] [--seed S]\n"
       "  serve-replay --users N --slots T --k K [--radius R] [--churn P]\n"
       "            [--batch B] [--shards S] [--store-shards C]\n"
-      "            [--solver greedy|lazy|ls] [--threshold F] [--seed S]\n"
+      "            [--solver lazy|ls] [--threshold F] [--seed S]\n"
       "            [--index none|grid|auto]\n"
       "  serve-net [--listen [--port P] [--port-file FILE] [--run-seconds S]\n"
-      "             [--loops N]] [--store-shards C] [--solver greedy|lazy|ls]\n"
+      "             [--loops N]] [--store-shards C] [--solver lazy|ls]\n"
       "            [--wal-dir DIR [--fsync always|group|never]\n"
       "             [--snapshot-every N]] [--primary HOST --primary-port P]\n"
       "            [--connect HOST --port P] [--users N] [--slots T] [--k K]\n"
@@ -111,13 +111,13 @@ std::size_t get_positive(io::Args& args, const std::string& name,
   return static_cast<std::size_t>(value);
 }
 
-/// Consumes --solver {greedy,lazy,ls} as a serve tier.
+/// Consumes --solver {lazy,ls} as a serve tier.
 serve::SolverTier get_solver_tier(io::Args& args, const char* command) {
   const std::string text = args.get_string("solver", "lazy");
   const auto tier = serve::parse_solver_tier(text);
   if (!tier.has_value()) {
     throw ParseError(std::string(command) + ": unknown --solver '" + text +
-                     "' (greedy|lazy|ls)");
+                     "' (lazy|ls)");
   }
   return *tier;
 }
