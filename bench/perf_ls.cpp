@@ -1,11 +1,16 @@
 // Local-search polish throughput and quality lift. For each instance size
-// the scenario runs the production pipeline once:
+// the scenario runs the production pipeline once, in two boxes: the dense
+// 4x4 box of the paper (coverage balls span much of the population, so
+// evals/s must fall with n) and a constant-density box of 10 users per
+// unit² (side sqrt(n / 10), the polish-ls workload's density), where a
+// ball holds about the same users at every n and evals/s should stay
+// flat:
 //
 //   lazy      k rounds of LazyGreedySolver — the seed the polish tier
 //             starts from (and the greedy reference the certified bounds
 //             need);
-//   ls        polish(lazy) by shift/swap local search riding the spatial
-//             index for delta evaluation;
+//   ls        core::polish(lazy) by shift/swap local search riding the
+//             spatial index for delta evaluation;
 //   bounds    certified_upper_bounds over the same candidate domain — the
 //             absolute ceiling both values are reported against.
 //
@@ -18,19 +23,21 @@
 //   ./perf_ls --k 8 --out BENCH_ls.json
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "box.hpp"
 #include "mmph/core/lazy_greedy.hpp"
+#include "mmph/core/local_search.hpp"
 #include "mmph/core/problem.hpp"
 #include "mmph/io/args.hpp"
 #include "mmph/ls/bounds.hpp"
-#include "mmph/ls/local_search.hpp"
 #include "mmph/random/workload.hpp"
 
 namespace {
@@ -38,15 +45,20 @@ namespace {
 using namespace mmph;
 using Clock = std::chrono::steady_clock;
 
+/// Users per unit² of the constant-density rows.
+constexpr double kDensity = 10.0;
+
 struct ScenarioResult {
+  std::string key;
   std::size_t n = 0;
   std::size_t k = 0;
+  double box_side = 0.0;
   double lazy_value = 0.0;
   double ls_value = 0.0;
   double bound = 0.0;
   double lazy_seconds = 0.0;
   double ls_seconds = 0.0;
-  ls::LsStats stats;
+  core::LsStats stats;
 
   [[nodiscard]] double lazy_quality() const {
     return bound > 0.0 ? lazy_value / bound : 0.0;
@@ -61,18 +73,22 @@ struct ScenarioResult {
   }
 };
 
-ScenarioResult run_size(std::size_t n, std::size_t k, std::uint64_t seed) {
+ScenarioResult run_size(std::string key, std::size_t n, std::size_t k,
+                        double box_side, std::uint64_t seed) {
   rnd::WorkloadSpec spec;
   spec.n = n;
   spec.dim = 2;
+  spec.box_side = box_side;
   spec.weights = rnd::WeightScheme::kZipf;
   rnd::Rng rng(seed);
   const core::Problem problem = core::Problem::from_workload(
       rnd::generate_workload(spec, rng), 1.0, geo::l2_metric());
 
   ScenarioResult result;
+  result.key = std::move(key);
   result.n = n;
   result.k = k;
+  result.box_side = box_side;
 
   const core::LazyGreedySolver lazy_solver;
   const auto lazy_start = Clock::now();
@@ -83,7 +99,7 @@ ScenarioResult run_size(std::size_t n, std::size_t k, std::uint64_t seed) {
 
   const auto ls_start = Clock::now();
   const core::Solution polished =
-      ls::polish(problem, lazy, problem.points(), {}, &result.stats);
+      core::polish(problem, lazy, problem.points(), {}, &result.stats);
   result.ls_seconds =
       std::chrono::duration<double>(Clock::now() - ls_start).count();
   result.ls_value = polished.total_reward;
@@ -98,12 +114,13 @@ std::string scenario_json(const ScenarioResult& r) {
   char buf[512];
   std::snprintf(
       buf, sizeof buf,
-      "  \"n%zu\": {\"n\": %zu, \"k\": %zu, \"lazy_value\": %.6f, "
+      "  \"%s\": {\"n\": %zu, \"k\": %zu, \"box_side\": %.4f, "
+      "\"lazy_value\": %.6f, "
       "\"ls_value\": %.6f, \"bound\": %.6f, \"lazy_quality\": %.4f, "
       "\"ls_quality\": %.4f, \"lazy_seconds\": %.4f, \"ls_seconds\": %.4f, "
       "\"ls_evals\": %llu, \"ls_moves\": %llu, \"ls_sweeps\": %zu, "
       "\"evals_per_sec\": %.0f}",
-      r.n, r.n, r.k, r.lazy_value, r.ls_value, r.bound, r.lazy_quality(),
+      r.key.c_str(), r.n, r.k, r.box_side, r.lazy_value, r.ls_value, r.bound, r.lazy_quality(),
       r.ls_quality(), r.lazy_seconds, r.ls_seconds,
       static_cast<unsigned long long>(r.stats.evals),
       static_cast<unsigned long long>(r.stats.moves), r.stats.sweeps,
@@ -119,16 +136,37 @@ int main(int argc, char** argv) try {
   const std::string out_path = args.get_string("out", "BENCH_ls.json");
   args.finish();
 
+  // Dense 4x4 rows first, then the same sizes at constant density.
+  struct Row {
+    std::string key;
+    std::size_t n;
+    double box_side;
+  };
   const std::size_t sizes[] = {2000, 10000, 20000};
+  const auto key = [](std::size_t n, const char* suffix) {
+    std::string out = "n";
+    out += std::to_string(n);
+    out += suffix;
+    return out;
+  };
+  std::vector<Row> rows;
+  for (const std::size_t n : sizes) rows.push_back({key(n, ""), n, 4.0});
+  for (const std::size_t n : sizes) {
+    rows.push_back({key(n, "_d10"), n,
+                    std::sqrt(static_cast<double>(n) / kDensity)});
+  }
+
   std::vector<ScenarioResult> results;
   bool ok = true;
-  for (const std::size_t n : sizes) {
-    const ScenarioResult r = run_size(n, k, 2011 + n);
-    std::printf("n=%-6zu lazy %.4f (%.1f%% of bound) in %.3fs | "
+  for (const Row& row : rows) {
+    const ScenarioResult r =
+        run_size(row.key, row.n, k, row.box_side, 2011 + row.n);
+    std::printf("%-10s box %6.2f lazy %.4f (%.1f%% of bound) in %.3fs | "
                 "ls %.4f (%.1f%% of bound) in %.3fs, %llu evals "
                 "(%0.f/s), %llu moves, %zu sweeps%s\n",
-                r.n, r.lazy_value, 100.0 * r.lazy_quality(), r.lazy_seconds,
-                r.ls_value, 100.0 * r.ls_quality(), r.ls_seconds,
+                r.key.c_str(), r.box_side, r.lazy_value,
+                100.0 * r.lazy_quality(), r.lazy_seconds, r.ls_value,
+                100.0 * r.ls_quality(), r.ls_seconds,
                 static_cast<unsigned long long>(r.stats.evals),
                 r.evals_per_sec(),
                 static_cast<unsigned long long>(r.stats.moves),
@@ -136,12 +174,12 @@ int main(int argc, char** argv) try {
     // The quality-tier invariants, enforced here too: polish never loses
     // to its seed (structural), and never clears the certified ceiling.
     if (r.ls_value < r.lazy_value) {
-      std::fprintf(stderr, "perf_ls: ls < lazy at n=%zu\n", r.n);
+      std::fprintf(stderr, "perf_ls: ls < lazy at %s\n", r.key.c_str());
       ok = false;
     }
     if (r.ls_value > r.bound * (1.0 + 1e-9)) {
-      std::fprintf(stderr, "perf_ls: ls above certified bound at n=%zu\n",
-                   r.n);
+      std::fprintf(stderr, "perf_ls: ls above certified bound at %s\n",
+                   r.key.c_str());
       ok = false;
     }
     results.push_back(r);
@@ -150,9 +188,12 @@ int main(int argc, char** argv) try {
   std::ofstream out(out_path);
   out << "{\n  \"bench\": \"ls\",\n  \"scenario\": "
          "\"lazy greedy seed polished by shift/swap local search, values "
-         "against the certified upper bound (2d, l2, zipf weights)\",\n"
+         "against the certified upper bound (2d, l2, zipf weights); nN rows "
+         "in the dense 4x4 box, nN_d10 rows at 10 users per unit^2 "
+         "(box side sqrt(n/10))\",\n"
       << "  \"box\": " << bench::box_json() << ",\n"
-      << "  \"config\": {\"k\": " << k << "},\n";
+      << "  \"config\": {\"k\": " << k << ", \"density\": " << kDensity
+      << "},\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     out << scenario_json(results[i]) << (i + 1 < results.size() ? ",\n" : "\n");
   }

@@ -1,51 +1,148 @@
 #pragma once
 
 /// \file local_search.hpp
-/// \brief Swap-based local-search refinement of any solver's solution
-/// (library extension; the paper leaves improvement beyond one greedy
-/// pass as future work).
+/// \brief The local-search engine: shift/swap polish of a seed placement,
+/// and the solver that polishes any base solver's output (library
+/// extension; the paper stops each local greedy after one pass).
 ///
-/// Classic (1-swap) local search for submodular maximization: starting
-/// from a base solution, repeatedly replace one chosen center with one
-/// candidate center whenever the swap improves f(C); stop at a local
-/// optimum or after `max_sweeps` full passes. First-improvement order is
-/// deterministic (centers, then candidates, ascending), so results are
-/// reproducible.
+/// polish() is the one swap search of the library. It takes a seed (a
+/// solver's output, the previous epoch's placement, a sharded merge) and
+/// improves it by 1-swap moves until a local optimum. Two move kinds per
+/// sweep:
+///
+///   shift  — replace center c_j by a candidate inside c_j's coverage ball
+///            (a radius query on a candidate index: the cheap, usually
+///            sufficient repair move);
+///   swap   — replace c_j by any candidate (the full neighborhood).
+///
+/// Acceptance is strict improvement (delta > kMinSwapGain) in a
+/// deterministic first-improvement order (centers ascending, candidates
+/// ascending), so the same seed always polishes to the same centers. An
+/// optional tabu list switches move selection to best-improvement among
+/// non-tabu candidates, with exact ties broken by a seeded PCG64 stream —
+/// still monotone (worsening moves are never taken), still deterministic
+/// for a fixed seed.
+///
+/// The cost model is the point: a swap's objective delta only involves
+/// points inside ball(old center) ∪ ball(new candidate) — everywhere else
+/// u_i is exactly 0 for both — so core::SwapEvaluator answers it with one
+/// spatial radius query and an O(|ball|) merge instead of the O(n·k)
+/// rescan of a from-scratch objective_value. Deltas accumulate term by
+/// term in ascending point-id order, so two runs of the same polish are
+/// bit-identical.
+///
+/// Guarantee the test oracles lean on: polish() re-derives the final
+/// per-round accounting exactly (SwapEvaluator::account) and returns the
+/// seed whenever the polished total does not strictly beat the seed's, so
+/// `f(ls) >= f(seed)` holds machine-checkably, never just up to drift.
 
+#include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 
-#include "mmph/core/candidate_set.hpp"
+#include "mmph/core/problem.hpp"
+#include "mmph/core/solution.hpp"
 #include "mmph/core/solver.hpp"
+#include "mmph/geometry/point_set.hpp"
+#include "mmph/spatial/spatial_index.hpp"
 
 namespace mmph::core {
 
+/// Test-only fault seam, structurally identical to serve::FaultHook (core
+/// sits below serve, so the alias is re-declared rather than included).
+using LsFaultHook = std::function<bool(std::string_view site)>;
+
+/// A delta evaluation throws mid-polish -> polish() returns the seed and
+/// marks LsStats::aborted. Registered here (not in serve/fault.hpp)
+/// because the engine itself consults the hook; the serve catalog
+/// cross-references this name.
+inline constexpr std::string_view kFaultLsEvalThrow = "ls.eval_throw";
+
+/// Tunables of one polish run.
+struct LsConfig {
+  /// Full improvement passes before giving up on convergence.
+  std::size_t max_sweeps = 8;
+  /// 0 = plain first-improvement. > 0 = best-improvement with a tabu list:
+  /// a candidate swapped out of the solution may not re-enter for this
+  /// many committed moves (diversifies the improvement path; worsening
+  /// moves are still never accepted).
+  std::size_t tabu_tenure = 0;
+  /// PCG64 stream seed for tabu-mode tie-breaking (exact delta ties).
+  std::uint64_t seed = 2011;
+  /// Enable the shift pass (radius-local candidates first). Off = pure
+  /// swap sweeps, the classic neighborhood.
+  bool shift_moves = true;
+  /// Test-only fault seam; empty in production (one cheap bool check).
+  LsFaultHook fault_hook{};
+};
+
+/// Counters of one polish run (feeds the mmph_ls_* obs counters).
+struct LsStats {
+  std::uint64_t evals = 0;        ///< delta evaluations performed
+  std::uint64_t moves = 0;        ///< committed moves (shift + swap)
+  std::uint64_t shift_moves = 0;  ///< committed moves found by the shift pass
+  std::uint64_t swap_moves = 0;   ///< committed moves found by the swap pass
+  std::size_t sweeps = 0;         ///< improvement passes executed
+  bool improved = false;   ///< polished total strictly beat the seed total
+  bool converged = false;  ///< local optimum reached before max_sweeps
+  bool aborted = false;    ///< an eval threw -> seed returned
+};
+
+/// Polishes \p seed by shift/swap local search over \p candidates (the
+/// center domain; must be nonempty and match the problem's dimension).
+/// \p seed must carry its exact accounting on \p problem. Returns a
+/// solution with exact per-round accounting whose total_reward is >=
+/// seed.total_reward — the seed itself when no improving move survives,
+/// or when an evaluation throws (LsStats::aborted). \p stats, when
+/// non-null, receives the run's counters. \p population_index is the
+/// optional lent index of core::SwapEvaluator.
+[[nodiscard]] Solution polish(const Problem& problem, const Solution& seed,
+                              const geo::PointSet& candidates,
+                              const LsConfig& config = {},
+                              LsStats* stats = nullptr,
+                              spatial::SpatialIndex* population_index = nullptr);
+
+/// Same search from bare \p seed_centers — a placement carried over from
+/// another population (the previous epoch, the previous slot), whose old
+/// accounting means nothing here. The seed's accounting is only built when
+/// the seed is the answer, so a warm re-solve that moves pays no extra
+/// O(n) pass. The result's solver_name is left empty for the caller.
+[[nodiscard]] Solution polish(const Problem& problem,
+                              const geo::PointSet& seed_centers,
+                              const geo::PointSet& candidates,
+                              const LsConfig& config = {},
+                              LsStats* stats = nullptr,
+                              spatial::SpatialIndex* population_index = nullptr);
+
+/// A Solver that runs \p base and polishes its output. With an empty
+/// \p candidates set the center domain is the instance's own points (the
+/// Algorithm 2/3 domain), resolved per solve.
 class LocalSearchSolver final : public Solver {
  public:
-  /// Refines \p base's output by 1-swaps over \p candidates.
-  /// \p max_sweeps bounds full improvement passes (0 = no bound is not
-  /// allowed; pass a positive count).
   LocalSearchSolver(std::shared_ptr<const Solver> base,
-                    geo::PointSet candidates, std::size_t max_sweeps = 16);
+                    geo::PointSet candidates, LsConfig config = {});
 
-  /// Convenience: greedy2 base, candidates = grid(pitch) ∪ points.
-  static LocalSearchSolver greedy2_over_grid(const Problem& problem,
-                                             double pitch);
+  /// Convenience: candidates default to the instance points.
+  explicit LocalSearchSolver(std::shared_ptr<const Solver> base,
+                             LsConfig config = {});
 
+  /// "ls(<base>)".
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] Solution solve(const Problem& problem,
                                std::size_t k) const override;
 
-  /// Number of accepted swaps in the last solve() (diagnostics).
-  [[nodiscard]] std::size_t last_swap_count() const noexcept {
-    return last_swaps_;
-  }
+  /// Counters of the last solve()'s polish phase.
+  [[nodiscard]] const LsStats& last_stats() const noexcept { return stats_; }
 
  private:
   std::shared_ptr<const Solver> base_;
   geo::PointSet candidates_;
-  std::size_t max_sweeps_;
-  mutable std::size_t last_swaps_ = 0;
+  LsConfig config_;
+  mutable LsStats stats_;
 };
 
 }  // namespace mmph::core

@@ -24,9 +24,13 @@ struct SolverConfig {
 
 /// Every name make_solver accepts: the paper's algorithms ("greedy1",
 /// "greedy2", "greedy3", "greedy4"), their variants ("greedy1+polish",
-/// "greedy2-lazy", "greedy2-stoch", "greedy2+ls"), the exact baseline
-/// ("exhaustive", "exhaustive-points") and the reference baselines
-/// ("random", "kmeans", "sieve"). Spatial indexing is not a name: every
+/// "greedy2-lazy", "greedy2-stoch"), the exact baseline ("exhaustive",
+/// "exhaustive-points"), the reference baselines ("random", "kmeans",
+/// "sieve") and the local-search tier (core::LocalSearchSolver):
+///   "ls"          lazy greedy seed polished over the instance points
+///   "ls-tabu"     same seed, tabu best-improvement move selection
+///   "greedy2+ls"  greedy2 seed, pure swap sweeps over grid ∪ points
+/// All three report as "ls(<base>)". Spatial indexing is not a name: every
 /// solver that supports it follows kernels::index_mode() (--index).
 [[nodiscard]] std::vector<std::string> solver_names();
 

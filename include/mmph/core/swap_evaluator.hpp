@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file swap_evaluator.hpp
-/// \brief Ball-local incremental evaluation of 1-swap moves — the one
-/// evaluator behind every swap search (core::LocalSearchSolver,
-/// sim::WarmStartPlanner, ls::polish).
+/// \brief Ball-local incremental evaluation of 1-swap moves — the
+/// evaluator behind the one swap search, core::polish (which
+/// core::LocalSearchSolver, sim::WarmStartPlanner and the serve re-solves
+/// all run).
 ///
 /// Replacing center c_j by c' only changes u_i for points inside
 /// ball(c_j) ∪ ball(c'); everywhere else both coverages are exactly 0. The
@@ -34,7 +35,7 @@
 
 namespace mmph::core {
 
-/// Strict-improvement threshold of every swap search: a move is taken only
+/// Strict-improvement threshold of the swap search: a move is taken only
 /// when its delta exceeds this, which rejects float-noise "improvements".
 inline constexpr double kMinSwapGain = 1e-9;
 

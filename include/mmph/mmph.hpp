@@ -62,10 +62,8 @@
 #include "mmph/core/submodular.hpp"
 #include "mmph/core/swap_evaluator.hpp"
 
-// Local-search polish tier and certified upper bounds
+// Certified upper bounds
 #include "mmph/ls/bounds.hpp"
-#include "mmph/ls/local_search.hpp"
-#include "mmph/ls/registry.hpp"
 
 // Traces
 #include "mmph/trace/span.hpp"

@@ -75,10 +75,11 @@ inline constexpr std::string_view kFaultReplicaLag = "replica.lag";
 
 // --- fault-site catalog (ls polish tier) ------------------------------------
 // "ls.eval_throw" — a local-search delta evaluation throws mid-polish. The
-// constant lives in mmph/ls/local_search.hpp (ls::kFaultLsEvalThrow): ls
-// sits below serve and consults the hook itself; PlacementService forwards
-// its fault_hook into ls::polish. Effect: the solve keeps the unpolished
-// seed placement (responses stay valid; LsStats::aborted is set).
+// constant lives in mmph/core/local_search.hpp (core::kFaultLsEvalThrow):
+// the engine sits below serve and consults the hook itself;
+// PlacementService forwards its fault_hook into core::polish on the kLs
+// tier. Effect: the solve keeps the polish's seed placement (responses
+// stay valid; LsStats::aborted is set).
 
 // --- fault-site catalog (region-sharded store) ------------------------------
 // Fired by PlacementService when the store runs with --store-shards > 1.

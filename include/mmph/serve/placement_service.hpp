@@ -11,17 +11,18 @@
 ///   clients -> RequestBatcher -> [apply mutations] -> solve -> replies
 ///                                     |                 |
 ///                                InstanceStore      ShardedSolver (full)
-///                                (epoch snapshots)  or 1-swap warm refine
+///                                (epoch snapshots)  or one core::polish of
+///                                                   the served placement
 ///                                                   (incremental)
 ///
 /// Re-solves are *incremental by default*: after a small churn delta the
-/// service warm-starts from the previous centers (sim::WarmStartPlanner)
-/// and 1-swap-refines them against a curated candidate pool — cached
-/// per-shard winners plus recently churned users — instead of re-running
-/// the sharded greedy. When churn since the last solve exceeds
+/// service polishes the placement it served last (view_, its only
+/// history) on the mutated population instead of re-running the sharded
+/// greedy. When churn since the last solve exceeds
 /// `full_solve_churn_fraction` of the population (or there is no usable
-/// history: first solve, k change, emptied store), it falls back to the
-/// full sharded solve. Every stage reports trace:: spans and ServeMetrics.
+/// history: first solve, restore, emptied store, fewer than k centers), it
+/// falls back to the full sharded solve. Each solve runs at most one
+/// search. Every stage reports trace:: spans and ServeMetrics.
 ///
 /// Threading: the synchronous API (apply_* / placement / evaluate) and
 /// pump() serialize on an internal mutex, so any thread may call them;
@@ -42,7 +43,6 @@
 
 #include "mmph/core/problem.hpp"
 #include "mmph/core/solution.hpp"
-#include "mmph/ls/local_search.hpp"
 #include "mmph/parallel/thread_pool.hpp"
 #include "mmph/serve/fault.hpp"
 #include "mmph/serve/instance_store.hpp"
@@ -51,7 +51,6 @@
 #include "mmph/serve/request_batcher.hpp"
 #include "mmph/serve/sharded_solver.hpp"
 #include "mmph/serve/sharded_store.hpp"
-#include "mmph/sim/warm_start.hpp"
 #include "mmph/spatial/uniform_grid.hpp"
 #include "mmph/wal/record.hpp"
 #include "mmph/wal/sharded_wal.hpp"
@@ -64,13 +63,17 @@ namespace mmph::serve {
 enum class SolverTier {
   /// Sharded lazy greedy with global merge — the default. Its selections
   /// are bitwise-identical to plain greedy's (the lazy queue only skips
-  /// evaluations whose stale bound already loses).
+  /// evaluations whose stale bound already loses). A warm re-solve is one
+  /// shallow core::polish of the served centers: 1 pure swap sweep over a
+  /// curated pool of at most 32 candidates (recently churned-in users
+  /// first, then the last full solve's per-shard winners).
   kLazy,
-  /// kLazy, then every solve's output is polished by shift/swap local
-  /// search (ls::polish) over the instance points, riding the carried
-  /// coverage index for delta evaluation. Warm re-solves seed the polish
-  /// from the previous epoch's placement (the planner's refined centers),
-  /// and the polish never returns a worse placement than its seed.
+  /// The same solves, searched deeper: a full solve's output is polished
+  /// by shift/swap local search (core::polish, LsConfig{}) over every
+  /// instance point, and a warm re-solve is that same polish started from
+  /// the served centers. The carried coverage index serves the delta
+  /// evaluations, and the polish never returns a worse placement than its
+  /// seed. Only this tier records mmph_ls_* and serve.solve.polish.
   kLs,
 };
 
@@ -88,20 +91,13 @@ struct ServiceConfig {
 
   ShardedSolverConfig shard{};
 
-  /// Solver tier for placements (see SolverTier).
+  /// Solver tier for placements (see SolverTier). On kLs the service's
+  /// fault_hook also reaches the polish (the ls.eval_throw site).
   SolverTier solver = SolverTier::kLazy;
-  /// Polish tunables for the kLs tier. The fault_hook field here is
-  /// ignored: the service forwards its own fault_hook so the ls.eval_throw
-  /// site shares the one chaos seam.
-  ls::LsConfig ls{};
 
   /// Churn (mutations since last solve) above this fraction of the
   /// population forces a full sharded re-solve instead of a warm refine.
   double full_solve_churn_fraction = 0.05;
-  /// Swap-candidate pool size for incremental re-solves.
-  std::size_t max_incremental_candidates = 32;
-  /// Refinement sweeps per incremental re-solve.
-  std::size_t warm_sweeps = 1;
 
   std::size_t queue_capacity = 1024;
   std::size_t max_batch = 256;
@@ -281,6 +277,10 @@ class PlacementService {
       std::size_t s) const;
   void count_affinity_locked(const Request& request);
   [[nodiscard]] const PlacementView& solve_locked();
+  /// One core::polish per solve: of \p full (a sharded solve's output;
+  /// kLs only) or, when null, of the served centers (the warm re-solve).
+  [[nodiscard]] core::Solution polish_locked(const core::Problem& problem,
+                                             const core::Solution* full);
   [[nodiscard]] geo::PointSet incremental_pool_locked() const;
   void process_batch(std::vector<Request> batch);
   [[nodiscard]] core::Problem problem_locked();
@@ -300,7 +300,7 @@ class PlacementService {
   mutable std::mutex mutex_;
   ShardedInstanceStore store_;
   std::unique_ptr<ShardedSolver> sharded_;
-  std::unique_ptr<sim::WarmStartPlanner> planner_;
+  /// The served placement; a warm re-solve's seed is its centers.
   std::optional<PlacementView> view_;
   std::uint64_t churn_since_solve_ = 0;
   /// Interest rows of recently churned-in users (swap candidates).

@@ -14,7 +14,7 @@
 #include "mmph/chaos/faulty_socket_ops.hpp"
 #include "mmph/chaos/injector.hpp"
 #include "mmph/core/kernels.hpp"
-#include "mmph/ls/local_search.hpp"
+#include "mmph/core/local_search.hpp"
 #include "mmph/net/client.hpp"
 #include "mmph/net/server.hpp"
 #include "mmph/random/pcg64.hpp"
@@ -330,7 +330,7 @@ FaultPlan ls_plan_for_seed(std::uint64_t seed) {
   // magnitude below the serve sites to leave some polishes un-aborted
   // (the sweep needs both "abort keeps the seed" and "polish survives"
   // coverage on most seeds).
-  plan.with(ls::kFaultLsEvalThrow, 5e-4 * rng.next_double());
+  plan.with(core::kFaultLsEvalThrow, 5e-4 * rng.next_double());
   // Spatial faults stay armed too: the polish borrows the carried index,
   // and dropping/corrupting it must remain output-invisible.
   plan.with(serve::kFaultSpatialAllocFail, 0.25 * rng.next_double());

@@ -1,6 +1,7 @@
 #include "mmph/core/registry.hpp"
 
 #include "mmph/core/baselines.hpp"
+#include "mmph/core/candidate_set.hpp"
 #include "mmph/core/exhaustive.hpp"
 #include "mmph/core/greedy_complex.hpp"
 #include "mmph/core/greedy_local.hpp"
@@ -16,11 +17,11 @@
 namespace mmph::core {
 
 std::vector<std::string> solver_names() {
-  return {"greedy1",       "greedy2",    "greedy2-lazy",
-          "greedy2-stoch", "greedy2+ls", "greedy3",
-          "greedy4",       "exhaustive", "exhaustive-points",
-          "random",        "kmeans",     "sieve",
-          "greedy1+polish"};
+  return {"greedy1",        "greedy2",    "greedy2-lazy",
+          "greedy2-stoch",  "greedy2+ls", "greedy3",
+          "greedy4",        "exhaustive", "exhaustive-points",
+          "random",         "kmeans",     "sieve",
+          "greedy1+polish", "ls",         "ls-tabu"};
 }
 
 std::unique_ptr<Solver> make_solver(const std::string& name,
@@ -44,8 +45,21 @@ std::unique_ptr<Solver> make_solver(const std::string& name,
     return std::make_unique<StochasticGreedySolver>();
   }
   if (name == "greedy2+ls") {
+    // The classic neighborhood: pure swap sweeps over grid ∪ points.
+    LsConfig swaps;
+    swaps.max_sweeps = 16;
+    swaps.shift_moves = false;
     return std::make_unique<LocalSearchSolver>(
-        LocalSearchSolver::greedy2_over_grid(problem, config.grid_pitch));
+        std::make_shared<GreedyLocalSolver>(),
+        candidates_union(candidates_grid_over(problem, config.grid_pitch),
+                         candidates_from_points(problem)),
+        swaps);
+  }
+  if (name == "ls" || name == "ls-tabu") {
+    LsConfig polish;
+    if (name == "ls-tabu") polish.tabu_tenure = 4;
+    return std::make_unique<LocalSearchSolver>(
+        std::make_shared<LazyGreedySolver>(), polish);
   }
   if (name == "greedy3") {
     return std::make_unique<GreedySimpleSolver>();

@@ -10,6 +10,7 @@
 
 #include "mmph/core/indexed_eval.hpp"
 #include "mmph/core/kernels.hpp"
+#include "mmph/core/local_search.hpp"
 #include "mmph/core/objective.hpp"
 #include "mmph/support/assert.hpp"
 #include "mmph/support/error.hpp"
@@ -20,23 +21,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Adapts the service's shared ShardedSolver instance to the
-/// WarmStartPlanner's factory shape without transferring ownership (the
-/// service keeps the instance to read last_candidates()/last_stats()).
-class SharedSolverAdapter final : public core::Solver {
- public:
-  explicit SharedSolverAdapter(const ShardedSolver* inner) : inner_(inner) {}
-
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-
-  [[nodiscard]] core::Solution solve(const core::Problem& problem,
-                                     std::size_t k) const override {
-    return inner_->solve(problem, k);
-  }
-
- private:
-  const ShardedSolver* inner_;
-};
+/// Warm re-solve on kLazy: the curated swap-candidate pool's size and the
+/// sweeps of its polish.
+constexpr std::size_t kWarmCandidates = 32;
+constexpr std::size_t kWarmSweeps = 1;
 
 /// Region cell for the store's RegionMap, validating radius first so the
 /// member initializer cannot hit RegionMap's own check with a confusing
@@ -91,12 +79,6 @@ PlacementService::PlacementService(ServiceConfig config, par::ThreadPool* pool)
     metrics_.configure_store_shards(config_.store_shards);
   }
   sharded_ = std::make_unique<ShardedSolver>(pool_, config_.shard);
-  planner_ = std::make_unique<sim::WarmStartPlanner>(
-      [this](const core::Problem&) {
-        return std::make_unique<SharedSolverAdapter>(sharded_.get());
-      },
-      std::max<std::size_t>(config_.warm_sweeps, 1),
-      [this](const core::Problem&) { return incremental_pool_locked(); });
 }
 
 PlacementService::~PlacementService() { stop(); }
@@ -129,7 +111,6 @@ void PlacementService::restore_from(const wal::WalSnapshot& snapshot) {
                        snapshot.coords);
   // Placement history is about a population that no longer exists.
   view_.reset();
-  planner_->reset();
   churn_since_solve_ = 0;
   recent_points_.clear();
   // The carried index mirrored the old rows; the next solve rebuilds.
@@ -156,7 +137,6 @@ void PlacementService::restore_sharded(const wal::ShardedRecovery& recovered) {
     store_.restore_shard(s, part.epoch, part.ids, part.weights, part.coords);
   }
   view_.reset();
-  planner_->reset();
   churn_since_solve_ = 0;
   recent_points_.clear();
   publish_spatial_locked();
@@ -460,9 +440,9 @@ void PlacementService::apply_add_locked(const std::vector<UserRecord>& users) {
   }
   // Keep only a few multiples of the candidate cap; older churn points
   // have already been seen by a solve or crowded out.
-  const std::size_t keep =
-      std::max<std::size_t>(4 * config_.max_incremental_candidates, 4);
-  while (recent_points_.size() > keep) recent_points_.pop_front();
+  while (recent_points_.size() > 4 * kWarmCandidates) {
+    recent_points_.pop_front();
+  }
   metrics_.count_mutations(users.size());
 }
 
@@ -685,7 +665,6 @@ const PlacementView& PlacementService::solve_locked() {
     view.epoch = store_.epoch();
     view.solution.solver_name = "empty";
     view.solution.centers = geo::PointSet(config_.dim);
-    planner_->reset();  // stale centers are meaningless after an empty-out
     publish_spatial_locked();
     index_.reset();
     index_dirty_ = false;
@@ -699,45 +678,39 @@ const PlacementView& PlacementService::solve_locked() {
   const std::size_t population = store_.size();
   const core::Problem problem = problem_locked();
 
+  // The served placement is the history: a warm re-solve starts from its
+  // centers while it still has k of them (an empty-out serves none) and
+  // churn since it stayed small.
   const double churn_fraction =
       static_cast<double>(churn_since_solve_) /
       static_cast<double>(std::max<std::size_t>(population, 1));
-  if (churn_fraction > config_.full_solve_churn_fraction) planner_->reset();
+  const bool incremental =
+      view_.has_value() && view_->solution.centers.size() == config_.k &&
+      churn_fraction <= config_.full_solve_churn_fraction;
 
   // Carry the coverage index into the solve: rebuilt only when dirty or
   // out of step, otherwise the incremental mirror already brought it to
   // this epoch. The sharded solver evaluates (and grid-splits) through it,
-  // and the warm refine gathers its swap balls from it.
+  // and the polish gathers its swap balls from it.
   ensure_index_locked(problem);
   sharded_->set_shared_index(index_.get());
   // With a region-sharded store the full solve runs exactly one greedy
   // per store shard (the snapshot's contiguous row ranges) and merges
-  // globally; warm re-solves don't consult the groups (they refine the
-  // previous centers against the candidate pool).
+  // globally; warm re-solves don't consult the groups (they polish the
+  // served centers).
   if (store_.shard_count() > 1) {
     sharded_->set_row_groups(store_.shard_row_ranges());
   }
 
-  const std::uint64_t warm_before = planner_->warm_solves();
   const auto start = Clock::now();
-  core::Solution solution = planner_->plan(problem, config_.k, index_.get());
-  if (config_.solver == SolverTier::kLs && !solution.centers.empty()) {
-    // Polish the solve's output (warm path: the previous placement's
-    // refined centers — LS is seeded from the previous epoch). The carried
-    // coverage index, when present, serves the delta evaluations; the
-    // polisher unmasks it and IndexedActiveSet re-unmasks at its next
-    // solve, so lending it both ways is safe under the service mutex. A
-    // polish abort (ls.eval_throw) falls back to the seed placement.
-    ls::LsConfig polish = config_.ls;
-    polish.fault_hook = config_.fault_hook;
-    ls::LsStats ls_stats;
-    const auto polish_start = Clock::now();
-    solution = ls::polish(problem, solution, problem.points(), polish,
-                          &ls_stats, index_.get());
-    metrics_.add_ls(ls_stats.moves, ls_stats.evals, ls_stats.improved);
-    trace::SpanCollector::global().record(
-        "serve.solve.polish",
-        std::chrono::duration<double>(Clock::now() - polish_start).count());
+  core::Solution solution;
+  if (incremental) {
+    solution = polish_locked(problem, nullptr);
+  } else {
+    solution = sharded_->solve(problem, config_.k);
+    if (config_.solver == SolverTier::kLs && !solution.centers.empty()) {
+      solution = polish_locked(problem, &solution);
+    }
   }
   const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
@@ -747,7 +720,6 @@ const PlacementView& PlacementService::solve_locked() {
       metrics_.set_shard_rows(s, store_.shard(s).size());
     }
   }
-  const bool incremental = planner_->warm_solves() > warm_before;
   publish_spatial_locked();
   metrics_.record_solve(seconds, incremental);
   trace::SpanCollector::global().record(
@@ -764,22 +736,56 @@ const PlacementView& PlacementService::solve_locked() {
   return *view_;
 }
 
+core::Solution PlacementService::polish_locked(const core::Problem& problem,
+                                              const core::Solution* full) {
+  const bool deep = config_.solver == SolverTier::kLs;
+  core::LsConfig search;
+  geo::PointSet pool(config_.dim);
+  if (deep) {
+    search.fault_hook = config_.fault_hook;
+  } else {
+    search.max_sweeps = kWarmSweeps;
+    search.shift_moves = false;
+    pool = incremental_pool_locked();
+  }
+  const geo::PointSet& candidates = pool.empty() ? problem.points() : pool;
+  // The carried coverage index, when present, serves the delta
+  // evaluations; the polish unmasks it and IndexedActiveSet re-unmasks at
+  // its next solve, so lending it both ways is safe under the service
+  // mutex. A polish abort (ls.eval_throw) falls back to the seed.
+  core::LsStats stats;
+  const auto polish_start = Clock::now();
+  core::Solution out =
+      full != nullptr
+          ? core::polish(problem, *full, candidates, search, &stats,
+                         index_.get())
+          : core::polish(problem, view_->solution.centers, candidates, search,
+                         &stats, index_.get());
+  if (full == nullptr) out.solver_name = "warm-start";
+  if (deep) {
+    metrics_.add_ls(stats.moves, stats.evals, stats.improved);
+    trace::SpanCollector::global().record(
+        "serve.solve.polish",
+        std::chrono::duration<double>(Clock::now() - polish_start).count());
+  }
+  return out;
+}
+
 geo::PointSet PlacementService::incremental_pool_locked() const {
   geo::PointSet pool(config_.dim);
-  const std::size_t cap =
-      std::max<std::size_t>(config_.max_incremental_candidates, 1);
   // Newest churned-in users first: they are where coverage is missing.
   for (auto it = recent_points_.rbegin();
-       it != recent_points_.rend() && pool.size() < cap; ++it) {
+       it != recent_points_.rend() && pool.size() < kWarmCandidates; ++it) {
     pool.push_back(geo::ConstVec(it->data(), it->size()));
   }
   // Then the cached per-shard winners of the last full solve: good centers
   // for the surviving population.
   const geo::PointSet& cached = sharded_->last_candidates();
-  for (std::size_t j = 0; j < cached.size() && pool.size() < cap; ++j) {
+  for (std::size_t j = 0; j < cached.size() && pool.size() < kWarmCandidates;
+       ++j) {
     pool.push_back(cached[j]);
   }
-  return pool;  // empty -> planner falls back to all input points
+  return pool;  // empty -> the polish runs over every instance point
 }
 
 void PlacementService::count_affinity_locked(const Request& request) {

@@ -23,9 +23,8 @@
 
 #include "mmph/core/greedy_local.hpp"
 #include "mmph/core/lazy_greedy.hpp"
+#include "mmph/core/local_search.hpp"
 #include "mmph/core/objective.hpp"
-#include "mmph/ls/local_search.hpp"
-#include "mmph/ls/registry.hpp"
 #include "mmph/parallel/thread_pool.hpp"
 #include "mmph/random/workload.hpp"
 #include "mmph/serve/sharded_solver.hpp"
@@ -57,7 +56,7 @@ struct SolverSet {
     out.emplace_back("greedy2", greedy2.solve(problem, k));
     out.emplace_back("lazy", lazy.solve(problem, k));
     out.emplace_back("sharded", sharded.solve(problem, k));
-    const ls::LocalSearchSolver ls_solver(
+    const LocalSearchSolver ls_solver(
         std::make_shared<LazyGreedySolver>());
     out.emplace_back("ls", ls_solver.solve(problem, k));
     return out;

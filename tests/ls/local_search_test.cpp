@@ -1,7 +1,8 @@
-// Tests for the ls polish tier: the swap evaluator's deltas against a
-// from-scratch objective, the polish-never-hurts guarantee, bitwise
-// determinism (plain and tabu modes), the fault-abort path, and the
-// borrowed-vs-owned spatial index equivalence.
+// Tests for the local-search engine (core::polish): the swap evaluator's
+// deltas against a from-scratch objective, the polish-never-hurts
+// guarantee, bitwise determinism (plain and tabu modes), the fault-abort
+// path, the borrowed-vs-owned spatial index equivalence, and the ls names
+// of the solver registry.
 
 #include <gtest/gtest.h>
 
@@ -12,17 +13,17 @@
 #include <vector>
 
 #include "mmph/core/lazy_greedy.hpp"
+#include "mmph/core/local_search.hpp"
 #include "mmph/core/objective.hpp"
+#include "mmph/core/registry.hpp"
 #include "mmph/core/reward.hpp"
 #include "mmph/core/swap_evaluator.hpp"
 #include "mmph/geometry/vec.hpp"
-#include "mmph/ls/local_search.hpp"
-#include "mmph/ls/registry.hpp"
 #include "mmph/random/workload.hpp"
 #include "mmph/spatial/spatial_index.hpp"
 #include "mmph/support/error.hpp"
 
-namespace mmph::ls {
+namespace mmph::core {
 namespace {
 
 core::Problem random_problem(std::size_t n, std::uint64_t seed,
@@ -254,16 +255,15 @@ TEST(Registry, LsNamesResolveAndDelegate) {
   EXPECT_NE(std::find(names.begin(), names.end(), "ls"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "ls-tabu"), names.end());
 
-  // Qualified: ADL on Problem would also find core::make_solver.
-  const auto ls_solver = mmph::ls::make_solver("ls", problem);
-  const auto tabu_solver = mmph::ls::make_solver("ls-tabu", problem);
-  const auto lazy = mmph::ls::make_solver("greedy2-lazy", problem);
+  const auto ls_solver = make_solver("ls", problem);
+  const auto tabu_solver = make_solver("ls-tabu", problem);
+  const auto lazy = make_solver("greedy2-lazy", problem);
   const double lazy_value = lazy->solve(problem, 4).total_reward;
   EXPECT_GE(ls_solver->solve(problem, 4).total_reward, lazy_value);
   EXPECT_GE(tabu_solver->solve(problem, 4).total_reward, lazy_value);
-  EXPECT_THROW((void)mmph::ls::make_solver("no-such-solver", problem),
+  EXPECT_THROW((void)make_solver("no-such-solver", problem),
                InvalidArgument);
 }
 
 }  // namespace
-}  // namespace mmph::ls
+}  // namespace mmph::core

@@ -31,10 +31,10 @@
 
 #include "mmph/core/exhaustive.hpp"
 #include "mmph/core/lazy_greedy.hpp"
+#include "mmph/core/local_search.hpp"
 #include "mmph/core/objective.hpp"
 #include "mmph/core/reward.hpp"
 #include "mmph/ls/bounds.hpp"
-#include "mmph/ls/local_search.hpp"
 #include "mmph/random/workload.hpp"
 
 namespace mmph::ls {
@@ -101,9 +101,9 @@ TEST(QualityTier, ExhaustiveLsLazyFloorChainOnDifferentialCorpus) {
       const double slack = 1e-9 * std::max(1.0, optimum);
 
       const core::Solution lazy = lazy_solver.solve(problem, k);
-      LsStats stats;
+      core::LsStats stats;
       const core::Solution polished =
-          polish(problem, lazy, problem.points(), {}, &stats);
+          core::polish(problem, lazy, problem.points(), {}, &stats);
       const UpperBounds bounds =
           certified_upper_bounds(problem, k, lazy, problem.points());
 
@@ -124,7 +124,7 @@ TEST(QualityTier, ExhaustiveLsLazyFloorChainOnDifferentialCorpus) {
 
       // Bitwise reproducibility of the whole polish.
       const core::Solution again =
-          polish(problem, lazy, problem.points());
+          core::polish(problem, lazy, problem.points());
       expect_identical(polished, again, context + " re-run");
 
       if (polished.total_reward >= optimum - slack) {
@@ -184,13 +184,14 @@ TEST(QualityTier, HundredSeedDeterminismAndBoundSweepBeyondExhaustive) {
       poor.total_reward += g;
     }
 
-    LsConfig config;
+    core::LsConfig config;
     config.tabu_tenure = seed % 2 == 0 ? 0 : 3;  // alternate both modes
     config.seed = seed;
-    LsStats stats;
+    core::LsStats stats;
     const core::Solution a =
-        polish(problem, poor, problem.points(), config, &stats);
-    const core::Solution b = polish(problem, poor, problem.points(), config);
+        core::polish(problem, poor, problem.points(), config, &stats);
+    const core::Solution b =
+        core::polish(problem, poor, problem.points(), config);
     expect_identical(a, b, context + " determinism");
     EXPECT_GE(a.total_reward, poor.total_reward) << context;
     if (stats.improved) ++improved;

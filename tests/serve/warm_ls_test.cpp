@@ -1,4 +1,4 @@
-// Warm re-solve seeding of the ls polish tier. Two layers:
+// Warm re-solves of the placement service. Four layers:
 //
 //   1. the polish contract under churn — polishing a solution carried
 //      over from the previous epoch (re-accounted against the mutated
@@ -6,27 +6,35 @@
 //   2. the service wiring — a PlacementService on SolverTier::kLs rides
 //      the incremental warm path across 25 churn epochs, its placements
 //      always at least as good as a config-identical kLazy service fed
-//      the same mutations, with the mmph_ls_* counters advancing.
+//      the same mutations, with the mmph_ls_* counters advancing;
+//   3. the history — a kLs warm re-solve starts from the placement the
+//      service served, so a change that touches no coverage ball leaves
+//      the polished placement exactly where it was;
+//   4. the warm kLazy path pinned — a digest of every center coordinate
+//      and objective bit over 25 incremental churn epochs, under the
+//      carried grid and without an index.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "mmph/core/kernels.hpp"
+#include "mmph/core/local_search.hpp"
 #include "mmph/core/objective.hpp"
 #include "mmph/core/reward.hpp"
-#include "mmph/ls/local_search.hpp"
 #include "mmph/random/pcg64.hpp"
 #include "mmph/serve/placement_service.hpp"
 
 namespace mmph::serve {
 namespace {
 
-UserRecord make_user(std::uint64_t id, rnd::Pcg64& rng) {
+UserRecord make_user(std::uint64_t id, rnd::Pcg64& rng, double side = 4.0) {
   UserRecord user;
   user.id = id;
-  user.interest = {4.0 * rng.next_double(), 4.0 * rng.next_double()};
+  user.interest = {side * rng.next_double(), side * rng.next_double()};
   user.weight = 1.0 + rng.next_double();
   return user;
 }
@@ -72,9 +80,9 @@ TEST(WarmLs, PolishOfCarriedPlacementNeverLosesToItsSeed) {
     }
     const core::Problem problem(points, weights, 1.0, geo::l2_metric());
     const core::Solution seed = account(problem, carried);
-    ls::LsStats stats;
+    core::LsStats stats;
     const core::Solution polished =
-        ls::polish(problem, seed, problem.points(), {}, &stats);
+        core::polish(problem, seed, problem.points(), {}, &stats);
     EXPECT_GE(polished.total_reward, seed.total_reward)
         << "epoch " << epoch;
     EXPECT_FALSE(stats.aborted) << "epoch " << epoch;
@@ -143,6 +151,131 @@ TEST(WarmLs, ServiceOnLsTierTracksOrBeatsLazyAcrossChurnEpochs) {
       << "churn was meant to ride the warm path";
   const MetricsSnapshot lazy_m = lazy_service.metrics();
   EXPECT_EQ(lazy_m.ls_evals, 0u) << "kLazy must not touch the polish tier";
+}
+
+TEST(WarmLs, WarmResolveStartsFromTheServedPlacement) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    ServiceConfig config;
+    config.dim = 2;
+    config.k = 4;
+    config.radius = 1.0;
+    config.solver = SolverTier::kLs;
+    PlacementService service(config);
+
+    rnd::Pcg64 rng(seed);
+    std::vector<UserRecord> users;
+    for (std::uint64_t id = 1; id <= 300; ++id) {
+      users.push_back(make_user(id, rng));
+    }
+    service.apply_add(users);
+    const PlacementView cold = service.placement();
+    const MetricsSnapshot after_cold = service.metrics();
+    ASSERT_GT(after_cold.ls_moves, 0u) << "seed " << seed;
+
+    // A light user far outside the box: inside no coverage ball, worth
+    // less than any center it could pull away. The served placement is
+    // still a local optimum, so the warm polish must find nothing to do.
+    UserRecord far;
+    far.id = 301;
+    far.interest = {50.0, 50.0};
+    far.weight = 0.01;
+    service.apply_add({far});
+    const PlacementView warm = service.placement();
+    const MetricsSnapshot after_warm = service.metrics();
+
+    EXPECT_EQ(after_warm.incremental_solves, after_cold.incremental_solves + 1)
+        << "seed " << seed;
+    EXPECT_EQ(after_warm.ls_moves, after_cold.ls_moves)
+        << "seed " << seed << ": the warm re-solve re-committed moves";
+    ASSERT_EQ(warm.solution.centers.size(), cold.solution.centers.size());
+    for (std::size_t c = 0; c < cold.solution.centers.size(); ++c) {
+      for (std::size_t d = 0; d < 2; ++d) {
+        EXPECT_EQ(warm.solution.centers[c][d], cold.solution.centers[c][d])
+            << "seed " << seed << " center " << c << " coord " << d;
+      }
+    }
+  }
+}
+
+/// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      fnv_ ^= (v >> (8 * i)) & 0xFF;
+      fnv_ *= 1099511628211ull;
+    }
+  }
+  void mix(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, 8);
+    mix(bits);
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return fnv_; }
+
+ private:
+  std::uint64_t fnv_ = 1469598103934665603ull;
+};
+
+// Digest of the 25 incremental kLazy placements below, computed against
+// the service before its warm path became one core::polish call (the
+// planner's hand-written swap loop); both index modes must reproduce it.
+constexpr std::uint64_t kWarmLazyDigest = 0x46fd5c5658bf9772ull;
+
+TEST(WarmLazy, IncrementalPlacementDigestIsPinned) {
+  for (const core::kernels::IndexMode mode :
+       {core::kernels::IndexMode::kGrid, core::kernels::IndexMode::kNone}) {
+    const core::kernels::ScopedIndexMode scoped(mode);
+    ServiceConfig config;
+    config.dim = 2;
+    config.k = 6;
+    config.radius = 1.0;
+    PlacementService service(config);
+
+    // About 10 users per unit², so the carried grid prunes the balls.
+    constexpr double kSide = 14.0;
+    rnd::Pcg64 rng(2026);
+    std::uint64_t next_id = 1;
+    std::vector<std::uint64_t> live;
+    std::vector<UserRecord> initial;
+    for (std::size_t i = 0; i < 2000; ++i) {
+      live.push_back(next_id);
+      initial.push_back(make_user(next_id++, rng, kSide));
+    }
+    service.apply_add(initial);
+    (void)service.placement();  // the full solve the epochs warm-start from
+
+    Digest digest;
+    for (int epoch = 0; epoch < 25; ++epoch) {
+      // 40 of ~2000 users churn: 2 %, under the 5 % full-solve threshold.
+      std::vector<std::uint64_t> removed;
+      for (int c = 0; c < 20; ++c) {
+        const std::size_t at = rng.next_below(live.size());
+        removed.push_back(live[at]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+      std::vector<UserRecord> added;
+      for (int c = 0; c < 20; ++c) {
+        live.push_back(next_id);
+        added.push_back(make_user(next_id++, rng, kSide));
+      }
+      service.apply_remove(removed);
+      service.apply_add(added);
+
+      const PlacementView view = service.placement();
+      digest.mix(view.objective);
+      digest.mix(static_cast<std::uint64_t>(view.solution.centers.size()));
+      for (std::size_t c = 0; c < view.solution.centers.size(); ++c) {
+        for (std::size_t d = 0; d < 2; ++d) {
+          digest.mix(view.solution.centers[c][d]);
+        }
+      }
+    }
+    const char* name = core::kernels::index_mode_name(mode);
+    EXPECT_EQ(service.metrics().incremental_solves, 25u) << name;
+    EXPECT_EQ(digest.value(), kWarmLazyDigest)
+        << name << ": got 0x" << std::hex << digest.value();
+  }
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ TEST(Umbrella, EndToEndThroughSingleInclude) {
 
   // The ls tier is reachable through the umbrella too: polish the greedy
   // solution and certify it against the upper bound.
-  const core::Solution polished = ls::polish(p, s, p.points());
+  const core::Solution polished = core::polish(p, s, p.points());
   const ls::UpperBounds bounds =
       ls::certified_upper_bounds(p, 2, s, p.points());
   EXPECT_GE(polished.total_reward, s.total_reward);

@@ -52,9 +52,10 @@
 #                               # sweep) and a chaos_runner --mode ls
 #                               # sweep (ls.eval_throw fault schedules).
 #                               # MMPH_SANITIZE=ON tools/check.sh quality
-#                               # is the pre-merge gate for mmph::ls /
-#                               # bounds / solver changes (same run under
-#                               # ASan/UBSan).
+#                               # is the pre-merge gate for changes to the
+#                               # local-search engine (core::polish), the
+#                               # bounds or the solvers (same run under
+#                               # ASan/UBSan; CI job sanitize-quality).
 #   tools/check.sh bench-smoke  # build + `perfbench/run.py --smoke`: every
 #                               # benchmark workload briefly, untraced and
 #                               # traced, with all of its output checks

@@ -32,7 +32,6 @@
 #include "mmph/io/args.hpp"
 #include "mmph/io/table.hpp"
 #include "mmph/ls/bounds.hpp"
-#include "mmph/ls/registry.hpp"
 #include "mmph/net/client.hpp"
 #include "mmph/net/replica.hpp"
 #include "mmph/net/server.hpp"
@@ -57,8 +56,9 @@ int usage() {
       "            --norm l1|l2|linf --out FILE\n"
       "  solve     --problem FILE --solver NAME --k K [--pitch P]\n"
       "            [--index none|grid|auto] [--out FILE]\n"
-      "            (NAME: any core solver, plus ls / ls-tabu — lazy greedy\n"
-      "             polished by shift/swap local search)\n"
+      "            (NAME: any core solver, ls / ls-tabu included — lazy\n"
+      "             greedy polished by shift/swap local search; greedy2+ls\n"
+      "             reports as ls(greedy2))\n"
       "  evaluate  --problem FILE --solution FILE\n"
       "  describe  --problem FILE\n"
       "  compare   --problem FILE --k K [--solvers a,b,c] [--pitch P]\n"
@@ -193,7 +193,7 @@ int cmd_solve(io::Args& args) {
   }
   const auto solve_start = std::chrono::steady_clock::now();
   const core::Solution solution =
-      ls::make_solver(solver_name, problem, config)->solve(problem, k);
+      core::make_solver(solver_name, problem, config)->solve(problem, k);
   const double solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     solve_start)
@@ -294,7 +294,7 @@ int cmd_compare(io::Args& args) {
   io::Table table({"solver", "total reward", "share of demand"});
   for (const std::string& name : names) {
     const core::Solution s =
-        ls::make_solver(name, problem, config)->solve(problem, k);
+        core::make_solver(name, problem, config)->solve(problem, k);
     table.add_row({name, io::fixed(s.total_reward, 4),
                    io::percent(s.total_reward / problem.total_weight())});
   }
@@ -338,7 +338,7 @@ int cmd_simulate(io::Args& args) {
   args.finish();
 
   sim::BroadcastSimulator simulator(cfg, [&](const core::Problem& p) {
-    return ls::make_solver(solver_name, p);
+    return core::make_solver(solver_name, p);
   });
   const sim::SimReport report = simulator.run();
   io::Table table({"metric", "value"});
