@@ -170,8 +170,6 @@ class ActiveSet {
   /// dropped immediately). \p y.size() must equal problem.size().
   ActiveSet(const Problem& problem, std::span<const double> y);
 
-  [[nodiscard]] const Problem& problem() const noexcept { return problem_; }
-
   /// Points still scanned (== active points between compactions plus
   /// not-yet-compacted exhausted ones).
   [[nodiscard]] std::size_t scan_size() const noexcept { return weights_.size(); }
@@ -219,14 +217,7 @@ class ParallelEvaluator {
  public:
   explicit ParallelEvaluator(par::ThreadPool* pool) noexcept : pool_(pool) {}
 
-  /// gains[i] = coverage reward of problem.point(i) against \p y.
-  [[nodiscard]] std::vector<double> point_gains(
-      const Problem& problem, std::span<const double> y) const;
-
-  /// gains[i] = coverage reward of problem.point(i) against \p active.
-  [[nodiscard]] std::vector<double> point_gains(const ActiveSet& active) const;
-
-  /// gains[c] = coverage reward of pool[c] against \p y (merge passes).
+  /// gains[c] = coverage reward of pool[c] against \p y.
   [[nodiscard]] std::vector<double> pool_gains(
       const Problem& problem, const geo::PointSet& pool,
       std::span<const double> y) const;

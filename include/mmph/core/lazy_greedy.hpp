@@ -17,11 +17,16 @@
 /// first-round all-candidates scan — the O(n^2) initialization laziness
 /// cannot avoid — can be sharded across a ThreadPool. Both paths select
 /// identical centers (pinned by tests).
+///
+/// The candidate domain defaults to the problem's own points (Algorithm 2);
+/// the candidate-set overload draws centers from any point set instead,
+/// which is how serve::ShardedSolver merges its per-shard winners.
 
 #include <atomic>
 #include <cstddef>
 
 #include "mmph/core/solver.hpp"
+#include "mmph/geometry/point_set.hpp"
 #include "mmph/parallel/thread_pool.hpp"
 
 namespace mmph::spatial {
@@ -45,6 +50,14 @@ class LazyGreedySolver final : public Solver {
 
   [[nodiscard]] Solution solve(const Problem& problem,
                                std::size_t k) const override;
+
+  /// Same greedy with centers drawn from \p candidates (non-empty, of the
+  /// problem's dimension) and evaluated against the full problem. Ties
+  /// break toward the lower candidate index; re-picking a candidate is
+  /// allowed. solve(problem, k) is this over problem.points().
+  [[nodiscard]] Solution solve(const Problem& problem,
+                               const geo::PointSet& candidates,
+                               std::size_t k) const;
 
   /// Number of coverage-reward evaluations the last solve() performed (for
   /// the ablation bench). The counter is atomic, so solves running

@@ -119,13 +119,11 @@ struct ServiceConfig {
   /// bit-identity mode: one store shard receiving exactly the unsharded
   /// call sequence (the --store-shards 1 golden-digest discipline, like
   /// --loops 1). > 1 partitions users by interest-space region
-  /// (spatial::RegionMap over grid cells of edge region_cell): mutations
+  /// (spatial::RegionMap over grid cells of edge `radius`): mutations
   /// route to their region's shard, full solves run per shard and merge
   /// globally, and durability goes through the per-shard shard_wal.
   /// Replication endpoints are rejected while sharded (follow-on).
   std::size_t store_shards = 1;
-  /// Region cell edge for the store's RegionMap; 0 selects `radius`.
-  double region_cell = 0.0;
 
   /// Per-shard WAL coordinator for sharded stores (mutually exclusive
   /// with `wal`; shard_count must equal store_shards; must outlive the
@@ -257,8 +255,6 @@ class PlacementService {
     return metrics_.registry();
   }
   [[nodiscard]] const ServiceConfig& config() const noexcept { return config_; }
-  /// Stage diagnostics of the last full (sharded) solve.
-  [[nodiscard]] ShardStats last_shard_stats() const;
 
  private:
   void apply_add_locked(const std::vector<UserRecord>& users);

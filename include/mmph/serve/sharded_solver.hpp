@@ -15,11 +15,11 @@
 /// with one shard the result is bit-identical to core::LazyGreedySolver
 /// (tests pin this), and with many shards it tracks it closely.
 ///
-/// Shard boundaries come from the existing spatial substrate: either
-/// kd-style recursive median splits (balanced regardless of clustering) or
-/// mmph::spatial uniform-grid cells packed in row-major cell order — the
-/// same grid structure the indexed evaluation path uses, so split and eval
-/// share one build (set_shared_index) instead of each deriving their own.
+/// Shard boundaries are kd-style recursive median splits along the widest
+/// axis (balanced regardless of clustering), unless the caller dictates
+/// row ranges (set_row_groups). The merge pass is core::LazyGreedySolver's
+/// candidate-set overload over the pooled winners, so it evaluates through
+/// the same backends (lent spatial index, blocked active set, scalar).
 
 #include <cstddef>
 #include <utility>
@@ -32,16 +32,9 @@
 
 namespace mmph::spatial {
 class SpatialIndex;
-class UniformGridIndex;
 }  // namespace mmph::spatial
 
 namespace mmph::serve {
-
-/// How the population is split into shards.
-enum class ShardPolicy {
-  kMedianSplit,  ///< kd-tree-style recursive median splits (default).
-  kGridCells,    ///< uniform-grid cells packed into contiguous shards.
-};
 
 struct ShardedSolverConfig {
   /// Upper bound on shards; 0 selects max(worker count, n / 2048) so
@@ -50,53 +43,20 @@ struct ShardedSolverConfig {
   std::size_t max_shards = 0;
   /// Shards are never split below this many users.
   std::size_t min_shard_size = 64;
-  /// Centers each shard contributes to the merge pool; 0 = same as the
-  /// final k.
-  std::size_t per_shard_k = 0;
-  ShardPolicy policy = ShardPolicy::kMedianSplit;
-  /// Cell size for ShardPolicy::kGridCells; 0 = the problem radius.
-  double grid_cell_size = 0.0;
 };
 
-/// Diagnostics of the last solve() (wall times and sizes per stage).
+/// Sizes of the last solve(): shards solved and centers pooled for the
+/// merge.
 struct ShardStats {
   std::size_t shards = 0;
   std::size_t candidate_pool = 0;
-  double shard_seconds = 0.0;
-  double merge_seconds = 0.0;
 };
 
 /// Splits [0, points.size()) into spatially coherent, roughly balanced
-/// index groups (exposed for tests and the service's shard diagnostics).
-/// For ShardPolicy::kGridCells, \p grid (when given and matching the point
-/// set and cell size) supplies the cell assignment so the split reuses an
-/// index that already exists; otherwise a throwaway grid is built.
-/// Populations too high-dimensional for the grid fall back to median
-/// splits.
+/// index groups by recursive median splits (exposed for tests).
 [[nodiscard]] std::vector<std::vector<std::size_t>> shard_indices(
     const geo::PointSet& points, const ShardedSolverConfig& config,
-    std::size_t workers, double radius,
-    const spatial::UniformGridIndex* grid = nullptr);
-
-/// Lazy greedy restricted to an explicit candidate-center pool, evaluated
-/// against the full problem. Mirrors core::LazyGreedySolver (same
-/// tie-breaking toward lower pool index; re-picking exhausted candidates
-/// is allowed) but the center domain is \p pool instead of the input
-/// points. Used for the merge pass and reusable on its own.
-///
-/// Evaluations run on the blocked kernels with a residual-aware active
-/// set when core::kernels::blocked_enabled(); with \p thread_pool the
-/// first-round scan of all pool candidates is sharded across its workers
-/// (deterministic; see kernels::ParallelEvaluator). Only pass a pool when
-/// the caller is not itself running on one of its workers.
-/// \p index optionally lends a caller-maintained spatial index over the
-/// problem's points (kernels::IndexedActiveSet::try_make validates it and
-/// falls back to building or scanning per kernels::index_mode()).
-[[nodiscard]] core::Solution lazy_greedy_over_pool(
-    const core::Problem& problem, const geo::PointSet& pool, std::size_t k,
-    const std::string& solver_name = "pool-lazy",
-    par::ThreadPool* thread_pool = nullptr,
-    spatial::SpatialIndex* index = nullptr);
+    std::size_t workers);
 
 class ShardedSolver final : public core::Solver {
  public:
@@ -120,9 +80,8 @@ class ShardedSolver final : public core::Solver {
   }
 
   /// Lends a caller-maintained spatial index whose rows correspond to the
-  /// problem's points (e.g. PlacementService's carried grid). The merge
-  /// pass evaluates through it, and when it is a UniformGridIndex matching
-  /// the shard cell size, the grid split reuses its cell assignment too.
+  /// problem's points (e.g. PlacementService's carried grid); the merge
+  /// pass evaluates through it (core::LazyGreedySolver::set_shared_index).
   /// Pass nullptr to revert to per-solve builds. The index must outlive
   /// solves; whether it is consulted follows kernels::index_mode().
   void set_shared_index(spatial::SpatialIndex* index) noexcept {

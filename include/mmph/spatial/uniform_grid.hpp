@@ -66,8 +66,7 @@ class UniformGridIndex final : public SpatialIndex {
     return geo::ConstVec(coords_.data() + id * dim_, dim_);
   }
 
-  /// Cell coordinates of row \p id. Lexicographic order over cells is a
-  /// row-major spatial order — the serve layer's grid sharding sorts by it.
+  /// Cell coordinates of row \p id.
   [[nodiscard]] Cell cell_of(std::size_t id) const {
     return cell_of_vec(point(id));
   }

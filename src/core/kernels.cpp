@@ -465,21 +465,6 @@ void ActiveSet::export_residual(std::span<double> y) const {
   }
 }
 
-std::vector<double> ParallelEvaluator::point_gains(
-    const Problem& problem, std::span<const double> y) const {
-  return map(problem.size(), [&](std::size_t i) {
-    return core::coverage_reward(problem, problem.point(i), y);
-  });
-}
-
-std::vector<double> ParallelEvaluator::point_gains(
-    const ActiveSet& active) const {
-  const Problem& problem = active.problem();
-  return map(problem.size(), [&](std::size_t i) {
-    return active.coverage_reward(problem.point(i));
-  });
-}
-
 std::vector<double> ParallelEvaluator::pool_gains(
     const Problem& problem, const geo::PointSet& pool,
     std::span<const double> y) const {

@@ -15,7 +15,7 @@ namespace {
 
 struct HeapEntry {
   double gain;        // last-evaluated coverage reward (upper bound now)
-  std::size_t index;  // candidate point index
+  std::size_t index;  // candidate index
   std::size_t round;  // round in which `gain` was evaluated
 };
 
@@ -31,7 +31,16 @@ struct HeapLess {
 }  // namespace
 
 Solution LazyGreedySolver::solve(const Problem& problem, std::size_t k) const {
+  return solve(problem, problem.points(), k);
+}
+
+Solution LazyGreedySolver::solve(const Problem& problem,
+                                 const geo::PointSet& candidates,
+                                 std::size_t k) const {
   MMPH_REQUIRE(k >= 1, "solve: k must be >= 1");
+  MMPH_REQUIRE(!candidates.empty(), "solve: empty candidate set");
+  MMPH_REQUIRE(candidates.dim() == problem.dim(),
+               "solve: candidate dimension mismatch");
   Solution sol;
   sol.solver_name = name();
   sol.centers = geo::PointSet(problem.dim());
@@ -49,30 +58,22 @@ Solution LazyGreedySolver::solve(const Problem& problem, std::size_t k) const {
   std::optional<kernels::ActiveSet> active;
   if (blocked) active.emplace(problem);
 
-  const auto evaluate = [&](std::size_t i) {
-    last_evals_.fetch_add(1, std::memory_order_relaxed);
-    if (indexed) return indexed->coverage_reward(problem.point(i));
-    return blocked ? active->coverage_reward(problem.point(i))
-                   : coverage_reward(problem, problem.point(i), sol.residual);
+  const auto gain = [&](std::size_t c) {
+    if (indexed) return indexed->coverage_reward(candidates[c]);
+    return blocked ? active->coverage_reward(candidates[c])
+                   : coverage_reward(problem, candidates[c], sol.residual);
   };
 
-  // First-round scan: every candidate's fresh gain. This O(n^2) pass is
-  // the one cost laziness cannot avoid, so it shards across the pool when
-  // one was provided (per-slot writes keep the result deterministic).
-  const kernels::ParallelEvaluator evaluator(pool_);
+  // First-round scan: every candidate's fresh gain. This O(|candidates| n)
+  // pass is the one cost laziness cannot avoid, so it shards across the
+  // pool when one was provided (per-slot writes keep it deterministic).
   const std::vector<double> gains =
-      indexed ? evaluator.map(problem.size(),
-                              [&](std::size_t i) {
-                                return indexed->coverage_reward(
-                                    problem.point(i));
-                              })
-      : blocked ? evaluator.point_gains(*active)
-                : evaluator.point_gains(problem, sol.residual);
-  last_evals_.fetch_add(problem.size(), std::memory_order_relaxed);
+      kernels::ParallelEvaluator(pool_).map(candidates.size(), gain);
+  last_evals_.fetch_add(candidates.size(), std::memory_order_relaxed);
 
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap;
-  for (std::size_t i = 0; i < problem.size(); ++i) {
-    heap.push(HeapEntry{gains[i], i, 1});  // fresh for round 1
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    heap.push(HeapEntry{gains[c], c, 1});  // fresh for round 1
   }
 
   for (std::size_t round = 1; round <= k; ++round) {
@@ -81,17 +82,17 @@ Solution LazyGreedySolver::solve(const Problem& problem, std::size_t k) const {
     HeapEntry top = heap.top();
     while (top.round != round) {
       heap.pop();
-      top.gain = evaluate(top.index);
+      top.gain = gain(top.index);
+      last_evals_.fetch_add(1, std::memory_order_relaxed);
       top.round = round;
       heap.push(top);
       top = heap.top();
     }
-    sol.centers.push_back(problem.point(top.index));
-    const double g =
-        indexed ? indexed->apply_center(problem.point(top.index))
-        : blocked
-            ? active->apply_center(problem.point(top.index))
-            : apply_center(problem, problem.point(top.index), sol.residual);
+    const geo::ConstVec center = candidates[top.index];
+    sol.centers.push_back(center);
+    const double g = indexed   ? indexed->apply_center(center)
+                     : blocked ? active->apply_center(center)
+                               : apply_center(problem, center, sol.residual);
     sol.round_rewards.push_back(g);
     sol.total_reward += g;
     // The chosen entry stays in the heap with a now-stale gain; future

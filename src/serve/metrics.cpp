@@ -57,14 +57,21 @@ ServeMetrics::ServeMetrics()
 
 void ServeMetrics::configure_store_shards(std::size_t shards) {
   if (!shard_mutations_.empty()) return;  // idempotent
+  // One family at a time: the exposition writes a family's HELP/TYPE
+  // header once per run of consecutive same-family registrations, so
+  // interleaving the two families would repeat both headers per shard.
+  const auto label = [](std::size_t s) {
+    return "{shard=\"" + std::to_string(s) + "\"}";
+  };
   shard_mutations_.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    shard_mutations_.push_back(
+        &registry_.counter("mmph_store_shard_mutations_total" + label(s),
+                           "mutations routed to each store shard"));
+  }
   shard_rows_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
-    shard_mutations_.push_back(
-        &registry_.counter("mmph_store_shard_mutations_total" + label,
-                           "mutations routed to each store shard"));
-    shard_rows_.push_back(&registry_.gauge("mmph_store_shard_rows" + label,
+    shard_rows_.push_back(&registry_.gauge("mmph_store_shard_rows" + label(s),
                                            "live rows per store shard"));
   }
   affinity_hits_ = &registry_.counter(

@@ -26,13 +26,13 @@ using Clock = std::chrono::steady_clock;
 constexpr std::size_t kWarmCandidates = 32;
 constexpr std::size_t kWarmSweeps = 1;
 
-/// Region cell for the store's RegionMap, validating radius first so the
-/// member initializer cannot hit RegionMap's own check with a confusing
-/// message.
-double region_cell_for(const ServiceConfig& config) {
+/// The coverage radius, which is also the store's RegionMap cell edge;
+/// validated here so the member initializer cannot hit RegionMap's own
+/// check with a confusing message.
+double checked_radius(const ServiceConfig& config) {
   MMPH_REQUIRE(config.radius > 0.0,
                "PlacementService: radius must be positive");
-  return config.region_cell > 0.0 ? config.region_cell : config.radius;
+  return config.radius;
 }
 
 }  // namespace
@@ -58,10 +58,8 @@ PlacementService::PlacementService(ServiceConfig config, par::ThreadPool* pool)
       pool_(pool != nullptr ? *pool : par::ThreadPool::global()),
       batcher_(config.queue_capacity, &metrics_, config.fault_hook),
       store_(config.dim, std::max<std::size_t>(config.store_shards, 1),
-             region_cell_for(config)) {
+             checked_radius(config)) {
   MMPH_REQUIRE(config_.k >= 1, "PlacementService: k must be >= 1");
-  MMPH_REQUIRE(config_.radius > 0.0,
-               "PlacementService: radius must be positive");
   MMPH_REQUIRE(config_.store_shards >= 1,
                "PlacementService: store_shards must be >= 1");
   MMPH_REQUIRE(config_.max_batch >= 1,
@@ -267,11 +265,6 @@ void PlacementService::stop() {
   running_.store(false);
   batcher_.close();
   if (worker_.joinable()) worker_.join();
-}
-
-ShardStats PlacementService::last_shard_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sharded_->last_stats();
 }
 
 namespace {

@@ -1,32 +1,18 @@
 #include "mmph/serve/sharded_solver.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
-#include <memory>
 #include <numeric>
-#include <optional>
-#include <queue>
 #include <span>
 #include <utility>
 
-#include "mmph/core/indexed_eval.hpp"
-#include "mmph/core/kernels.hpp"
 #include "mmph/core/lazy_greedy.hpp"
-#include "mmph/core/reward.hpp"
 #include "mmph/parallel/parallel_for.hpp"
-#include "mmph/spatial/uniform_grid.hpp"
 #include "mmph/support/assert.hpp"
 #include "mmph/trace/span.hpp"
 
 namespace mmph::serve {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// Widest dimension of the bounding box of the indexed subset.
 std::size_t widest_dim(const geo::PointSet& points,
@@ -79,45 +65,11 @@ void median_split(const geo::PointSet& points, std::vector<std::size_t>& indices
   median_split(points, indices, mid, end, right_budget, min_shard_size, out);
 }
 
-/// Buckets points by uniform-grid cell, then packs cells (in lexicographic
-/// cell-coordinate order, i.e. spatial row-major order) into at most
-/// \p budget groups of roughly n/budget points each. The grid is the same
-/// structure the indexed evaluation path queries, so a caller that already
-/// maintains one shares it here instead of building a second.
-std::vector<std::vector<std::size_t>> grid_split(
-    const spatial::UniformGridIndex& grid, std::size_t budget) {
-  std::vector<std::size_t> order(grid.size());
-  std::iota(order.begin(), order.end(), 0);
-  // cell_of depends only on coordinates (not masks), so a grid carrying
-  // masks from a previous solve still splits the full population.
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const auto ca = grid.cell_of(a), cb = grid.cell_of(b);
-    if (ca != cb) return ca < cb;
-    return a < b;
-  });
-  const std::size_t target = (grid.size() + budget - 1) / budget;
-  std::vector<std::vector<std::size_t>> out;
-  std::size_t pos = 0;
-  while (pos < order.size()) {
-    std::size_t end = std::min(pos + target, order.size());
-    // Never split a cell across shards: extend to the cell boundary.
-    while (end < order.size() && end > pos &&
-           grid.cell_of(order[end]) == grid.cell_of(order[end - 1])) {
-      ++end;
-    }
-    out.emplace_back(order.begin() + static_cast<std::ptrdiff_t>(pos),
-                     order.begin() + static_cast<std::ptrdiff_t>(end));
-    pos = end;
-  }
-  return out;
-}
-
 }  // namespace
 
 std::vector<std::vector<std::size_t>> shard_indices(
     const geo::PointSet& points, const ShardedSolverConfig& config,
-    std::size_t workers, double radius,
-    const spatial::UniformGridIndex* grid) {
+    std::size_t workers) {
   MMPH_REQUIRE(!points.empty(), "shard_indices: empty point set");
   const std::size_t n = points.size();
   std::size_t budget = config.max_shards;
@@ -132,99 +84,11 @@ std::vector<std::vector<std::size_t>> shard_indices(
   const std::size_t min_size = std::max<std::size_t>(config.min_shard_size, 1);
   budget = std::min(budget, std::max<std::size_t>(n / min_size, 1));
 
-  if (config.policy == ShardPolicy::kGridCells &&
-      points.dim() <= spatial::kGridMaxDim) {
-    const double cell =
-        config.grid_cell_size > 0.0 ? config.grid_cell_size : radius;
-    if (grid != nullptr && grid->size() == points.size() &&
-        grid->dim() == points.dim() && grid->cell_size() == cell) {
-      return grid_split(*grid, budget);
-    }
-    return grid_split(spatial::UniformGridIndex(points, radius, cell), budget);
-  }
   std::vector<std::size_t> indices(n);
   std::iota(indices.begin(), indices.end(), 0);
   std::vector<std::vector<std::size_t>> out;
   median_split(points, indices, 0, n, budget, min_size, out);
   return out;
-}
-
-core::Solution lazy_greedy_over_pool(const core::Problem& problem,
-                                     const geo::PointSet& pool, std::size_t k,
-                                     const std::string& solver_name,
-                                     par::ThreadPool* thread_pool,
-                                     spatial::SpatialIndex* index) {
-  MMPH_REQUIRE(k >= 1, "lazy_greedy_over_pool: k must be >= 1");
-  MMPH_REQUIRE(!pool.empty(), "lazy_greedy_over_pool: empty candidate pool");
-  MMPH_REQUIRE(pool.dim() == problem.dim(),
-               "lazy_greedy_over_pool: pool dimension mismatch");
-
-  core::Solution sol;
-  sol.solver_name = solver_name;
-  sol.centers = geo::PointSet(problem.dim());
-  sol.centers.reserve(k);
-  sol.residual = core::fresh_residual(problem);
-
-  // Evaluation backends, strongest first: the spatial radius index (per
-  // eval touches only points within coverage range), else a residual-aware
-  // active set on the blocked kernels. All paths produce identical sums —
-  // out-of-ball and exhausted points contribute exact zeros.
-  const auto indexed = core::kernels::IndexedActiveSet::try_make(problem, index);
-  const bool blocked = !indexed && core::kernels::blocked_enabled();
-  std::optional<core::kernels::ActiveSet> active;
-  if (blocked) active.emplace(problem);
-  const auto evaluate = [&](std::size_t c) {
-    if (indexed) return indexed->coverage_reward(pool[c]);
-    return blocked ? active->coverage_reward(pool[c])
-                   : core::coverage_reward(problem, pool[c], sol.residual);
-  };
-
-  struct Entry {
-    double gain;
-    std::size_t index;
-    std::size_t round;
-  };
-  // Max-heap on gain, ties toward the lowest pool index (matches the
-  // ascending-scan tie-breaking of core::LazyGreedySolver).
-  const auto less = [](const Entry& a, const Entry& b) noexcept {
-    if (a.gain != b.gain) return a.gain < b.gain;
-    return a.index > b.index;
-  };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(less)> heap(less);
-  {
-    // First-round scan of every pool candidate against the full population
-    // — the dominant cost of the merge pass, sharded when a pool is given.
-    const core::kernels::ParallelEvaluator evaluator(thread_pool);
-    const std::vector<double> gains =
-        evaluator.map(pool.size(), [&](std::size_t c) { return evaluate(c); });
-    for (std::size_t c = 0; c < pool.size(); ++c) {
-      heap.push(Entry{gains[c], c, 1});
-    }
-  }
-  for (std::size_t round = 1; round <= k; ++round) {
-    Entry top = heap.top();
-    while (top.round != round) {
-      heap.pop();
-      top.gain = evaluate(top.index);
-      top.round = round;
-      heap.push(top);
-      top = heap.top();
-    }
-    sol.centers.push_back(pool[top.index]);
-    const double g =
-        indexed ? indexed->apply_center(pool[top.index])
-        : blocked
-            ? active->apply_center(pool[top.index])
-            : core::apply_center(problem, pool[top.index], sol.residual);
-    sol.round_rewards.push_back(g);
-    sol.total_reward += g;
-  }
-  if (indexed) {
-    indexed->export_residual(sol.residual);
-  } else if (blocked) {
-    active->export_residual(sol.residual);
-  }
-  return sol;
 }
 
 ShardedSolver::ShardedSolver(par::ThreadPool& pool, ShardedSolverConfig config)
@@ -235,30 +99,8 @@ core::Solution ShardedSolver::solve(const core::Problem& problem,
   MMPH_REQUIRE(k >= 1, "solve: k must be >= 1");
   last_stats_ = ShardStats{};
 
-  const auto shard_start = Clock::now();
   std::vector<std::vector<std::size_t>> shards;
   geo::PointSet candidates(problem.dim());
-
-  // One grid, two consumers: the kGridCells split reuses the shared index's
-  // cell assignment when the caller lent one (or builds a local grid that
-  // then also backs the merge-pass evaluations), instead of the split and
-  // the eval paths each deriving their own structure.
-  const spatial::UniformGridIndex* split_grid =
-      dynamic_cast<const spatial::UniformGridIndex*>(shared_index_);
-  std::unique_ptr<spatial::UniformGridIndex> local_grid;
-  spatial::SpatialIndex* eval_index = shared_index_;
-  if (config_.policy == ShardPolicy::kGridCells && split_grid == nullptr &&
-      shared_index_ == nullptr &&
-      problem.dim() <= spatial::kGridMaxDim && problem.size() > 0 &&
-      core::kernels::index_mode() != core::kernels::IndexMode::kNone) {
-    const double cell = config_.grid_cell_size > 0.0 ? config_.grid_cell_size
-                                                     : problem.radius();
-    local_grid = std::make_unique<spatial::UniformGridIndex>(
-        problem.points(), problem.radius(), cell);
-    split_grid = local_grid.get();
-    eval_index = local_grid.get();
-  }
-
   {
     trace::ScopedSpan span("serve.shard");
     if (!row_groups_.empty()) {
@@ -276,14 +118,11 @@ core::Solution ShardedSolver::solve(const core::Problem& problem,
         shards.push_back(std::move(rows));
       }
     } else {
-      shards = shard_indices(problem.points(), config_, pool_.thread_count(),
-                             problem.radius(), split_grid);
+      shards = shard_indices(problem.points(), config_, pool_.thread_count());
     }
-    const std::size_t base_k =
-        config_.per_shard_k == 0 ? k : config_.per_shard_k;
 
-    // Each shard solves its own sub-problem and reports up to base_k
-    // centers; results land in per-shard slots so the merged pool order is
+    // Each shard solves its own sub-problem and reports up to k centers;
+    // results land in per-shard slots so the merged pool order is
     // deterministic regardless of scheduling.
     std::vector<geo::PointSet> shard_centers(shards.size(),
                                              geo::PointSet(problem.dim()));
@@ -303,7 +142,7 @@ core::Solution ShardedSolver::solve(const core::Problem& problem,
                                   problem.radius(), problem.metric(),
                                   problem.reward_shape());
           const std::size_t shard_k =
-              std::max<std::size_t>(1, std::min(base_k, members.size()));
+              std::max<std::size_t>(1, std::min(k, members.size()));
           const core::Solution sol =
               core::LazyGreedySolver().solve(sub, shard_k);
           shard_centers[s] = sol.centers;
@@ -318,18 +157,17 @@ core::Solution ShardedSolver::solve(const core::Problem& problem,
   }
   last_stats_.shards = shards.size();
   last_stats_.candidate_pool = candidates.size();
-  last_stats_.shard_seconds = seconds_since(shard_start);
 
-  const auto merge_start = Clock::now();
   core::Solution sol;
   {
     trace::ScopedSpan span("serve.merge");
     // solve() runs on the caller's thread (never on a pool_ worker), so
     // the merge pass can shard its first-round scan across pool_.
-    sol = lazy_greedy_over_pool(problem, candidates, k, name(), &pool_,
-                                eval_index);
+    core::LazyGreedySolver merge(&pool_);
+    merge.set_shared_index(shared_index_);
+    sol = merge.solve(problem, candidates, k);
+    sol.solver_name = name();
   }
-  last_stats_.merge_seconds = seconds_since(merge_start);
   last_candidates_ = std::move(candidates);
   return sol;
 }

@@ -212,16 +212,22 @@ TEST(ParallelEvaluator, PoolAndSerialGainsAreIdentical) {
   const auto y = fresh_residual(p);
   const kernels::ParallelEvaluator serial(nullptr);
   const kernels::ParallelEvaluator parallel(&par::ThreadPool::global());
-  const std::vector<double> a = serial.point_gains(p, y);
-  const std::vector<double> b = parallel.point_gains(p, y);
+  const auto scalar_gain = [&](std::size_t i) {
+    return coverage_reward(p, p.point(i), y);
+  };
+  const std::vector<double> a = serial.map(p.size(), scalar_gain);
+  const std::vector<double> b = parallel.map(p.size(), scalar_gain);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i], b[i]) << "candidate " << i;
   }
   // Same determinism over an active set and over an explicit pool.
   const kernels::ActiveSet active(p);
-  const std::vector<double> c = serial.point_gains(active);
-  const std::vector<double> d = parallel.point_gains(active);
+  const auto active_gain = [&](std::size_t i) {
+    return active.coverage_reward(p.point(i));
+  };
+  const std::vector<double> c = serial.map(p.size(), active_gain);
+  const std::vector<double> d = parallel.map(p.size(), active_gain);
   for (std::size_t i = 0; i < c.size(); ++i) {
     EXPECT_DOUBLE_EQ(c[i], d[i]) << "candidate " << i;
   }

@@ -22,6 +22,30 @@ TEST(LazyGreedy, RejectsZeroK) {
   EXPECT_THROW((void)LazyGreedySolver().solve(p, 0), InvalidArgument);
 }
 
+TEST(LazyGreedy, CandidateSetMustBeNonEmptyAndMatchTheDimension) {
+  const Problem p(geo::PointSet::from_rows({{0.0, 0.0}}), {1.0}, 1.0,
+                  geo::l2_metric());
+  EXPECT_THROW((void)LazyGreedySolver().solve(p, geo::PointSet(2), 1),
+               InvalidArgument);
+  EXPECT_THROW((void)LazyGreedySolver().solve(
+                   p, geo::PointSet::from_rows({{0.0, 0.0, 0.0}}), 1),
+               InvalidArgument);
+}
+
+TEST(LazyGreedy, CentersComeFromTheCandidateSet) {
+  const Problem p(geo::PointSet::from_rows({{0.0, 0.0}, {1.0, 0.0}}),
+                  {1.0, 2.0}, 1.0, geo::l2_metric());
+  // Neither user is a candidate; the midpoint covers both.
+  const geo::PointSet candidates =
+      geo::PointSet::from_rows({{5.0, 5.0}, {0.5, 0.0}});
+  const Solution sol = LazyGreedySolver().solve(p, candidates, 1);
+  ASSERT_EQ(sol.centers.size(), 1u);
+  EXPECT_EQ(sol.centers[0][0], 0.5);
+  EXPECT_EQ(sol.centers[0][1], 0.0);
+  EXPECT_GT(sol.total_reward, 0.0);
+  EXPECT_NEAR(sol.total_reward, objective_value(p, sol.centers), 1e-12);
+}
+
 class LazyVsEager : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(LazyVsEager, SameCentersAndReward) {

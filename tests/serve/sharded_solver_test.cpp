@@ -28,25 +28,20 @@ core::Problem uniform_problem(std::size_t n, std::uint64_t seed,
 
 TEST(ShardIndices, CoversEveryPointExactlyOnce) {
   const core::Problem problem = uniform_problem(500, 11);
-  for (const ShardPolicy policy :
-       {ShardPolicy::kMedianSplit, ShardPolicy::kGridCells}) {
-    ShardedSolverConfig config;
-    config.policy = policy;
-    config.max_shards = 7;
-    config.min_shard_size = 16;
-    const auto shards =
-        shard_indices(problem.points(), config, 4, problem.radius());
-    EXPECT_GE(shards.size(), 1u);
-    std::vector<std::size_t> seen;
-    for (const auto& shard : shards) {
-      EXPECT_FALSE(shard.empty());
-      seen.insert(seen.end(), shard.begin(), shard.end());
-    }
-    std::sort(seen.begin(), seen.end());
-    std::vector<std::size_t> expected(problem.size());
-    std::iota(expected.begin(), expected.end(), 0);
-    EXPECT_EQ(seen, expected) << "policy " << static_cast<int>(policy);
+  ShardedSolverConfig config;
+  config.max_shards = 7;
+  config.min_shard_size = 16;
+  const auto shards = shard_indices(problem.points(), config, 4);
+  EXPECT_GE(shards.size(), 1u);
+  std::vector<std::size_t> seen;
+  for (const auto& shard : shards) {
+    EXPECT_FALSE(shard.empty());
+    seen.insert(seen.end(), shard.begin(), shard.end());
   }
+  std::sort(seen.begin(), seen.end());
+  std::vector<std::size_t> expected(problem.size());
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(seen, expected);
 }
 
 TEST(ShardIndices, MedianSplitBalancesShardSizes) {
@@ -54,8 +49,7 @@ TEST(ShardIndices, MedianSplitBalancesShardSizes) {
   ShardedSolverConfig config;
   config.max_shards = 8;
   config.min_shard_size = 1;
-  const auto shards =
-      shard_indices(problem.points(), config, 8, problem.radius());
+  const auto shards = shard_indices(problem.points(), config, 8);
   ASSERT_EQ(shards.size(), 8u);
   for (const auto& shard : shards) {
     EXPECT_EQ(shard.size(), 128u);  // power-of-two median splits are exact
@@ -67,8 +61,7 @@ TEST(ShardIndices, RespectsMinShardSize) {
   ShardedSolverConfig config;
   config.max_shards = 64;
   config.min_shard_size = 50;
-  const auto shards =
-      shard_indices(problem.points(), config, 64, problem.radius());
+  const auto shards = shard_indices(problem.points(), config, 64);
   EXPECT_LE(shards.size(), 2u);
 }
 
@@ -76,7 +69,7 @@ TEST(LazyGreedyOverPool, PoolOfOwnPointsMatchesLazyGreedy) {
   const core::Problem problem = uniform_problem(60, 17);
   const core::Solution direct = core::LazyGreedySolver().solve(problem, 4);
   const core::Solution pooled =
-      lazy_greedy_over_pool(problem, problem.points(), 4);
+      core::LazyGreedySolver().solve(problem, problem.points(), 4);
   ASSERT_EQ(pooled.centers.size(), direct.centers.size());
   EXPECT_NEAR(pooled.total_reward, direct.total_reward, 1e-9);
   for (std::size_t j = 0; j < direct.centers.size(); ++j) {
@@ -127,18 +120,6 @@ TEST(ShardedSolver, MultiShardTracksLazyGreedyQuality) {
   EXPECT_GT(stats.shards, 1u);
   EXPECT_EQ(stats.candidate_pool, solver.last_candidates().size());
   EXPECT_GE(stats.candidate_pool, k);
-}
-
-TEST(ShardedSolver, GridPolicySolvesToo) {
-  const core::Problem problem = uniform_problem(400, 41);
-  ShardedSolverConfig config;
-  config.policy = ShardPolicy::kGridCells;
-  config.max_shards = 6;
-  config.min_shard_size = 16;
-  ShardedSolver solver(par::ThreadPool::global(), config);
-  const core::Solution sharded = solver.solve(problem, 4);
-  const core::Solution direct = core::LazyGreedySolver().solve(problem, 4);
-  EXPECT_GE(sharded.total_reward, 0.9 * direct.total_reward);
 }
 
 TEST(ShardedSolver, TinyPopulationAndLargeK) {

@@ -3,8 +3,8 @@
 // content equivalence across shard counts, per-shard WAL crash recovery
 // (restore_sharded round-trip, direct and batched), the
 // store.shard.alloc_fail and wal.barrier.fsync_fail fault sites (direct and
-// batched), replication rejection while
-// sharded, and the loop->shard affinity counters.
+// batched), replication rejection while sharded, the loop->shard affinity
+// counters and the per-shard series' exposition.
 
 #include <algorithm>
 #include <cmath>
@@ -12,6 +12,8 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -458,6 +460,27 @@ TEST(ShardService, PerShardRowGaugesPublishAfterSolves) {
       << text;
   EXPECT_NE(text.find("mmph_store_shard_rows{shard=\"3\"}"),
             std::string::npos);
+}
+
+// The text format allows one TYPE line per metric family, with the
+// family's samples grouped under it; a strict parser rejects a scrape that
+// repeats one.
+TEST(ShardService, ExpositionWritesEachFamilyHeaderOnce) {
+  PlacementService service(sharded_config(4));
+  run_workload(service);
+  (void)service.placement();
+  std::istringstream text(service.metrics_registry().exposition_text());
+  std::set<std::string> families;
+  std::size_t type_lines = 0;
+  for (std::string line; std::getline(text, line);) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    ++type_lines;
+    const std::string family = line.substr(7, line.find(' ', 7) - 7);
+    EXPECT_TRUE(families.insert(family).second) << "repeated: " << line;
+  }
+  EXPECT_EQ(families.count("mmph_store_shard_mutations_total"), 1u);
+  EXPECT_EQ(families.count("mmph_store_shard_rows"), 1u);
+  EXPECT_EQ(type_lines, families.size());
 }
 
 /// The core differential corpus (same ~210 seeded paper-box instances as

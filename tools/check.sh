@@ -83,19 +83,22 @@ cd "$(dirname "$0")/.."
 
 SANITIZE="${MMPH_SANITIZE:-OFF}"
 BUILD_DIR="${BUILD_DIR:-build}"
+# Bounded parallelism for builds and ctest: a bare -j under the Unix
+# Makefiles generator means unlimited make jobs, which can exhaust memory.
+JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # tsan mode uses its own build tree (TSan objects cannot mix with plain
 # or ASan ones) and forces MMPH_TSAN=ON / MMPH_SANITIZE=OFF.
 if [ "$1" = "tsan" ]; then
   BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
   cmake -B "$BUILD_DIR" -S . -DMMPH_TSAN=ON -DMMPH_SANITIZE=OFF
-  cmake --build "$BUILD_DIR" -j
-  ( cd "$BUILD_DIR" &&     ctest --output-on-failure -L 'net|chaos' -j "$(nproc 2>/dev/null || echo 4)" )
+  cmake --build "$BUILD_DIR" -j "$JOBS"
+  ( cd "$BUILD_DIR" && ctest --output-on-failure -L 'net|chaos' -j "$JOBS" )
   exec "$BUILD_DIR/tests/chaos_runner" --mode net --net-seeds 25 --loops 4
 fi
 
 cmake -B "$BUILD_DIR" -S . -DMMPH_SANITIZE="$SANITIZE"
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$JOBS"
 
 if [ "$1" = "perf-smoke" ]; then
   exec "$BUILD_DIR/bench/perf_kernels" --n 1000 --out "$BUILD_DIR/BENCH_kernels.json"
@@ -125,33 +128,33 @@ fi
 
 if [ "$1" = "shards" ]; then
   ( cd "$BUILD_DIR" && \
-    ctest --output-on-failure -L shards -j "$(nproc 2>/dev/null || echo 4)" && \
-    ctest --output-on-failure -R 'multi_loop_test|store_shard_service_test' \
-      -j "$(nproc 2>/dev/null || echo 4)" )
+    ctest --output-on-failure -L shards -j "$JOBS" && \
+    ctest --output-on-failure --no-tests=error \
+      -R '^(MultiLoop|ShardService)' -j "$JOBS" )
   "$BUILD_DIR/tests/chaos_runner" --mode shards --shard-seeds 100
   TSAN_DIR="${TSAN_BUILD_DIR:-build-tsan}"
   cmake -B "$TSAN_DIR" -S . -DMMPH_TSAN=ON -DMMPH_SANITIZE=OFF
-  cmake --build "$TSAN_DIR" -j
+  cmake --build "$TSAN_DIR" -j "$JOBS"
   ( cd "$TSAN_DIR" && \
-    exec ctest --output-on-failure -L shards -j "$(nproc 2>/dev/null || echo 4)" )
+    exec ctest --output-on-failure -L shards -j "$JOBS" )
   exit $?
 fi
 
 if [ "$1" = "quality" ]; then
   ( cd "$BUILD_DIR" && \
-    ctest --output-on-failure -L quality -j "$(nproc 2>/dev/null || echo 4)" )
+    ctest --output-on-failure -L quality -j "$JOBS" )
   exec "$BUILD_DIR/tests/chaos_runner" --mode ls --ls-seeds 100
 fi
 
 if [ "$1" = "wal" ]; then
   cd "$BUILD_DIR"
-  exec ctest --output-on-failure -L wal -j "$(nproc 2>/dev/null || echo 4)"
+  exec ctest --output-on-failure -L wal -j "$JOBS"
 fi
 
 if [ "$1" = "index" ]; then
   cd "$BUILD_DIR"
-  exec ctest --output-on-failure -L spatial -j "$(nproc 2>/dev/null || echo 4)"
+  exec ctest --output-on-failure -L spatial -j "$JOBS"
 fi
 
 cd "$BUILD_DIR"
-exec ctest --output-on-failure -j "$(nproc 2>/dev/null || echo 4)" "$@"
+exec ctest --output-on-failure -j "$JOBS" "$@"
