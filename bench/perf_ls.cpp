@@ -16,7 +16,10 @@
 //
 // Reported per size: both objective values, their fraction of the
 // certified bound (quality), polish wall time, and the LsStats counters
-// (evals / moves / sweeps) that put a denominator under the time. The run
+// that put a denominator under the time: exact evals (of which far
+// evals are disjoint-ball pairs), pairs skipped on cached gains (only
+// where an index gathers the balls: the d10 rows; the dense rows scan and
+// skip none), moves and sweeps. The run
 // self-checks the quality-tier invariants — ls >= lazy exactly, and
 // ls <= certified bound — and exits nonzero on violation.
 //
@@ -111,18 +114,20 @@ ScenarioResult run_size(std::string key, std::size_t n, std::size_t k,
 }
 
 std::string scenario_json(const ScenarioResult& r) {
-  char buf[512];
+  char buf[768];
   std::snprintf(
       buf, sizeof buf,
       "  \"%s\": {\"n\": %zu, \"k\": %zu, \"box_side\": %.4f, "
       "\"lazy_value\": %.6f, "
       "\"ls_value\": %.6f, \"bound\": %.6f, \"lazy_quality\": %.4f, "
       "\"ls_quality\": %.4f, \"lazy_seconds\": %.4f, \"ls_seconds\": %.4f, "
-      "\"ls_evals\": %llu, \"ls_moves\": %llu, \"ls_sweeps\": %zu, "
-      "\"evals_per_sec\": %.0f}",
+      "\"ls_evals\": %llu, \"ls_far_evals\": %llu, \"ls_skipped\": %llu, "
+      "\"ls_moves\": %llu, \"ls_sweeps\": %zu, \"evals_per_sec\": %.0f}",
       r.key.c_str(), r.n, r.k, r.box_side, r.lazy_value, r.ls_value, r.bound, r.lazy_quality(),
       r.ls_quality(), r.lazy_seconds, r.ls_seconds,
       static_cast<unsigned long long>(r.stats.evals),
+      static_cast<unsigned long long>(r.stats.far_evals),
+      static_cast<unsigned long long>(r.stats.skipped),
       static_cast<unsigned long long>(r.stats.moves), r.stats.sweeps,
       r.evals_per_sec());
   return buf;
@@ -163,12 +168,15 @@ int main(int argc, char** argv) try {
         run_size(row.key, row.n, k, row.box_side, 2011 + row.n);
     std::printf("%-10s box %6.2f lazy %.4f (%.1f%% of bound) in %.3fs | "
                 "ls %.4f (%.1f%% of bound) in %.3fs, %llu evals "
-                "(%0.f/s), %llu moves, %zu sweeps%s\n",
+                "(%0.f/s, %llu far), %llu skipped, %llu moves, %zu "
+                "sweeps%s\n",
                 r.key.c_str(), r.box_side, r.lazy_value,
                 100.0 * r.lazy_quality(), r.lazy_seconds, r.ls_value,
                 100.0 * r.ls_quality(), r.ls_seconds,
                 static_cast<unsigned long long>(r.stats.evals),
                 r.evals_per_sec(),
+                static_cast<unsigned long long>(r.stats.far_evals),
+                static_cast<unsigned long long>(r.stats.skipped),
                 static_cast<unsigned long long>(r.stats.moves),
                 r.stats.sweeps, r.stats.aborted ? "  [ABORTED]" : "");
     // The quality-tier invariants, enforced here too: polish never loses

@@ -31,6 +31,19 @@
 /// term in ascending point-id order, so two runs of the same polish are
 /// bit-identical.
 ///
+/// Most pairs need no delta at all. When the evaluator gathers balls
+/// through an index, polish() caches every candidate's marginal gain g(c)
+/// and every slot's removal loss L_j. A pair with d(c, c_j) > 2r has
+/// disjoint balls, so delta = g(c) − L_j up to summation order; it is
+/// skipped when g(c) − L_j <= floor − 4·n·DBL_EPSILON·(g + L), which
+/// proves the delta cannot be taken (floor is kMinSwapGain, or the tabu
+/// sweep's running best). Every other pair is evaluated exactly in the
+/// usual order, so each decision, and the trajectory, is the unpruned
+/// search's. A sweep then costs O(|near pairs|·|ball|) plus the O(n) far
+/// tests; building g is one ball sum per candidate, and a commit re-sums
+/// only the gains within 2r of the old or new center and the k losses.
+/// On dense boxes the evaluator scans and every pair counts as near.
+///
 /// Guarantee the test oracles lean on: polish() re-derives the final
 /// per-round accounting exactly (SwapEvaluator::account) and returns the
 /// seed whenever the polished total does not strictly beat the seed's, so
@@ -81,7 +94,9 @@ struct LsConfig {
 
 /// Counters of one polish run (feeds the mmph_ls_* obs counters).
 struct LsStats {
-  std::uint64_t evals = 0;        ///< delta evaluations performed
+  std::uint64_t evals = 0;        ///< exact delta evaluations performed
+  std::uint64_t far_evals = 0;    ///< of those, far pairs (disjoint balls)
+  std::uint64_t skipped = 0;      ///< far pairs decided by cached gains
   std::uint64_t moves = 0;        ///< committed moves (shift + swap)
   std::uint64_t shift_moves = 0;  ///< committed moves found by the shift pass
   std::uint64_t swap_moves = 0;   ///< committed moves found by the swap pass

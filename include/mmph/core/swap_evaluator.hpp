@@ -23,6 +23,13 @@
 ///     ball spans much of the population, a plain scan beats the gather.
 /// Terms outside a ball are exact +0.0 and ids merge in ascending order, so
 /// all three give bitwise-equal deltas, totals and accounting.
+///
+/// add_gain() and removal_loss() are the two halves of a swap whose balls
+/// are disjoint: for such a pair every touched id has u_old = 0 or
+/// u_new = 0, so delta_for_swap(j, c) sums exactly the terms of
+/// add_gain(c) and of −removal_loss(j), in another order. Every term is
+/// >= 0 in floating point, which bounds the reordering error (core::polish
+/// decides far pairs from the two sums).
 
 #include <cstddef>
 #include <memory>
@@ -63,6 +70,20 @@ class SwapEvaluator {
 
   /// Applies the swap and updates the caches. Same cost as a delta.
   void commit_swap(std::size_t j, geo::ConstVec candidate);
+
+  /// g(c) = f(C + candidate) − f(C), the candidate's marginal gain: the
+  /// delta's own terms over ball(candidate) with u_old = 0, summed in
+  /// ascending id order. O(|ball(candidate)|), or O(n) when scanning.
+  [[nodiscard]] double add_gain(geo::ConstVec candidate) const;
+
+  /// L_j = f(C) − f(C − centers[j]), slot j's removal loss: the negated
+  /// delta terms over slot j's coverage with u_new = 0.
+  /// O(|ball(centers[j])|).
+  [[nodiscard]] double removal_loss(std::size_t j) const;
+
+  /// True when radius queries gather the balls (a lent or owned index),
+  /// false when every trial scans the full row range.
+  [[nodiscard]] bool gathers() const noexcept { return index_ != nullptr; }
 
   /// Full O(n) recompute of f(C) from the cached totals (test hook for
   /// pinning the accumulated current_value() against drift).

@@ -18,6 +18,10 @@
 #include "mmph/obs/registry.hpp"
 #include "mmph/spatial/spatial_index.hpp"
 
+namespace mmph::core {
+struct LsStats;
+}  // namespace mmph::core
+
 namespace mmph::serve {
 
 /// Point-in-time copy of every counter (plain data, safe to print/ship).
@@ -46,7 +50,9 @@ struct MetricsSnapshot {
   // Local-search polish activity (all 0 unless the ls solver tier runs).
   std::uint64_t ls_moves = 0;         ///< committed shift/swap moves
   std::uint64_t ls_improvements = 0;  ///< solves where ls beat its seed
-  std::uint64_t ls_evals = 0;         ///< delta evaluations
+  std::uint64_t ls_evals = 0;         ///< exact delta evaluations
+  std::uint64_t ls_far_evals = 0;     ///< of those, far (disjoint-ball) pairs
+  std::uint64_t ls_skipped = 0;       ///< far pairs decided by cached gains
 
   double mean_batch_size = 0.0;
   double solve_p50_seconds = 0.0;
@@ -91,11 +97,7 @@ class ServeMetrics {
 
   /// Folds one polish run's counters into the mmph_ls_* families
   /// (registered up front: they scrape as 0 on the greedy/lazy tiers).
-  void add_ls(std::uint64_t moves, std::uint64_t evals, bool improved) {
-    ls_moves_->add(moves);
-    ls_evals_->add(evals);
-    if (improved) ls_improvements_->add();
-  }
+  void add_ls(const core::LsStats& stats);
 
   /// Registers the per-store-shard instrument families (one labeled
   /// series per shard, the net-loop idiom). Called once by the service
@@ -142,6 +144,8 @@ class ServeMetrics {
   obs::Counter* ls_moves_;
   obs::Counter* ls_improvements_;
   obs::Counter* ls_evals_;
+  obs::Counter* ls_far_evals_;
+  obs::Counter* ls_skipped_;
   obs::Histogram* solve_seconds_;
   /// Per-store-shard series; empty until configure_store_shards().
   std::vector<obs::Counter*> shard_mutations_;

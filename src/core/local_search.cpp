@@ -1,5 +1,7 @@
 #include "mmph/core/local_search.hpp"
 
+#include <algorithm>
+#include <cfloat>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -17,17 +19,89 @@ namespace {
 constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
 
 struct PolishRun {
+  PolishRun(const Problem& problem_in, const geo::PointSet& candidates_in,
+            const LsConfig& config_in, SwapEvaluator& eval_in,
+            LsStats& stats_in)
+      : problem(problem_in),
+        candidates(candidates_in),
+        config(config_in),
+        eval(eval_in),
+        stats(stats_in) {}
+
+  const Problem& problem;
   const geo::PointSet& candidates;
   const LsConfig& config;
   SwapEvaluator& eval;
   LsStats& stats;
 
-  [[nodiscard]] double try_eval(std::size_t j, geo::ConstVec cand) {
+  /// Cached g(c) per candidate and L_j per slot; both empty in scan mode,
+  /// where every pair counts as near.
+  std::vector<double> gain;
+  std::vector<double> loss;
+  /// Beyond this distance (2r, with room for distance rounding) two
+  /// coverage balls are disjoint under any p >= 1 norm, closed or not.
+  const double far_distance = 2.0 * problem.radius() * (1.0 + 1e-9);
+  /// Per unit of g + L: bounds |delta − (g − L)| for a far pair, whose
+  /// at most n terms are each >= 0 and summed in two orders.
+  const double margin_scale =
+      4.0 * static_cast<double>(problem.size()) * DBL_EPSILON;
+  std::vector<double> replaced;  ///< commit scratch: the old center
+
+  [[nodiscard]] bool far(geo::ConstVec a, geo::ConstVec b) const {
+    return problem.metric().distance(a, b) > far_distance;
+  }
+
+  /// Builds the cache when the evaluator gathers balls through an index.
+  void cache_gains() {
+    if (!eval.gathers()) return;
+    gain.resize(candidates.size());
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+      gain[c] = eval.add_gain(candidates[c]);
+    }
+    loss.resize(eval.centers().size());
+    for (std::size_t j = 0; j < loss.size(); ++j) {
+      loss[j] = eval.removal_loss(j);
+    }
+  }
+
+  /// delta(j, c), exact — or -inf, unevaluated, when c is far from c_j and
+  /// delta = g(c) − L_j (up to the margin) cannot exceed \p floor.
+  [[nodiscard]] double try_eval(std::size_t j, std::size_t c, double floor) {
+    bool is_far = false;
+    if (!gain.empty() && far(candidates[c], eval.centers()[j])) {
+      const double bound = floor - margin_scale * (gain[c] + loss[j]);
+      if (gain[c] - loss[j] <= bound) {
+        ++stats.skipped;
+        return -std::numeric_limits<double>::infinity();
+      }
+      is_far = true;
+    }
     if (config.fault_hook && config.fault_hook(kFaultLsEvalThrow)) {
       throw std::runtime_error("ls: injected delta-evaluation fault");
     }
     ++stats.evals;
-    return eval.delta_for_swap(j, cand);
+    if (is_far) ++stats.far_evals;
+    return eval.delta_for_swap(j, candidates[c]);
+  }
+
+  /// Puts candidate c in slot j. Totals change only inside ball(old) ∪
+  /// ball(new), so only the gains of candidates within 2r of either
+  /// center can change; every other cached g stays bitwise current.
+  void commit(std::size_t j, std::size_t c) {
+    const geo::ConstVec to = candidates[c];
+    replaced.assign(eval.centers()[j].begin(), eval.centers()[j].end());
+    eval.commit_swap(j, to);
+    ++stats.moves;
+    if (gain.empty()) return;
+    const geo::ConstVec from(replaced.data(), replaced.size());
+    for (std::size_t other = 0; other < candidates.size(); ++other) {
+      if (!far(candidates[other], from) || !far(candidates[other], to)) {
+        gain[other] = eval.add_gain(candidates[other]);
+      }
+    }
+    for (std::size_t s = 0; s < loss.size(); ++s) {
+      loss[s] = eval.removal_loss(s);
+    }
   }
 
   /// One first-improvement sweep: shift pass (radius-local candidates via
@@ -41,9 +115,8 @@ struct PolishRun {
       for (std::size_t j = 0; j < k; ++j) {
         cand_index->query(eval.centers()[j], shift_ids);
         for (const std::size_t c : shift_ids) {
-          if (try_eval(j, candidates[c]) > kMinSwapGain) {
-            eval.commit_swap(j, candidates[c]);
-            ++stats.moves;
+          if (try_eval(j, c, kMinSwapGain) > kMinSwapGain) {
+            commit(j, c);
             ++stats.shift_moves;
             improved = true;
             break;  // slot j moved; its candidate ball is stale
@@ -53,9 +126,8 @@ struct PolishRun {
     }
     for (std::size_t j = 0; j < k; ++j) {
       for (std::size_t c = 0; c < candidates.size(); ++c) {
-        if (try_eval(j, candidates[c]) > kMinSwapGain) {
-          eval.commit_swap(j, candidates[c]);
-          ++stats.moves;
+        if (try_eval(j, c, kMinSwapGain) > kMinSwapGain) {
+          commit(j, c);
           ++stats.swap_moves;
           improved = true;
         }
@@ -66,7 +138,9 @@ struct PolishRun {
 
   /// One tabu sweep: full scan, commit the single best non-tabu improving
   /// move (exact delta ties broken by \p rng). Worsening moves are never
-  /// taken, so the polish stays monotone.
+  /// taken, so the polish stays monotone. A far pair is skipped only when
+  /// it can neither beat nor tie the running best, and the RNG is drawn
+  /// only for a move, so pruning changes no pick.
   bool tabu_sweep(rnd::Pcg64& rng, std::vector<std::uint64_t>& tabu_until,
                   std::vector<std::size_t>& slot_origin,
                   std::uint64_t& move_clock) {
@@ -76,7 +150,8 @@ struct PolishRun {
     for (std::size_t j = 0; j < k; ++j) {
       for (std::size_t c = 0; c < candidates.size(); ++c) {
         if (tabu_until[c] > move_clock) continue;
-        const double delta = try_eval(j, candidates[c]);
+        const double delta =
+            try_eval(j, c, std::max(best_delta, kMinSwapGain));
         if (delta > best_delta) {
           best_delta = delta;
           ties.assign(1, {j, c});
@@ -88,8 +163,7 @@ struct PolishRun {
     if (best_delta <= kMinSwapGain || ties.empty()) return false;
     const auto [j, c] = ties[static_cast<std::size_t>(
         rng.next_below(static_cast<std::uint64_t>(ties.size())))];
-    eval.commit_swap(j, candidates[c]);
-    ++stats.moves;
+    commit(j, c);
     ++stats.swap_moves;
     ++move_clock;
     if (slot_origin[j] != kNoSlot) {
@@ -102,6 +176,7 @@ struct PolishRun {
   /// Runs sweeps until a local optimum or config.max_sweeps; \p cand_index
   /// (null: no shift pass) indexes the candidates at the problem radius.
   void search(const spatial::SpatialIndex* cand_index) {
+    cache_gains();
     rnd::Pcg64 rng(config.seed);
     std::vector<std::uint64_t> tabu_until;
     std::vector<std::size_t> slot_origin;
@@ -162,7 +237,7 @@ Solution polish_from(const Problem& problem, const geo::PointSet& centers,
         spatial::make_index(candidates, problem.radius(), problem.metric());
   }
 
-  PolishRun run{candidates, config, eval, st};
+  PolishRun run(problem, candidates, config, eval, st);
   try {
     run.search(cand_index.get());
   } catch (const std::exception&) {

@@ -144,6 +144,32 @@ void SwapEvaluator::commit_swap(std::size_t j, geo::ConstVec candidate) {
   value_ += delta;
 }
 
+double SwapEvaluator::add_gain(geo::ConstVec candidate) const {
+  double gain = 0.0;
+  const auto term = [&](std::size_t i) {
+    gain += capped_change(problem_.weight(i), totals_[i], 0.0,
+                          unit_coverage(problem_, candidate, i));
+  };
+  if (index_ == nullptr) {
+    for (std::size_t i = 0; i < problem_.size(); ++i) term(i);
+  } else {
+    index_->query(candidate, ball_);
+    for (const std::size_t i : ball_) term(i);
+  }
+  return gain;
+}
+
+double SwapEvaluator::removal_loss(std::size_t j) const {
+  MMPH_REQUIRE(j < centers_.size(), "SwapEvaluator: center index");
+  const Slot& slot = slots_[j];
+  double loss = 0.0;
+  for (std::size_t p = 0; p < slot.ids.size(); ++p) {
+    const std::size_t i = slot.ids[p];
+    loss -= capped_change(problem_.weight(i), totals_[i], slot.units[p], 0.0);
+  }
+  return loss;
+}
+
 Solution SwapEvaluator::account() const {
   Solution out;
   out.centers = centers_;

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "mmph/core/local_search.hpp"
+
 namespace mmph::serve {
 
 ServeMetrics::ServeMetrics()
@@ -51,9 +53,24 @@ ServeMetrics::ServeMetrics()
           &registry_.counter("mmph_ls_improvements_total",
                              "solves where the ls polish beat its seed")),
       ls_evals_(&registry_.counter("mmph_ls_evals_total",
-                                   "local-search delta evaluations")),
+                                   "local-search exact delta evaluations")),
+      ls_far_evals_(
+          &registry_.counter("mmph_ls_far_evals_total",
+                             "exact evaluations of disjoint-ball swap pairs")),
+      ls_skipped_(
+          &registry_.counter("mmph_ls_skipped_total",
+                             "disjoint-ball swap pairs decided by cached "
+                             "gains")),
       solve_seconds_(&registry_.histogram("mmph_serve_solve_seconds",
                                           "placement solve latency")) {}
+
+void ServeMetrics::add_ls(const core::LsStats& stats) {
+  ls_moves_->add(stats.moves);
+  ls_evals_->add(stats.evals);
+  ls_far_evals_->add(stats.far_evals);
+  ls_skipped_->add(stats.skipped);
+  if (stats.improved) ls_improvements_->add();
+}
 
 void ServeMetrics::configure_store_shards(std::size_t shards) {
   if (!shard_mutations_.empty()) return;  // idempotent
@@ -141,6 +158,8 @@ MetricsSnapshot ServeMetrics::snapshot() const {
   snap.ls_moves = ls_moves_->value();
   snap.ls_improvements = ls_improvements_->value();
   snap.ls_evals = ls_evals_->value();
+  snap.ls_far_evals = ls_far_evals_->value();
+  snap.ls_skipped = ls_skipped_->value();
   snap.mean_batch_size =
       snap.batches == 0 ? 0.0
                         : static_cast<double>(snap.batched_requests) /

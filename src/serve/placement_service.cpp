@@ -756,7 +756,7 @@ core::Solution PlacementService::polish_locked(const core::Problem& problem,
                          &stats, index_.get());
   if (full == nullptr) out.solver_name = "warm-start";
   if (deep) {
-    metrics_.add_ls(stats.moves, stats.evals, stats.improved);
+    metrics_.add_ls(stats);
     trace::SpanCollector::global().record(
         "serve.solve.polish",
         std::chrono::duration<double>(Clock::now() - polish_start).count());

@@ -137,8 +137,41 @@ TEST(SwapEvaluator, WorksWithBinaryRewardShape) {
               objective_value(p, swapped), 1e-9);
 }
 
-/// One scripted trial/commit sequence: every delta, then the accumulated
-/// and exact values, the per-round rewards and the final residual.
+TEST(SwapEvaluator, GainAndLossAreTheHalvesOfAFarSwap) {
+  // g(c) = f(C + c) − f(C) and L_j = f(C) − f(C − c_j); when ball(c) and
+  // ball(c_j) are disjoint, the swap's delta is g(c) − L_j.
+  const Problem p = random_problem(60, 12);
+  rnd::Rng rng(13);
+  const geo::PointSet centers = random_centers(4, 2, rng);
+  const SwapEvaluator eval(p, centers);
+  const double f = objective_value(p, centers);
+  int far_pairs = 0;
+  for (std::size_t c = 0; c < p.size(); ++c) {
+    const geo::ConstVec cand = p.points()[c];
+    geo::PointSet grown = centers;
+    grown.push_back(cand);
+    const double gain = eval.add_gain(cand);
+    EXPECT_NEAR(gain, objective_value(p, grown) - f, 1e-9) << c;
+    for (std::size_t j = 0; j < centers.size(); ++j) {
+      geo::PointSet shrunk(2);
+      for (std::size_t o = 0; o < centers.size(); ++o) {
+        if (o != j) shrunk.push_back(centers[o]);
+      }
+      const double loss = eval.removal_loss(j);
+      EXPECT_NEAR(loss, f - objective_value(p, shrunk), 1e-9) << j;
+      if (p.metric().distance(cand, centers[j]) > 2.0 * p.radius()) {
+        ++far_pairs;
+        EXPECT_NEAR(eval.delta_for_swap(j, cand), gain - loss, 1e-12)
+            << c << " " << j;
+      }
+    }
+  }
+  EXPECT_GT(far_pairs, 0);
+}
+
+/// One scripted trial/commit sequence: every delta with its candidate's
+/// gain and its slot's loss, then the accumulated and exact values, the
+/// per-round rewards and the final residual.
 std::vector<double> run_script(const Problem& p, const geo::PointSet& centers,
                                spatial::SpatialIndex* index) {
   SwapEvaluator eval(p, centers, index);
@@ -151,6 +184,8 @@ std::vector<double> run_script(const Problem& p, const geo::PointSet& centers,
     const geo::ConstVec cand =
         p.points()[static_cast<std::size_t>(rng.uniform_int(0, n - 1))];
     out.push_back(eval.delta_for_swap(j, cand));
+    out.push_back(eval.add_gain(cand));
+    out.push_back(eval.removal_loss(j));
     if (step % 5 == 0) eval.commit_swap(j, cand);
   }
   out.push_back(eval.current_value());

@@ -1,4 +1,4 @@
-// Warm re-solves of the placement service. Four layers:
+// Warm re-solves of the placement service. Five layers:
 //
 //   1. the polish contract under churn — polishing a solution carried
 //      over from the previous epoch (re-accounted against the mutated
@@ -12,10 +12,15 @@
 //      the polished placement exactly where it was;
 //   4. the warm kLazy path pinned — a digest of every center coordinate
 //      and objective bit over 25 incremental churn epochs, under the
-//      carried grid and without an index.
+//      carried grid and without an index;
+//   5. the warm kLs path pinned the same way, at the polish-ls
+//      benchmark's shape: ~2.5k users at 10 per unit², slots of 25
+//      joins, leaves and moves, one placement per slot.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -274,6 +279,71 @@ TEST(WarmLazy, IncrementalPlacementDigestIsPinned) {
     const char* name = core::kernels::index_mode_name(mode);
     EXPECT_EQ(service.metrics().incremental_solves, 25u) << name;
     EXPECT_EQ(digest.value(), kWarmLazyDigest)
+        << name << ": got 0x" << std::hex << digest.value();
+  }
+}
+
+// Digest of every placement the kLs service below serves (the full solve,
+// then 20 warm re-solves), computed against the unpruned polish; both
+// index modes must reproduce it.
+constexpr std::uint64_t kWarmLsDigest = 0x4fdd4ede2ccf68bdull;
+
+TEST(WarmLs, LsTierPlacementDigestIsPinned) {
+  for (const core::kernels::IndexMode mode :
+       {core::kernels::IndexMode::kGrid, core::kernels::IndexMode::kNone}) {
+    const core::kernels::ScopedIndexMode scoped(mode);
+    ServiceConfig config;
+    config.dim = 2;
+    config.k = 8;
+    config.radius = 1.0;
+    config.solver = SolverTier::kLs;
+    PlacementService service(config);
+
+    const double side = std::sqrt(2500.0 / 10.0);  // 10 users per unit²
+    rnd::Pcg64 rng(2011);
+    std::uint64_t next_id = 1;
+    std::vector<UserRecord> live;
+    for (std::size_t i = 0; i < 2500; ++i) {
+      live.push_back(make_user(next_id++, rng, side));
+    }
+    service.apply_add(live);
+
+    Digest digest;
+    const auto mix = [&digest](const PlacementView& view) {
+      digest.mix(view.objective);
+      digest.mix(static_cast<std::uint64_t>(view.solution.centers.size()));
+      for (const double x : view.solution.centers.raw()) digest.mix(x);
+    };
+    mix(service.placement());
+    std::uint64_t mutations = 0;
+    for (int slot = 0; slot < 20; ++slot) {
+      // 25 of ~2500 users: 1 %, under the 5 % full-solve threshold. Joins,
+      // leaves and moves (a step of up to one radius per axis) in turn.
+      for (int m = 0; m < 25; ++m, ++mutations) {
+        if (mutations % 3 == 0) {
+          live.push_back(make_user(next_id++, rng, side));
+          service.apply_add({live.back()});
+        } else if (mutations % 3 == 1) {
+          const std::size_t at = rng.next_below(live.size());
+          service.apply_remove({live[at].id});
+          live[at] = live.back();
+          live.pop_back();
+        } else {
+          UserRecord& user = live[rng.next_below(live.size())];
+          for (double& x : user.interest) {
+            x = std::clamp(x + 2.0 * rng.next_double() - 1.0, 0.0, side);
+          }
+          service.apply_add({user});
+        }
+      }
+      mix(service.placement());
+    }
+    const char* name = core::kernels::index_mode_name(mode);
+    const MetricsSnapshot m = service.metrics();
+    EXPECT_EQ(m.full_solves, 1u) << name;
+    EXPECT_EQ(m.incremental_solves, 20u) << name;
+    EXPECT_GT(m.ls_moves, 0u) << name;
+    EXPECT_EQ(digest.value(), kWarmLsDigest)
         << name << ": got 0x" << std::hex << digest.value();
   }
 }

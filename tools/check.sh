@@ -49,8 +49,12 @@
 #                               # corpus pinning exhaustive >= ls >= lazy
 #                               # >= Thm-2 floor and ls <= certified
 #                               # bound, plus a 100-seed LS determinism
-#                               # sweep) and a chaos_runner --mode ls
-#                               # sweep (ls.eval_throw fault schedules).
+#                               # sweep), the local-search engine's own
+#                               # unit_quality suites (polish, swap
+#                               # evaluator, the pruned-vs-unpruned
+#                               # differential, the warm-ls service pins)
+#                               # and a chaos_runner --mode ls sweep
+#                               # (ls.eval_throw fault schedules).
 #                               # MMPH_SANITIZE=ON tools/check.sh quality
 #                               # is the pre-merge gate for changes to the
 #                               # local-search engine (core::polish), the
@@ -75,7 +79,7 @@
 # Extra args are forwarded to ctest: tools/check.sh -R serve filters by
 # name, tools/check.sh -L unit filters by label (labels: unit, net,
 # slow, chaos, wal, spatial, quality, unit_shards, wal_shards,
-# net_chaos — see
+# net_chaos, unit_quality — see
 # tests/CMakeLists.txt; -L matches by regex, so -L shards selects the
 # shard suites).
 set -e

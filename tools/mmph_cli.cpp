@@ -473,6 +473,8 @@ int cmd_serve_replay(io::Args& args) {
     table.add_row({"ls moves", std::to_string(m.ls_moves)});
     table.add_row({"ls improvements", std::to_string(m.ls_improvements)});
     table.add_row({"ls evals", std::to_string(m.ls_evals)});
+    table.add_row({"ls far evals", std::to_string(m.ls_far_evals)});
+    table.add_row({"ls skipped", std::to_string(m.ls_skipped)});
   }
   table.print(std::cout);
 
