@@ -11,8 +11,9 @@
 /// sweep:
 ///
 ///   shift  — replace center c_j by a candidate inside c_j's coverage ball
-///            (a radius query on a candidate index: the cheap, usually
-///            sufficient repair move);
+///            (a radius query on a candidate index — the evaluator's own
+///            grid when the candidates are the problem's points: the
+///            cheap, usually sufficient repair move);
 ///   swap   — replace c_j by any candidate (the full neighborhood).
 ///
 /// Acceptance is strict improvement (delta > kMinSwapGain) in a
@@ -40,9 +41,17 @@
 /// sweep's running best). Every other pair is evaluated exactly in the
 /// usual order, so each decision, and the trajectory, is the unpruned
 /// search's. A sweep then costs O(|near pairs|·|ball|) plus the O(n) far
-/// tests; building g is one ball sum per candidate, and a commit re-sums
-/// only the gains within 2r of the old or new center and the k losses.
-/// On dense boxes the evaluator scans and every pair counts as near.
+/// tests; a commit re-sums only the gains within 2r of the old or new
+/// center and the k losses. On dense boxes the evaluator scans and every
+/// pair counts as near.
+///
+/// Building g is one ball sum per candidate, unless a core::GainCache
+/// carries it from the previous polish: then only the rows near what
+/// changed since are re-summed (a warm re-solve pays for its churn, not
+/// for n). And no pair is tried twice at one evaluator state: in a
+/// first-improvement sweep the swap pass skips the candidates the shift
+/// pass (or the previous sweep) already rejected with no move committed
+/// since, whose verdict would be bitwise the same.
 ///
 /// Guarantee the test oracles lean on: polish() re-derives the final
 /// per-round accounting exactly (SwapEvaluator::account) and returns the
@@ -56,6 +65,7 @@
 #include <string>
 #include <string_view>
 
+#include "mmph/core/gain_cache.hpp"
 #include "mmph/core/problem.hpp"
 #include "mmph/core/solution.hpp"
 #include "mmph/core/solver.hpp"
@@ -96,7 +106,13 @@ struct LsConfig {
 struct LsStats {
   std::uint64_t evals = 0;        ///< exact delta evaluations performed
   std::uint64_t far_evals = 0;    ///< of those, far pairs (disjoint balls)
-  std::uint64_t skipped = 0;      ///< far pairs decided by cached gains
+  /// Pairs decided without a trial: far pairs decided by cached gains,
+  /// and pairs already tried at the same evaluator state (evals + skipped
+  /// is the unpruned search's evaluation count).
+  std::uint64_t skipped = 0;
+  /// add_gain sums: the stale rows at polish start plus the re-sums after
+  /// commits (every candidate when no GainCache is carried).
+  std::uint64_t gain_sums = 0;
   std::uint64_t moves = 0;        ///< committed moves (shift + swap)
   std::uint64_t shift_moves = 0;  ///< committed moves found by the shift pass
   std::uint64_t swap_moves = 0;   ///< committed moves found by the swap pass
@@ -114,11 +130,20 @@ struct LsStats {
 /// or when an evaluation throws (LsStats::aborted). \p stats, when
 /// non-null, receives the run's counters. \p population_index is the
 /// optional lent index of core::SwapEvaluator.
+///
+/// \p gains, when non-null, carries g from the previous polish of the
+/// same population (\p candidates must then be problem.points()); it is
+/// used only when \p seed's centers are the ones that polish returned,
+/// and left holding the returned centers' gains, or empty when the
+/// returned solution is not the search's final state (an abort, or moves
+/// that did not beat the seed). Outputs and counters other than
+/// LsStats::gain_sums are the same with or without it.
 [[nodiscard]] Solution polish(const Problem& problem, const Solution& seed,
                               const geo::PointSet& candidates,
                               const LsConfig& config = {},
                               LsStats* stats = nullptr,
-                              spatial::SpatialIndex* population_index = nullptr);
+                              spatial::SpatialIndex* population_index = nullptr,
+                              GainCache* gains = nullptr);
 
 /// Same search from bare \p seed_centers — a placement carried over from
 /// another population (the previous epoch, the previous slot), whose old
@@ -130,7 +155,8 @@ struct LsStats {
                               const geo::PointSet& candidates,
                               const LsConfig& config = {},
                               LsStats* stats = nullptr,
-                              spatial::SpatialIndex* population_index = nullptr);
+                              spatial::SpatialIndex* population_index = nullptr,
+                              GainCache* gains = nullptr);
 
 /// A Solver that runs \p base and polishes its output. With an empty
 /// \p candidates set the center domain is the instance's own points (the

@@ -29,7 +29,12 @@
 /// u_new = 0, so delta_for_swap(j, c) sums exactly the terms of
 /// add_gain(c) and of −removal_loss(j), in another order. Every term is
 /// >= 0 in floating point, which bounds the reordering error (core::polish
-/// decides far pairs from the two sums).
+/// decides far pairs from the two sums). add_gain(c) depends only on the
+/// ids inside ball(c), in ascending order, their positions and weights,
+/// and their totals (summed in slot order at construction); an id outside
+/// the ball adds exact +0.0. That is what lets core::GainCache carry the
+/// sums from one polish to the next and re-sum only the rows near a
+/// change.
 
 #include <cstddef>
 #include <memory>
@@ -81,9 +86,13 @@ class SwapEvaluator {
   /// O(|ball(centers[j])|).
   [[nodiscard]] double removal_loss(std::size_t j) const;
 
-  /// True when radius queries gather the balls (a lent or owned index),
-  /// false when every trial scans the full row range.
-  [[nodiscard]] bool gathers() const noexcept { return index_ != nullptr; }
+  /// The index whose radius queries gather the balls (lent or owned),
+  /// unmasked, over problem.points() at problem.radius(); null when every
+  /// trial scans the full row range. core::polish also reads it for the
+  /// shift pass and for its carried gains' stale rows.
+  [[nodiscard]] const spatial::SpatialIndex* index() const noexcept {
+    return index_;
+  }
 
   /// Full O(n) recompute of f(C) from the cached totals (test hook for
   /// pinning the accumulated current_value() against drift).

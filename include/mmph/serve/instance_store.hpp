@@ -90,6 +90,9 @@ class InstanceStore {
   /// relocates the last row.
   [[nodiscard]] std::optional<std::size_t> row_of(std::uint64_t id) const;
 
+  /// Interest point of live row \p row; valid until the next mutation.
+  [[nodiscard]] geo::ConstVec point(std::size_t row) const;
+
   /// Mutations (inserts + updates + removes) since the last snapshot().
   [[nodiscard]] std::uint64_t churn_since_snapshot() const noexcept {
     return churn_since_snapshot_;

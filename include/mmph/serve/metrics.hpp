@@ -52,7 +52,8 @@ struct MetricsSnapshot {
   std::uint64_t ls_improvements = 0;  ///< solves where ls beat its seed
   std::uint64_t ls_evals = 0;         ///< exact delta evaluations
   std::uint64_t ls_far_evals = 0;     ///< of those, far (disjoint-ball) pairs
-  std::uint64_t ls_skipped = 0;       ///< far pairs decided by cached gains
+  std::uint64_t ls_skipped = 0;       ///< pairs decided without a trial
+  std::uint64_t ls_gain_sums = 0;     ///< marginal-gain ball sums
 
   double mean_batch_size = 0.0;
   double solve_p50_seconds = 0.0;
@@ -146,6 +147,7 @@ class ServeMetrics {
   obs::Counter* ls_evals_;
   obs::Counter* ls_far_evals_;
   obs::Counter* ls_skipped_;
+  obs::Counter* ls_gain_sums_;
   obs::Histogram* solve_seconds_;
   /// Per-store-shard series; empty until configure_store_shards().
   std::vector<obs::Counter*> shard_mutations_;

@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "mmph/core/gain_cache.hpp"
 #include "mmph/core/problem.hpp"
 #include "mmph/core/solution.hpp"
 #include "mmph/parallel/thread_pool.hpp"
@@ -72,8 +73,10 @@ enum class SolverTier {
   /// by shift/swap local search (core::polish, LsConfig{}) over every
   /// instance point, and a warm re-solve is that same polish started from
   /// the served centers. The carried coverage index serves the delta
-  /// evaluations, and the polish never returns a worse placement than its
-  /// seed. Only this tier records mmph_ls_* and serve.solve.polish.
+  /// evaluations, the marginal gains carry from one polish to the next
+  /// (core::GainCache; store_shards == 1), and the polish never returns a
+  /// worse placement than its seed. Only this tier records mmph_ls_* and
+  /// serve.solve.polish.
   kLs,
 };
 
@@ -259,6 +262,9 @@ class PlacementService {
  private:
   void apply_add_locked(const std::vector<UserRecord>& users);
   void apply_remove_locked(const std::vector<std::uint64_t>& ids);
+  /// Drops gains_ once churn since the last solve passes
+  /// full_solve_churn_fraction (the next solve is full anyway).
+  void bound_gains_locked();
   void ensure_index_locked(const core::Problem& problem);
   void publish_spatial_locked();
   void commit_wal_locked();
@@ -310,6 +316,11 @@ class PlacementService {
   /// it from the snapshot (placements are bit-identical either way).
   std::unique_ptr<spatial::UniformGridIndex> index_;
   bool index_dirty_ = false;
+  /// kLs with one store shard: the last polish's marginal gains, carried to
+  /// the next warm polish. Every mutation mirrors its row operation here
+  /// in O(1), whether or not an index is carried; empty = the next polish
+  /// sums every row (after a full solve's polish it is filled again).
+  core::GainCache gains_;
   /// stats() at the last metrics publication (counters are deltas).
   spatial::IndexStats index_published_{};
 

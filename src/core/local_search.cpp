@@ -10,6 +10,7 @@
 
 #include "mmph/core/swap_evaluator.hpp"
 #include "mmph/random/pcg64.hpp"
+#include "mmph/spatial/uniform_grid.hpp"
 #include "mmph/support/assert.hpp"
 
 namespace mmph::core {
@@ -17,16 +18,19 @@ namespace mmph::core {
 namespace {
 
 constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+/// A move count no search reaches: "never tried at any state".
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
 struct PolishRun {
   PolishRun(const Problem& problem_in, const geo::PointSet& candidates_in,
             const LsConfig& config_in, SwapEvaluator& eval_in,
-            LsStats& stats_in)
+            LsStats& stats_in, GainCache& gains_in)
       : problem(problem_in),
         candidates(candidates_in),
         config(config_in),
         eval(eval_in),
-        stats(stats_in) {}
+        stats(stats_in),
+        gains(gains_in) {}
 
   const Problem& problem;
   const geo::PointSet& candidates;
@@ -36,7 +40,7 @@ struct PolishRun {
 
   /// Cached g(c) per candidate and L_j per slot; both empty in scan mode,
   /// where every pair counts as near.
-  std::vector<double> gain;
+  GainCache& gains;
   std::vector<double> loss;
   /// Beyond this distance (2r, with room for distance rounding) two
   /// coverage balls are disjoint under any p >= 1 norm, closed or not.
@@ -47,16 +51,34 @@ struct PolishRun {
       4.0 * static_cast<double>(problem.size()) * DBL_EPSILON;
   std::vector<double> replaced;  ///< commit scratch: the old center
 
+  /// What the current evaluator state has already rejected, per slot (a
+  /// first-improvement sweep only): the candidates [row_from, n) its swap
+  /// pass tried at move count row_at, and the ids its shift pass tried at
+  /// move count shift_at. A pair tried again at the same move count meets
+  /// the same state, so its verdict (a delta or a far skip) is known.
+  std::vector<std::size_t> row_from;
+  std::vector<std::uint64_t> row_at;
+  std::vector<std::vector<std::size_t>> shift_ids;
+  std::vector<std::uint64_t> shift_at;
+
   [[nodiscard]] bool far(geo::ConstVec a, geo::ConstVec b) const {
     return problem.metric().distance(a, b) > far_distance;
   }
 
-  /// Builds the cache when the evaluator gathers balls through an index.
+  /// Fills the cache when the evaluator gathers balls through an index:
+  /// the stale rows are summed, every other carried g is current.
   void cache_gains() {
-    if (!eval.gathers()) return;
-    gain.resize(candidates.size());
+    if (eval.index() == nullptr) {
+      gains.clear();
+      return;
+    }
+    gains.prepare(candidates, eval.centers(), *eval.index(), problem.metric(),
+                  problem.radius());
     for (std::size_t c = 0; c < candidates.size(); ++c) {
-      gain[c] = eval.add_gain(candidates[c]);
+      if (gains.stale(c)) {
+        gains.store(c, eval.add_gain(candidates[c]));
+        ++stats.gain_sums;
+      }
     }
     loss.resize(eval.centers().size());
     for (std::size_t j = 0; j < loss.size(); ++j) {
@@ -64,13 +86,18 @@ struct PolishRun {
     }
   }
 
+  /// True when slot j's swap pass already tried \p c at this state.
+  [[nodiscard]] bool row_tried(std::size_t j, std::size_t c) const {
+    return row_at[j] == stats.moves && c >= row_from[j];
+  }
+
   /// delta(j, c), exact — or -inf, unevaluated, when c is far from c_j and
   /// delta = g(c) − L_j (up to the margin) cannot exceed \p floor.
   [[nodiscard]] double try_eval(std::size_t j, std::size_t c, double floor) {
     bool is_far = false;
-    if (!gain.empty() && far(candidates[c], eval.centers()[j])) {
-      const double bound = floor - margin_scale * (gain[c] + loss[j]);
-      if (gain[c] - loss[j] <= bound) {
+    if (!gains.empty() && far(candidates[c], eval.centers()[j])) {
+      const double bound = floor - margin_scale * (gains[c] + loss[j]);
+      if (gains[c] - loss[j] <= bound) {
         ++stats.skipped;
         return -std::numeric_limits<double>::infinity();
       }
@@ -86,17 +113,19 @@ struct PolishRun {
 
   /// Puts candidate c in slot j. Totals change only inside ball(old) ∪
   /// ball(new), so only the gains of candidates within 2r of either
-  /// center can change; every other cached g stays bitwise current.
+  /// center can change; every other cached g stays bitwise current. The
+  /// re-summed ones saw running totals, so the next polish re-sums them.
   void commit(std::size_t j, std::size_t c) {
     const geo::ConstVec to = candidates[c];
     replaced.assign(eval.centers()[j].begin(), eval.centers()[j].end());
     eval.commit_swap(j, to);
     ++stats.moves;
-    if (gain.empty()) return;
+    if (gains.empty()) return;
     const geo::ConstVec from(replaced.data(), replaced.size());
     for (std::size_t other = 0; other < candidates.size(); ++other) {
       if (!far(candidates[other], from) || !far(candidates[other], to)) {
-        gain[other] = eval.add_gain(candidates[other]);
+        gains.store_drifted(other, eval.add_gain(candidates[other]));
+        ++stats.gain_sums;
       }
     }
     for (std::size_t s = 0; s < loss.size(); ++s) {
@@ -106,32 +135,53 @@ struct PolishRun {
 
   /// One first-improvement sweep: shift pass (radius-local candidates via
   /// \p cand_index, a superset of each center's ball), then the full swap
-  /// pass. Returns whether any move was committed.
+  /// pass. A pair already tried at this state counts as skipped. Returns
+  /// whether any move was committed.
   bool first_improvement_sweep(const spatial::SpatialIndex* cand_index) {
     bool improved = false;
-    std::vector<std::size_t> shift_ids;
     const std::size_t k = eval.centers().size();
     if (cand_index != nullptr) {
       for (std::size_t j = 0; j < k; ++j) {
-        cand_index->query(eval.centers()[j], shift_ids);
-        for (const std::size_t c : shift_ids) {
-          if (try_eval(j, c, kMinSwapGain) > kMinSwapGain) {
+        cand_index->query(eval.centers()[j], shift_ids[j]);
+        shift_at[j] = kNever;
+        bool moved = false;
+        for (const std::size_t c : shift_ids[j]) {
+          if (row_tried(j, c)) {
+            ++stats.skipped;
+          } else if (try_eval(j, c, kMinSwapGain) > kMinSwapGain) {
             commit(j, c);
             ++stats.shift_moves;
             improved = true;
+            moved = true;
             break;  // slot j moved; its candidate ball is stale
           }
         }
+        if (!moved) shift_at[j] = stats.moves;
       }
     }
     for (std::size_t j = 0; j < k; ++j) {
+      const std::vector<std::size_t>& shifted = shift_ids[j];
+      std::size_t next = 0;  // cursor into the ascending shift ids
+      std::size_t tried_from = 0;  // first candidate tried at the end state
       for (std::size_t c = 0; c < candidates.size(); ++c) {
-        if (try_eval(j, c, kMinSwapGain) > kMinSwapGain) {
+        if (shift_at[j] == stats.moves) {
+          while (next < shifted.size() && shifted[next] < c) ++next;
+          if (next < shifted.size() && shifted[next] == c) {
+            ++stats.skipped;
+            continue;
+          }
+        }
+        if (row_tried(j, c)) {
+          ++stats.skipped;
+        } else if (try_eval(j, c, kMinSwapGain) > kMinSwapGain) {
           commit(j, c);
           ++stats.swap_moves;
           improved = true;
+          tried_from = c + 1;
         }
       }
+      row_from[j] = tried_from;
+      row_at[j] = stats.moves;
     }
     return improved;
   }
@@ -177,6 +227,11 @@ struct PolishRun {
   /// (null: no shift pass) indexes the candidates at the problem radius.
   void search(const spatial::SpatialIndex* cand_index) {
     cache_gains();
+    const std::size_t k = eval.centers().size();
+    row_from.assign(k, 0);
+    row_at.assign(k, kNever);
+    shift_ids.assign(k, {});
+    shift_at.assign(k, kNever);
     rnd::Pcg64 rng(config.seed);
     std::vector<std::uint64_t> tabu_until;
     std::vector<std::size_t> slot_origin;
@@ -199,15 +254,28 @@ struct PolishRun {
   }
 };
 
+/// True when \p index (an evaluator's: over problem.points() at radius r)
+/// is what spatial::make_index(problem.points(), r, …) builds — a grid of
+/// cell r, whose queries return the same ascending superset.
+bool is_default_grid(const spatial::SpatialIndex* index,
+                     const Problem& problem) {
+  const auto* grid = dynamic_cast<const spatial::UniformGridIndex*>(index);
+  return grid != nullptr && grid->cell_size() == problem.radius();
+}
+
 /// The one search behind both polish() overloads. \p accounted is the
 /// seed with exact accounting on \p problem, or null for bare centers.
 Solution polish_from(const Problem& problem, const geo::PointSet& centers,
                      const Solution* accounted,
                      const geo::PointSet& candidates, const LsConfig& config,
-                     LsStats* stats, spatial::SpatialIndex* population_index) {
+                     LsStats* stats, spatial::SpatialIndex* population_index,
+                     GainCache* carried) {
   MMPH_REQUIRE(!candidates.empty(), "polish: empty candidate set");
   MMPH_REQUIRE(candidates.dim() == problem.dim(),
                "polish: candidate dimension mismatch");
+  MMPH_REQUIRE(carried == nullptr || &candidates == &problem.points(),
+               "polish: a carried GainCache needs the problem's points as "
+               "candidates");
   LsStats local;
   LsStats& st = stats != nullptr ? *stats : local;
   st = LsStats{};
@@ -231,20 +299,32 @@ Solution polish_from(const Problem& problem, const geo::PointSet& centers,
                : SwapEvaluator(problem, centers, population_index).account();
   };
 
-  std::unique_ptr<spatial::SpatialIndex> cand_index;
+  // The shift pass queries the candidates at the problem radius; when they
+  // are the problem's points, the evaluator's grid already answers that.
+  std::unique_ptr<spatial::SpatialIndex> owned_shift_index;
+  const spatial::SpatialIndex* shift_index = nullptr;
   if (config.shift_moves && config.tabu_tenure == 0) {
-    cand_index =
-        spatial::make_index(candidates, problem.radius(), problem.metric());
+    if (&candidates == &problem.points() &&
+        is_default_grid(eval.index(), problem)) {
+      shift_index = eval.index();
+    } else {
+      owned_shift_index =
+          spatial::make_index(candidates, problem.radius(), problem.metric());
+      shift_index = owned_shift_index.get();
+    }
   }
 
-  PolishRun run(problem, candidates, config, eval, st);
+  GainCache local_gains;
+  GainCache& gains = carried != nullptr ? *carried : local_gains;
+  PolishRun run(problem, candidates, config, eval, st, gains);
   try {
-    run.search(cand_index.get());
+    run.search(shift_index);
   } catch (const std::exception&) {
     // A delta evaluation failed (injected fault or organic). The seed is a
     // complete, valid solution — return it rather than a state mid-move;
     // the caller's f(ls) >= f(seed) contract still holds.
     st.aborted = true;
+    gains.clear();
     return seed_answer();
   }
 
@@ -252,10 +332,17 @@ Solution polish_from(const Problem& problem, const geo::PointSet& centers,
   // association than a from-scratch pass; re-derive the per-round rewards
   // and keep the seed whenever polishing did not strictly beat it, so
   // f(result) >= f(seed) is structural, not "up to drift". Unmoved bare
-  // centers are the seed, and this is their accounting.
+  // centers are the seed, and this is their accounting. The gains carry
+  // over only when the answer is the evaluator's final state.
   Solution out = eval.account();
+  const bool improved = out.total_reward > seed_total;
+  if (st.moves > 0 && !improved) {
+    gains.clear();
+  } else {
+    gains.settle(eval.centers());
+  }
   if (accounted == nullptr && st.moves == 0) return out;
-  if (!(out.total_reward > seed_total)) return seed_answer();
+  if (!improved) return seed_answer();
   st.improved = true;
   if (accounted != nullptr) out.solver_name = accounted->solver_name + "+ls";
   return out;
@@ -265,16 +352,18 @@ Solution polish_from(const Problem& problem, const geo::PointSet& centers,
 
 Solution polish(const Problem& problem, const Solution& seed,
                 const geo::PointSet& candidates, const LsConfig& config,
-                LsStats* stats, spatial::SpatialIndex* population_index) {
+                LsStats* stats, spatial::SpatialIndex* population_index,
+                GainCache* gains) {
   return polish_from(problem, seed.centers, &seed, candidates, config, stats,
-                     population_index);
+                     population_index, gains);
 }
 
 Solution polish(const Problem& problem, const geo::PointSet& seed_centers,
                 const geo::PointSet& candidates, const LsConfig& config,
-                LsStats* stats, spatial::SpatialIndex* population_index) {
+                LsStats* stats, spatial::SpatialIndex* population_index,
+                GainCache* gains) {
   return polish_from(problem, seed_centers, nullptr, candidates, config,
-                     stats, population_index);
+                     stats, population_index, gains);
 }
 
 LocalSearchSolver::LocalSearchSolver(std::shared_ptr<const Solver> base,

@@ -125,6 +125,11 @@ std::optional<std::size_t> InstanceStore::row_of(std::uint64_t id) const {
   return it->second;
 }
 
+geo::ConstVec InstanceStore::point(std::size_t row) const {
+  MMPH_REQUIRE(row < size(), "InstanceStore::point: row out of range");
+  return geo::ConstVec(coords_.data() + row * dim_, dim_);
+}
+
 void InstanceStore::export_rows(std::vector<std::uint64_t>& ids,
                                 std::vector<double>& weights,
                                 std::vector<double>& coords) const {

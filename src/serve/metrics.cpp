@@ -59,8 +59,11 @@ ServeMetrics::ServeMetrics()
                              "exact evaluations of disjoint-ball swap pairs")),
       ls_skipped_(
           &registry_.counter("mmph_ls_skipped_total",
-                             "disjoint-ball swap pairs decided by cached "
-                             "gains")),
+                             "swap pairs decided without a trial (cached "
+                             "gains, or tried at the same state)")),
+      ls_gain_sums_(
+          &registry_.counter("mmph_ls_gain_sums_total",
+                             "local-search marginal-gain ball sums")),
       solve_seconds_(&registry_.histogram("mmph_serve_solve_seconds",
                                           "placement solve latency")) {}
 
@@ -69,6 +72,7 @@ void ServeMetrics::add_ls(const core::LsStats& stats) {
   ls_evals_->add(stats.evals);
   ls_far_evals_->add(stats.far_evals);
   ls_skipped_->add(stats.skipped);
+  ls_gain_sums_->add(stats.gain_sums);
   if (stats.improved) ls_improvements_->add();
 }
 
@@ -160,6 +164,7 @@ MetricsSnapshot ServeMetrics::snapshot() const {
   snap.ls_evals = ls_evals_->value();
   snap.ls_far_evals = ls_far_evals_->value();
   snap.ls_skipped = ls_skipped_->value();
+  snap.ls_gain_sums = ls_gain_sums_->value();
   snap.mean_batch_size =
       snap.batches == 0 ? 0.0
                         : static_cast<double>(snap.batched_requests) /

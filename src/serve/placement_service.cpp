@@ -35,6 +35,19 @@ double checked_radius(const ServiceConfig& config) {
   return config.radius;
 }
 
+/// Mirrors one row operation into the carried gains. A failure (an
+/// allocation) drops the cache, so the next polish sums every row; the
+/// mutation itself never fails for it.
+template <typename Op>
+void mirror_gains(core::GainCache& gains, Op&& op) noexcept {
+  if (gains.empty()) return;
+  try {
+    op();
+  } catch (...) {
+    gains.clear();
+  }
+}
+
 }  // namespace
 
 const char* solver_tier_name(SolverTier tier) noexcept {
@@ -111,10 +124,12 @@ void PlacementService::restore_from(const wal::WalSnapshot& snapshot) {
   view_.reset();
   churn_since_solve_ = 0;
   recent_points_.clear();
-  // The carried index mirrored the old rows; the next solve rebuilds.
+  // The carried index and gains mirrored the old rows; the next solve
+  // rebuilds.
   publish_spatial_locked();
   index_.reset();
   index_dirty_ = false;
+  gains_.clear();
   // Checkpoint the installed state so the local log chains from it (for
   // a boot-time restore this re-checkpoints what recovery read; for a
   // replica install it jumps the writer to the primary's epoch).
@@ -140,6 +155,7 @@ void PlacementService::restore_sharded(const wal::ShardedRecovery& recovered) {
   publish_spatial_locked();
   index_.reset();
   index_dirty_ = false;
+  gains_.clear();
   if (config_.shard_wal != nullptr) {
     for (std::size_t s = 0; s < recovered.shards.size(); ++s) {
       if (recovered.shards[s].store.epoch == 0) continue;
@@ -394,8 +410,24 @@ void PlacementService::apply_add_locked(const std::vector<UserRecord>& users) {
 
   try {
     for (const UserRecord& user : users) {
+      const geo::ConstVec to(user.interest.data(), user.interest.size());
+      if (nshards == 1) {
+        // An update overwrites the row in place: record its old position
+        // while the store still holds it (the upsert itself cannot throw
+        // past the validation above).
+        mirror_gains(gains_, [&] {
+          const InstanceStore& rows = store_.shard(0);
+          if (const auto row = rows.row_of(user.id)) {
+            gains_.update(*row, rows.point(*row), to);
+          }
+        });
+      }
       const auto route = store_.upsert(user);
+      if (nshards == 1 && route.inserted) {
+        mirror_gains(gains_, [&] { gains_.insert(to); });
+      }
       ++churn_since_solve_;
+      bound_gains_locked();
       metrics_.count_shard_mutations(route.to, 1);
       if (index_ != nullptr && !index_dirty_) {
         if (nshards > 1) {
@@ -411,11 +443,10 @@ void PlacementService::apply_add_locked(const std::vector<UserRecord>& users) {
                 config_.fault_hook(kFaultSpatialAllocFail)) {
               throw std::bad_alloc();
             }
-            const geo::ConstVec p(user.interest.data(), user.interest.size());
             if (route.inserted) {
-              index_->add(p);
+              index_->add(to);
             } else {
-              index_->update(*store_.shard(0).row_of(user.id), p);
+              index_->update(*store_.shard(0).row_of(user.id), to);
             }
           } catch (...) {
             index_dirty_ = true;
@@ -494,6 +525,13 @@ void PlacementService::apply_remove_locked(
     }
   }
   for (const std::uint64_t id : effective) {
+    if (nshards == 1) {
+      mirror_gains(gains_, [&] {
+        const InstanceStore& rows = store_.shard(0);
+        const std::size_t row = *rows.row_of(id);
+        gains_.swap_remove(row, rows.point(row), rows.point(rows.size() - 1));
+      });
+    }
     if (index_ != nullptr && !index_dirty_) {
       if (nshards > 1) {
         index_dirty_ = true;  // global rows shifted; rebuild at solve
@@ -515,9 +553,18 @@ void PlacementService::apply_remove_locked(
     }
     const auto from = store_.remove(id);  // present per the filter above
     ++churn_since_solve_;
+    bound_gains_locked();
     metrics_.count_shard_mutations(*from, 1);
   }
   metrics_.count_mutations(effective.size());
+}
+
+void PlacementService::bound_gains_locked() {
+  if (gains_.empty()) return;
+  const double churn_fraction =
+      static_cast<double>(churn_since_solve_) /
+      static_cast<double>(std::max<std::size_t>(store_.size(), 1));
+  if (churn_fraction > config_.full_solve_churn_fraction) gains_.clear();
 }
 
 void PlacementService::commit_wal_locked() {
@@ -661,6 +708,7 @@ const PlacementView& PlacementService::solve_locked() {
     publish_spatial_locked();
     index_.reset();
     index_dirty_ = false;
+    gains_.clear();
     view_ = std::move(view);
     churn_since_solve_ = 0;
     recent_points_.clear();
@@ -700,6 +748,8 @@ const PlacementView& PlacementService::solve_locked() {
   if (incremental) {
     solution = polish_locked(problem, nullptr);
   } else {
+    // A full solve's polish sums every row and hands the gains on.
+    gains_.clear();
     solution = sharded_->solve(problem, config_.k);
     if (config_.solver == SolverTier::kLs && !solution.centers.empty()) {
       solution = polish_locked(problem, &solution);
@@ -745,15 +795,19 @@ core::Solution PlacementService::polish_locked(const core::Problem& problem,
   // The carried coverage index, when present, serves the delta
   // evaluations; the polish unmasks it and IndexedActiveSet re-unmasks at
   // its next solve, so lending it both ways is safe under the service
-  // mutex. A polish abort (ls.eval_throw) falls back to the seed.
+  // mutex. A polish abort (ls.eval_throw) falls back to the seed (and
+  // empties gains_). With one store shard the gains carry between
+  // polishes; more shards shift global rows on every mutation.
+  core::GainCache* gains =
+      deep && store_.shard_count() == 1 ? &gains_ : nullptr;
   core::LsStats stats;
   const auto polish_start = Clock::now();
   core::Solution out =
       full != nullptr
           ? core::polish(problem, *full, candidates, search, &stats,
-                         index_.get())
+                         index_.get(), gains)
           : core::polish(problem, view_->solution.centers, candidates, search,
-                         &stats, index_.get());
+                         &stats, index_.get(), gains);
   if (full == nullptr) out.solver_name = "warm-start";
   if (deep) {
     metrics_.add_ls(stats);

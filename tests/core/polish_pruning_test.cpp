@@ -1,25 +1,29 @@
-// Differential test of the far-pair pruning in core::polish. The polish
-// keeps every candidate's marginal gain g(c) and every slot's removal loss
-// L_j, and decides a swap pair whose coverage balls are disjoint
+// Differential test of the pruning in core::polish. The polish keeps
+// every candidate's marginal gain g(c) and every slot's removal loss L_j,
+// and decides a swap pair whose coverage balls are disjoint
 // (d(c, c_j) > 2r, so delta = g(c) − L_j) from those sums instead of
-// evaluating it. No decision may change: each polish below runs again
-// through an independent, unpruned copy of the search (the shift + swap
-// first-improvement sweep and the tabu sweep, driven only through
-// SwapEvaluator::delta_for_swap/commit_swap), and the two must agree on
+// evaluating it; and it never tries a pair twice at one evaluator state
+// (the swap pass skips what the shift pass or the previous sweep already
+// rejected with no move since). No decision may change: each polish below
+// runs again through an independent, unpruned copy of the search
+// (unpruned_polish.hpp: the shift + swap first-improvement sweep and the
+// tabu sweep, driven only through SwapEvaluator::delta_for_swap/
+// commit_swap), and the two must agree on
 //
 //   - centers, total, round rewards and residual, bitwise;
 //   - moves, shift/swap moves and sweeps;
-//   - evals + skipped == the reference's evals.
+//   - evals + skipped == the reference's evals, and evals <= the
+//     reference's evals minus its repeated evaluations.
 //
 // Cases: the 210-instance differential corpus from its lazy seeds under a
-// lent grid (with no index the corpus's dense box scans, and scan mode
-// never prunes), and instances at 10 users per unit², n in {2.5k, 10k,
-// 20k}, under L1/L2/Linf, linear and binary reward, a lent and an owned
-// index, from a perturbed lazy seed so every case commits moves; tabu
-// tenure 4 runs on the corpus and at n = 2.5k. At every converged
-// placement the reference also measures |delta − (g − L)| over the far
-// pairs against the pruning margin 4·n·DBL_EPSILON·(g + L), and a digest
-// per size pins the 10-per-unit² outputs.
+// lent grid (with no index the corpus's dense box scans: no far-pair
+// skips there, only repeats), and instances at 10 users per unit², n in
+// {2.5k, 10k, 20k}, under L1/L2/Linf, linear and binary reward, a lent
+// and an owned index, from a perturbed lazy seed so every case commits
+// moves; tabu tenure 4 runs on the corpus and at n = 2.5k. At every
+// converged placement the reference also measures |delta − (g − L)| over
+// the far pairs against the pruning margin 4·n·DBL_EPSILON·(g + L), and a
+// digest per size pins the 10-per-unit² outputs.
 
 #include <gtest/gtest.h>
 
@@ -41,141 +45,13 @@
 #include "mmph/random/pcg64.hpp"
 #include "mmph/random/workload.hpp"
 #include "mmph/spatial/uniform_grid.hpp"
+#include "unpruned_polish.hpp"
 
 namespace mmph::core {
 namespace {
 
-constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-
-/// What the unpruned search did, plus the margin probe at its converged
-/// placement: the far pairs there and the largest |delta − (g − L)| among
-/// them as a fraction of the pruning margin 4·n·DBL_EPSILON·(g + L).
-struct Reference {
-  Solution solution;
-  LsStats stats;
-  std::uint64_t far_pairs = 0;
-  double worst_margin_use = 0.0;
-};
-
-bool far_apart(const Problem& problem, geo::ConstVec a, geo::ConstVec b) {
-  return problem.metric().distance(a, b) >
-         2.0 * problem.radius() * (1.0 + 1e-9);
-}
-
-/// Today's search over the instance points, every pair evaluated.
-Reference unpruned_polish(const Problem& problem, const Solution& seed,
-                          const LsConfig& config,
-                          spatial::SpatialIndex* index) {
-  const geo::PointSet& cands = problem.points();
-  const std::size_t k = seed.centers.size();
-  SwapEvaluator eval(problem, seed.centers, index);
-  Reference ref;
-  LsStats& st = ref.stats;
-  // The margin probe. g and L summed at the start of a sweep stay current
-  // until its first move, and a sweep without a move is the converged one.
-  const double scale = 4.0 * static_cast<double>(problem.size()) * DBL_EPSILON;
-  std::vector<double> gain(cands.size());
-  std::vector<double> loss(k);
-  bool moved = false;
-  std::uint64_t far_pairs = 0;
-  double worst = 0.0;
-  const auto delta = [&](std::size_t j, std::size_t c) {
-    ++st.evals;
-    const double d = eval.delta_for_swap(j, cands[c]);
-    if (!moved && far_apart(problem, cands[c], eval.centers()[j])) {
-      ++far_pairs;
-      const double error = std::abs(d - (gain[c] - loss[j]));
-      const double margin = scale * (gain[c] + loss[j]);
-      if (error > 0.0) {
-        worst = std::max(worst, margin > 0.0
-                                    ? error / margin
-                                    : std::numeric_limits<double>::infinity());
-      }
-    }
-    return d;
-  };
-  const auto commit = [&](std::size_t j, std::size_t c) {
-    eval.commit_swap(j, cands[c]);
-    moved = true;
-  };
-
-  std::unique_ptr<spatial::SpatialIndex> shift_index;
-  if (config.shift_moves && config.tabu_tenure == 0) {
-    shift_index =
-        spatial::make_index(cands, problem.radius(), problem.metric());
-  }
-  rnd::Pcg64 rng(config.seed);
-  std::vector<std::uint64_t> tabu_until(cands.size(), 0);
-  std::vector<std::size_t> origin(k, kNone);
-  std::uint64_t clock = 0;
-  std::vector<std::size_t> ids;
-  while (st.sweeps < config.max_sweeps) {
-    ++st.sweeps;
-    moved = false;
-    far_pairs = 0;
-    worst = 0.0;
-    for (std::size_t c = 0; c < cands.size(); ++c) {
-      gain[c] = eval.add_gain(cands[c]);
-    }
-    for (std::size_t j = 0; j < k; ++j) loss[j] = eval.removal_loss(j);
-    if (config.tabu_tenure == 0) {
-      for (std::size_t j = 0; shift_index != nullptr && j < k; ++j) {
-        shift_index->query(eval.centers()[j], ids);
-        for (const std::size_t c : ids) {
-          if (delta(j, c) > kMinSwapGain) {
-            commit(j, c);
-            ++st.shift_moves;
-            break;
-          }
-        }
-      }
-      for (std::size_t j = 0; j < k; ++j) {
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-          if (delta(j, c) > kMinSwapGain) {
-            commit(j, c);
-            ++st.swap_moves;
-          }
-        }
-      }
-    } else {
-      double best = 0.0;
-      std::vector<std::pair<std::size_t, std::size_t>> ties;
-      for (std::size_t j = 0; j < k; ++j) {
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-          if (tabu_until[c] > clock) continue;
-          const double d = delta(j, c);
-          if (d > best) {
-            best = d;
-            ties.assign(1, {j, c});
-          } else if (d == best && best > 0.0) {
-            ties.emplace_back(j, c);
-          }
-        }
-      }
-      if (best > kMinSwapGain && !ties.empty()) {
-        const auto [j, c] = ties[static_cast<std::size_t>(
-            rng.next_below(static_cast<std::uint64_t>(ties.size())))];
-        commit(j, c);
-        ++st.swap_moves;
-        ++clock;
-        if (origin[j] != kNone) {
-          tabu_until[origin[j]] = clock + config.tabu_tenure;
-        }
-        origin[j] = c;
-      }
-    }
-    if (!moved) {
-      st.converged = true;
-      ref.far_pairs = far_pairs;
-      ref.worst_margin_use = worst;
-      break;
-    }
-  }
-  st.moves = st.shift_moves + st.swap_moves;
-  Solution out = eval.account();
-  ref.solution = out.total_reward > seed.total_reward ? out : seed;
-  return ref;
-}
+using oracle::Reference;
+using oracle::unpruned_polish;
 
 std::vector<double> coords(const geo::PointSet& points) {
   return {points.raw().begin(), points.raw().end()};
@@ -206,6 +82,8 @@ Pruned expect_matches(const Problem& problem, const Solution& seed,
   EXPECT_EQ(st.sweeps, ref.stats.sweeps) << context;
   EXPECT_EQ(st.converged, ref.stats.converged) << context;
   EXPECT_EQ(st.evals + st.skipped, ref.stats.evals) << context;
+  // A pair evaluated again with no move in between is never re-tried.
+  EXPECT_LE(st.evals, ref.stats.evals - ref.repeats) << context;
   EXPECT_LE(st.far_evals, st.evals) << context;
   return out;
 }
@@ -292,6 +170,45 @@ TEST(PolishPruning, CorpusUnderALentGridMatchesTheUnprunedSearch) {
   EXPECT_GT(skipped, 0u) << "the lent grid must let the corpus prune";
 }
 
+TEST(PolishPruning, CorpusScanSkipsExactlyTheRepeats) {
+  // With no index the corpus's dense box scans: no far pair is decided on
+  // cached gains, so every skipped pair is a repeat of the reference's —
+  // and every repeat of the reference's is skipped.
+  const Variant variants[] = {
+      {2, geo::l2_metric(), rnd::WeightScheme::kSame, "2d-l2-unweighted"},
+      {2, geo::l1_metric(), rnd::WeightScheme::kUniformInt, "2d-l1-weighted"},
+      {3, geo::l2_metric(), rnd::WeightScheme::kUniformInt, "3d-l2-weighted"},
+      {3, geo::linf_metric(), rnd::WeightScheme::kSame, "3d-linf-unweighted"},
+  };
+  std::uint64_t repeats = 0;
+  for (std::uint64_t seed = 1; seed <= 70; ++seed) {
+    const Variant& variant = variants[seed % 4];
+    rnd::WorkloadSpec spec;
+    spec.n = 6 + seed % 7;  // 6..12
+    spec.dim = variant.dim;
+    spec.weights = variant.weights;
+    rnd::Rng rng(seed);
+    const Problem problem = Problem::from_workload(
+        rnd::generate_workload(spec, rng), 1.0, variant.metric);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2},
+                                std::size_t{3}}) {
+      const std::string context = "seed=" + std::to_string(seed) + " " +
+                                  variant.label + " k=" + std::to_string(k);
+      const Solution seed_solution = LazyGreedySolver().solve(problem, k);
+      ASSERT_EQ(SwapEvaluator(problem, seed_solution.centers).index(), nullptr)
+          << context;
+      const Reference ref =
+          unpruned_polish(problem, seed_solution, {}, nullptr);
+      const Pruned got =
+          expect_matches(problem, seed_solution, {}, nullptr, ref, context);
+      EXPECT_EQ(got.stats.skipped, ref.repeats) << context;
+      EXPECT_EQ(got.stats.gain_sums, 0u) << context;
+      repeats += ref.repeats;
+    }
+  }
+  EXPECT_GT(repeats, 0u) << "the corpus must repeat some evaluations";
+}
+
 /// n users uniform on a square at 10 per unit², weights 1..5, r = 1.
 Problem unit_density_problem(std::size_t n, geo::Metric metric,
                              RewardShape shape) {
@@ -345,7 +262,7 @@ TEST_P(PolishPruningAtUnitDensity, MatchesTheUnprunedSearch) {
       const std::string context = "n=" + std::to_string(n) + " " +
                                   metric.name() + " " +
                                   reward_shape_name(shape);
-      ASSERT_TRUE(SwapEvaluator(problem, seed.centers).gathers())
+      ASSERT_NE(SwapEvaluator(problem, seed.centers).index(), nullptr)
           << context << ": the owned-index case would scan";
       const Reference ref = unpruned_polish(problem, seed, {}, &grid);
       ASSERT_TRUE(ref.stats.converged) << context;

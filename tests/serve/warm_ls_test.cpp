@@ -15,7 +15,11 @@
 //      carried grid and without an index;
 //   5. the warm kLs path pinned the same way, at the polish-ls
 //      benchmark's shape: ~2.5k users at 10 per unit², slots of 25
-//      joins, leaves and moves, one placement per slot.
+//      joins, leaves and moves, one placement per slot;
+//   6. the carried marginal gains — every warm kLs placement equals a
+//      cache-less core::polish of the served centers over a reference
+//      copy of the rows, counters included, through an injected
+//      evaluation fault, a failed index mirror and a restore.
 
 #include <gtest/gtest.h>
 
@@ -24,13 +28,17 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "mmph/core/kernels.hpp"
 #include "mmph/core/local_search.hpp"
 #include "mmph/core/objective.hpp"
 #include "mmph/core/reward.hpp"
+#include "mmph/core/swap_evaluator.hpp"
 #include "mmph/random/pcg64.hpp"
+#include "mmph/serve/fault.hpp"
 #include "mmph/serve/placement_service.hpp"
 
 namespace mmph::serve {
@@ -345,6 +353,197 @@ TEST(WarmLs, LsTierPlacementDigestIsPinned) {
     EXPECT_GT(m.ls_moves, 0u) << name;
     EXPECT_EQ(digest.value(), kWarmLsDigest)
         << name << ": got 0x" << std::hex << digest.value();
+  }
+}
+
+/// The service's rows on plain vectors, under InstanceStore's row model:
+/// an upsert overwrites in place or appends, a remove moves the last row
+/// into the hole.
+class ReferenceRows {
+ public:
+  void upsert(const UserRecord& user) {
+    const auto it = row_of_.find(user.id);
+    if (it != row_of_.end()) {
+      weights_[it->second] = user.weight;
+      std::copy(user.interest.begin(), user.interest.end(),
+                coords_.begin() + static_cast<std::ptrdiff_t>(2 * it->second));
+      return;
+    }
+    row_of_[user.id] = ids_.size();
+    ids_.push_back(user.id);
+    weights_.push_back(user.weight);
+    coords_.insert(coords_.end(), user.interest.begin(), user.interest.end());
+  }
+  void remove(std::uint64_t id) {
+    const std::size_t row = row_of_.at(id);
+    const std::size_t last = ids_.size() - 1;
+    ids_[row] = ids_[last];
+    weights_[row] = weights_[last];
+    std::copy_n(coords_.begin() + static_cast<std::ptrdiff_t>(2 * last), 2,
+                coords_.begin() + static_cast<std::ptrdiff_t>(2 * row));
+    row_of_[ids_[row]] = row;
+    row_of_.erase(id);
+    ids_.pop_back();
+    weights_.pop_back();
+    coords_.resize(2 * last);
+  }
+  [[nodiscard]] core::Problem problem() const {
+    return core::Problem(geo::PointSet(2, coords_), weights_, 1.0,
+                         geo::l2_metric());
+  }
+  [[nodiscard]] std::size_t size() const { return ids_.size(); }
+
+ private:
+  std::unordered_map<std::uint64_t, std::size_t> row_of_;
+  std::vector<std::uint64_t> ids_;
+  std::vector<double> weights_;
+  std::vector<double> coords_;
+};
+
+TEST(WarmLs, CarriedGainsMatchAFreshPolish) {
+  // kGrid lends the service's carried grid to the polish; kAuto carries no
+  // index below kAutoIndexMinPoints, so the evaluator owns its grid.
+  for (const core::kernels::IndexMode mode :
+       {core::kernels::IndexMode::kGrid, core::kernels::IndexMode::kAuto}) {
+    const core::kernels::ScopedIndexMode scoped(mode);
+    const char* name = core::kernels::index_mode_name(mode);
+    bool throw_eval = false;
+    bool fail_spatial = false;
+    int eval_consults = 0;
+    ServiceConfig config;
+    config.dim = 2;
+    config.k = 8;
+    config.radius = 1.0;
+    config.solver = SolverTier::kLs;
+    config.fault_hook = [&](std::string_view site) {
+      if (site == core::kFaultLsEvalThrow) {
+        return throw_eval && ++eval_consults == 30;
+      }
+      return site == kFaultSpatialAllocFail && fail_spatial;
+    };
+    PlacementService service(config);
+    ReferenceRows rows;
+
+    const double side = std::sqrt(2500.0 / 10.0);
+    rnd::Pcg64 rng(404);
+    std::uint64_t next_id = 1;
+    std::vector<UserRecord> live;
+    for (std::size_t i = 0; i < 2500; ++i) {
+      live.push_back(make_user(next_id++, rng, side));
+      rows.upsert(live.back());
+    }
+    service.apply_add(live);
+    PlacementView served = service.placement();
+    MetricsSnapshot before = service.metrics();
+    EXPECT_GE(before.ls_gain_sums, 2500u) << name;
+
+    constexpr int kSpatialFail = 3;
+    constexpr int kAbort = 5;
+    constexpr int kRestore = 8;
+    constexpr int kFarJoins = 11;  // this slot and the next: one far join
+    std::uint64_t mutations = 0;
+    for (int slot = 0; slot < 14; ++slot) {
+      const std::string context = std::string(name) + " slot " +
+                                  std::to_string(slot);
+      if (slot >= kFarJoins) {
+        // A light user far outside the box: its ball holds only itself.
+        UserRecord far;
+        far.id = next_id++;
+        far.interest = {side + 10.0 * static_cast<double>(slot), side + 50.0};
+        far.weight = 0.01;
+        service.apply_add({far});
+        rows.upsert(far);
+      } else {
+        fail_spatial = slot == kSpatialFail;
+        for (int m = 0; m < 25; ++m, ++mutations) {
+          if (mutations % 3 == 0) {
+            live.push_back(make_user(next_id++, rng, side));
+            service.apply_add({live.back()});
+            rows.upsert(live.back());
+          } else if (mutations % 3 == 1) {
+            const std::size_t at = rng.next_below(live.size());
+            service.apply_remove({live[at].id});
+            rows.remove(live[at].id);
+            live[at] = live.back();
+            live.pop_back();
+          } else {
+            UserRecord& user = live[rng.next_below(live.size())];
+            for (double& x : user.interest) {
+              x = std::clamp(x + 2.0 * rng.next_double() - 1.0, 0.0, side);
+            }
+            service.apply_add({user});
+            rows.upsert(user);
+          }
+        }
+        fail_spatial = false;
+      }
+      if (slot == kRestore) {
+        // Same rows, same order: the next solve is full and rebuilds g.
+        service.restore_from(service.wal_snapshot());
+      }
+
+      const core::Problem problem = rows.problem();
+      core::LsStats ref_stats;
+      const core::Solution ref =
+          core::polish(problem, served.solution.centers, problem.points(),
+                       {}, &ref_stats);
+      throw_eval = slot == kAbort;
+      eval_consults = 0;
+      const PlacementView now = service.placement();
+      throw_eval = false;
+      const MetricsSnapshot after = service.metrics();
+      ASSERT_EQ(now.population, rows.size()) << context;
+
+      if (slot == kRestore) {
+        EXPECT_EQ(after.full_solves, before.full_solves + 1) << context;
+        EXPECT_GE(after.ls_gain_sums - before.ls_gain_sums, rows.size())
+            << context;
+      } else if (slot == kAbort) {
+        // The polish threw: the served centers are the seed's, exactly
+        // accounted, and the next polish sums every row again.
+        EXPECT_EQ(after.incremental_solves, before.incremental_solves + 1)
+            << context;
+        const core::Solution seed =
+            core::SwapEvaluator(problem, served.solution.centers).account();
+        EXPECT_EQ(now.objective, seed.total_reward) << context;
+        for (std::size_t i = 0; i < seed.centers.raw().size(); ++i) {
+          EXPECT_EQ(now.solution.centers.raw()[i], seed.centers.raw()[i])
+              << context;
+        }
+      } else {
+        EXPECT_EQ(after.incremental_solves, before.incremental_solves + 1)
+            << context;
+        EXPECT_EQ(now.objective, ref.total_reward) << context;  // bitwise
+        ASSERT_EQ(now.solution.centers.raw().size(),
+                  ref.centers.raw().size())
+            << context;
+        for (std::size_t i = 0; i < ref.centers.raw().size(); ++i) {
+          EXPECT_EQ(now.solution.centers.raw()[i], ref.centers.raw()[i])
+              << context;
+        }
+        EXPECT_EQ(after.ls_evals - before.ls_evals, ref_stats.evals)
+            << context;
+        EXPECT_EQ(after.ls_far_evals - before.ls_far_evals,
+                  ref_stats.far_evals)
+            << context;
+        EXPECT_EQ(after.ls_skipped - before.ls_skipped, ref_stats.skipped)
+            << context;
+        EXPECT_EQ(after.ls_moves - before.ls_moves, ref_stats.moves)
+            << context;
+        const std::uint64_t sums = after.ls_gain_sums - before.ls_gain_sums;
+        if (slot == kAbort + 1) {
+          EXPECT_EQ(sums, ref_stats.gain_sums) << context;
+        } else {
+          EXPECT_LT(sums, ref_stats.gain_sums) << context;
+        }
+        if (slot == kFarJoins + 1) {
+          EXPECT_EQ(ref_stats.moves, 0u) << context;
+          EXPECT_EQ(sums, 1u) << context << ": only the far user's row";
+        }
+      }
+      served = now;
+      before = after;
+    }
   }
 }
 

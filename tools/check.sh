@@ -6,7 +6,11 @@
 #   MMPH_SANITIZE=ON tools/check.sh   # same, under ASan/UBSan
 #   tools/check.sh perf-smoke   # build + perf_kernels at n=1000 (fast
 #                               # kernel-speedup sanity; self-checks
-#                               # blocked-vs-scalar agreement)
+#                               # blocked-vs-scalar agreement), then
+#                               # perf_ls --max-n 2500 (self-checks ls >=
+#                               # lazy, ls <= bound, and warm polishes with
+#                               # carried gains bitwise equal to cache-less
+#                               # ones)
 #   tools/check.sh net-smoke    # build + two-process socket smoke test
 #                               # (serve-net --listen / --connect over an
 #                               # ephemeral loopback port)
@@ -105,7 +109,8 @@ cmake -B "$BUILD_DIR" -S . -DMMPH_SANITIZE="$SANITIZE"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
 if [ "$1" = "perf-smoke" ]; then
-  exec "$BUILD_DIR/bench/perf_kernels" --n 1000 --out "$BUILD_DIR/BENCH_kernels.json"
+  "$BUILD_DIR/bench/perf_kernels" --n 1000 --out "$BUILD_DIR/BENCH_kernels.json"
+  exec "$BUILD_DIR/bench/perf_ls" --max-n 2500 --out "$BUILD_DIR/BENCH_ls.json"
 fi
 
 if [ "$1" = "net-smoke" ]; then

@@ -475,6 +475,7 @@ int cmd_serve_replay(io::Args& args) {
     table.add_row({"ls evals", std::to_string(m.ls_evals)});
     table.add_row({"ls far evals", std::to_string(m.ls_far_evals)});
     table.add_row({"ls skipped", std::to_string(m.ls_skipped)});
+    table.add_row({"ls gain sums", std::to_string(m.ls_gain_sums)});
   }
   table.print(std::cout);
 
