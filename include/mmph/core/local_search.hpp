@@ -117,6 +117,9 @@ struct LsStats {
   std::uint64_t shift_moves = 0;  ///< committed moves found by the shift pass
   std::uint64_t swap_moves = 0;   ///< committed moves found by the swap pass
   std::size_t sweeps = 0;         ///< improvement passes executed
+  /// Queries, points touched and builds of the indexes the polish built
+  /// for itself (all 0 when it gathered through the lent index).
+  spatial::IndexStats owned_index;
   bool improved = false;   ///< polished total strictly beat the seed total
   bool converged = false;  ///< local optimum reached before max_sweeps
   bool aborted = false;    ///< an eval threw -> seed returned
@@ -137,7 +140,8 @@ struct LsStats {
 /// and left holding the returned centers' gains, or empty when the
 /// returned solution is not the search's final state (an abort, or moves
 /// that did not beat the seed). Outputs and counters other than
-/// LsStats::gain_sums are the same with or without it.
+/// LsStats::gain_sums and LsStats::owned_index are the same with or
+/// without it.
 [[nodiscard]] Solution polish(const Problem& problem, const Solution& seed,
                               const geo::PointSet& candidates,
                               const LsConfig& config = {},

@@ -94,6 +94,12 @@ class SwapEvaluator {
     return index_;
   }
 
+  /// stats() of the index the evaluator built for itself; all 0 when it
+  /// was lent one or scans.
+  [[nodiscard]] spatial::IndexStats owned_index_stats() const noexcept {
+    return owned_ != nullptr ? owned_->stats() : spatial::IndexStats{};
+  }
+
   /// Full O(n) recompute of f(C) from the cached totals (test hook for
   /// pinning the accumulated current_value() against drift).
   [[nodiscard]] double exact_value() const;

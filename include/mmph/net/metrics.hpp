@@ -8,16 +8,16 @@
 /// protocol health (frame_errors, timeouts), and request latency measured
 /// from first byte buffered to response encoded. Counters are lock-free
 /// atomics and latency quantiles come from a fixed-bucket histogram, so
-/// event loops record without taking any lock; the registry() can be
-/// scraped remotely via the kStats wire request.
+/// event loops record without taking any lock; describe() writes them
+/// into the registry a kStats wire request is answered from.
 ///
 /// Multi-loop: the aggregate series (`mmph_net_*`) keep their pre-refactor
 /// names and meanings — every event counts there regardless of which loop
 /// produced it — and each event loop additionally gets a labeled channel
-/// of `mmph_net_loop_*{loop="i"}` series in the same registry, so one
-/// kStats scrape shows both the totals and the per-loop breakdown. Loop
-/// channels are handed out as NetMetrics::Loop, whose record methods bump
-/// the labeled series and the aggregate in one call.
+/// of `mmph_net_loop_*{loop="i"}` series, so one kStats scrape shows
+/// both the totals and the per-loop breakdown. Loop channels are handed
+/// out as NetMetrics::Loop; an event counts once, in its loop's channel,
+/// and the totals are summed when read.
 
 #include <cstddef>
 #include <cstdint>
@@ -67,64 +67,29 @@ class NetMetrics {
   explicit NetMetrics(std::size_t loops = 1);
 
   // --- aggregate recording (connection-agnostic events) ---
-  void count_rejected_overloaded() { rejected_overloaded_->add(); }
-  void count_closed_idle() { closed_idle_->add(); }
-  void count_closed_error() { closed_error_->add(); }
-  void count_frame_error() { frame_errors_->add(); }
-  void count_timeout() { timeouts_->add(); }
+  void count_rejected_overloaded() { rejected_overloaded_.add(); }
+  void count_closed_idle() { closed_idle_.add(); }
+  void count_closed_error() { closed_error_.add(); }
+  void count_frame_error() { frame_errors_.add(); }
+  void count_timeout() { timeouts_.add(); }
   void set_open_connections(std::size_t n) {
-    open_connections_->set(static_cast<double>(n));
+    open_connections_.set(static_cast<double>(n));
   }
-  void record_latency(double seconds) { latency_seconds_->observe(seconds); }
+  void record_latency(double seconds) { latency_seconds_.observe(seconds); }
 
-  /// Per-loop channel: records into the labeled `mmph_net_loop_*` series
-  /// and the aggregate series together. Channels are independent atomics;
-  /// each is written by exactly one event-loop thread.
-  class Loop {
-   public:
-    void count_accepted() {
-      agg_->accepted_->add();
-      accepted_->add();
-    }
-    void count_frame_in() {
-      agg_->frames_in_->add();
-      frames_in_->add();
-    }
-    void count_frame_out() {
-      agg_->frames_out_->add();
-      frames_out_->add();
-    }
-    void count_request() {
-      agg_->requests_->add();
-      requests_->add();
-    }
-    void add_bytes_in(std::uint64_t n) {
-      agg_->bytes_in_->add(n);
-      bytes_in_->add(n);
-    }
-    void add_bytes_out(std::uint64_t n) {
-      agg_->bytes_out_->add(n);
-      bytes_out_->add(n);
-    }
-    void count_ownership_check() {
-      agg_->ownership_checks_->add();
-      ownership_checks_->add();
-    }
-    void set_open_connections(std::size_t n) {
-      open_connections_->set(static_cast<double>(n));
-    }
-
-   private:
-    friend class NetMetrics;
-    NetMetrics* agg_ = nullptr;
-    obs::Counter* accepted_ = nullptr;
-    obs::Counter* frames_in_ = nullptr;
-    obs::Counter* frames_out_ = nullptr;
-    obs::Counter* requests_ = nullptr;
-    obs::Counter* bytes_in_ = nullptr;
-    obs::Counter* bytes_out_ = nullptr;
-    obs::Counter* ownership_checks_ = nullptr;
-    obs::Gauge* open_connections_ = nullptr;
+  /// One event loop's channel, written by that loop's thread alone: the
+  /// labeled `mmph_net_loop_*{loop="i"}` series. The aggregate series of
+  /// these events (accepted, frames, requests, bytes, ownership checks)
+  /// are their sums over the loops.
+  struct Loop {
+    obs::Counter accepted;
+    obs::Counter frames_in;
+    obs::Counter frames_out;
+    obs::Counter requests;
+    obs::Counter bytes_in;
+    obs::Counter bytes_out;
+    obs::Counter ownership_checks;
+    obs::Gauge open_connections;
   };
 
   [[nodiscard]] Loop& loop(std::size_t index) { return loops_.at(index); }
@@ -135,30 +100,22 @@ class NetMetrics {
   [[nodiscard]] NetMetricsSnapshot snapshot() const;
   [[nodiscard]] NetLoopSnapshot loop_snapshot(std::size_t index) const;
 
-  /// Underlying registry, for Prometheus-style exposition (kStats scrape).
-  [[nodiscard]] const obs::Registry& registry() const noexcept {
-    return registry_;
-  }
-
-  void reset() { registry_.reset(); }
+  /// Describes the aggregate and the `{loop="i"}` series into \p registry
+  /// (the kStats scrape).
+  void describe(obs::Registry& registry) const;
 
  private:
-  obs::Registry registry_;
-  obs::Counter* accepted_;
-  obs::Counter* rejected_overloaded_;
-  obs::Counter* closed_idle_;
-  obs::Counter* closed_error_;
-  obs::Counter* bytes_in_;
-  obs::Counter* bytes_out_;
-  obs::Counter* frames_in_;
-  obs::Counter* frames_out_;
-  obs::Counter* frame_errors_;
-  obs::Counter* requests_;
-  obs::Counter* timeouts_;
-  obs::Counter* ownership_checks_;
-  obs::Gauge* open_connections_;
-  obs::Histogram* latency_seconds_;
-  std::vector<Loop> loops_;
+  /// Adds every loop's counters into \p totals (open_connections aside).
+  void sum_loops(Loop& totals) const;
+
+  obs::Counter rejected_overloaded_;
+  obs::Counter closed_idle_;
+  obs::Counter closed_error_;
+  obs::Counter frame_errors_;
+  obs::Counter timeouts_;
+  obs::Gauge open_connections_;
+  obs::Histogram latency_seconds_;
+  std::vector<Loop> loops_;  ///< sized once; Loop holds atomics
 };
 
 }  // namespace mmph::net

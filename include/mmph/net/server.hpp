@@ -157,9 +157,10 @@ class NetServer {
     return config_;
   }
 
-  /// Merged Prometheus-style exposition of the net, serve, and span
-  /// registries — the blob a kStats request is answered with. Includes
-  /// the labeled `mmph_net_loop_*{loop="i"}` per-loop series.
+  /// Prometheus-style exposition of one obs::Registry that the net, serve,
+  /// WAL and span layers describe their series into — the blob a kStats
+  /// request is answered with. Includes the labeled per-loop, per-store-
+  /// shard and per-WAL-shard series.
   [[nodiscard]] std::string render_stats() const;
 
  private:

@@ -8,8 +8,8 @@
 /// batch size), error accounting (bad requests, internal errors), and
 /// solve behavior (full vs incremental counts, p50/p99 solve latency from
 /// a fixed-bucket atomic histogram — no sample retention, no mutex on the
-/// record path). The registry() can be scraped as Prometheus text, and
-/// snapshot() keeps the flat struct shape older callers print.
+/// record path). describe() writes them into a scrape's obs::Registry,
+/// and snapshot() keeps the flat struct shape older callers print.
 
 #include <cstddef>
 #include <cstdint>
@@ -72,88 +72,87 @@ struct MetricsSnapshot {
 
 class ServeMetrics {
  public:
-  ServeMetrics();
+  /// \p store_shards > 1 adds the per-store-shard families (one labeled
+  /// series per shard, the net-loop idiom) and the loop->shard affinity
+  /// counters. With one store shard none of the mmph_store_shard_*
+  /// families appear in scrapes, keeping the single-store exposition as
+  /// it was before sharding.
+  explicit ServeMetrics(std::size_t store_shards = 1);
 
-  void count_submitted() { submitted_->add(); }
-  void count_rejected() { rejected_full_->add(); }
-  void count_timeout() { timeouts_->add(); }
-  void count_shutdown() { shutdown_->add(); }
-  void count_bad_request() { bad_requests_->add(); }
-  void count_internal_error() { internal_errors_->add(); }
-  void count_mutations(std::uint64_t n) { mutations_->add(n); }
-  void count_queries(std::uint64_t n) { queries_->add(n); }
+  void count_submitted() { submitted_.add(); }
+  void count_rejected() { rejected_full_.add(); }
+  void count_timeout() { timeouts_.add(); }
+  void count_shutdown() { shutdown_.add(); }
+  void count_bad_request() { bad_requests_.add(); }
+  void count_internal_error() { internal_errors_.add(); }
+  void count_mutations(std::uint64_t n) { mutations_.add(n); }
+  void count_queries(std::uint64_t n) { queries_.add(n); }
   void record_batch(std::size_t size);
   void record_solve(double seconds, bool incremental);
   void set_queue_depth(std::size_t depth) {
-    queue_depth_->set(static_cast<double>(depth));
+    queue_depth_.set(static_cast<double>(depth));
   }
   /// Replica-side replication lag (primary epoch minus local epoch);
   /// stays 0 on a primary so the family is always present in scrapes.
-  void set_repl_lag(double ops) { repl_lag_ops_->set(ops); }
+  void set_repl_lag(double ops) { repl_lag_ops_.set(ops); }
 
-  /// Folds a spatial-index stats delta (stats() now minus stats() at the
-  /// last publication) into the mmph_spatial_* counters. The families are
-  /// registered up front, so they scrape as 0 when no index is in use.
+  /// Folds spatial-index activity (a carried index's stats() delta since
+  /// the last publication, or the stats of an index a polish built for
+  /// itself) into the mmph_spatial_* counters. The families are always
+  /// described, so they scrape as 0 when no index is in use.
   void add_spatial(const spatial::IndexStats& delta);
 
   /// Folds one polish run's counters into the mmph_ls_* families
-  /// (registered up front: they scrape as 0 on the greedy/lazy tiers).
+  /// (always described: they scrape as 0 on the greedy/lazy tiers).
   void add_ls(const core::LsStats& stats);
 
-  /// Registers the per-store-shard instrument families (one labeled
-  /// series per shard, the net-loop idiom). Called once by the service
-  /// when it runs with store_shards > 1; never called -> none of the
-  /// mmph_store_shard_* families appear in scrapes, keeping the
-  /// single-store exposition byte-identical to before.
-  void configure_store_shards(std::size_t shards);
-  /// Mutations routed to store shard \p shard (no-op until configured).
+  /// Mutations routed to store shard \p shard (no-op with one shard).
   void count_shard_mutations(std::size_t shard, std::uint64_t n);
-  /// Live row count of store shard \p shard (no-op until configured).
+  /// Live row count of store shard \p shard (no-op with one shard).
   void set_shard_rows(std::size_t shard, std::size_t rows);
-  /// Loop->shard affinity of a routed mutation (no-op until configured).
+  /// Loop->shard affinity of a routed mutation (no-op with one shard).
   void count_affinity(bool hit);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Underlying registry, for Prometheus-style exposition (kStats scrape).
-  [[nodiscard]] const obs::Registry& registry() const noexcept {
-    return registry_;
-  }
-
-  void reset() { registry_.reset(); }
+  /// Describes every series into \p registry (the kStats scrape).
+  void describe(obs::Registry& registry) const;
 
  private:
-  obs::Registry registry_;
-  obs::Counter* submitted_;
-  obs::Counter* rejected_full_;
-  obs::Counter* timeouts_;
-  obs::Counter* shutdown_;
-  obs::Counter* bad_requests_;
-  obs::Counter* internal_errors_;
-  obs::Counter* batches_;
-  obs::Counter* batched_requests_;
-  obs::Counter* mutations_;
-  obs::Counter* queries_;
-  obs::Counter* full_solves_;
-  obs::Counter* incremental_solves_;
-  obs::Gauge* queue_depth_;
-  obs::Gauge* repl_lag_ops_;
-  obs::Counter* spatial_queries_;
-  obs::Counter* spatial_points_touched_;
-  obs::Counter* spatial_updates_;
-  obs::Counter* spatial_rebuilds_;
-  obs::Counter* ls_moves_;
-  obs::Counter* ls_improvements_;
-  obs::Counter* ls_evals_;
-  obs::Counter* ls_far_evals_;
-  obs::Counter* ls_skipped_;
-  obs::Counter* ls_gain_sums_;
-  obs::Histogram* solve_seconds_;
-  /// Per-store-shard series; empty until configure_store_shards().
-  std::vector<obs::Counter*> shard_mutations_;
-  std::vector<obs::Gauge*> shard_rows_;
-  obs::Counter* affinity_hits_ = nullptr;
-  obs::Counter* affinity_misses_ = nullptr;
+  struct StoreShard {
+    obs::Counter mutations;
+    obs::Gauge rows;
+  };
+
+  obs::Counter submitted_;
+  obs::Counter rejected_full_;
+  obs::Counter timeouts_;
+  obs::Counter shutdown_;
+  obs::Counter bad_requests_;
+  obs::Counter internal_errors_;
+  obs::Counter batches_;
+  obs::Counter batched_requests_;
+  obs::Counter mutations_;
+  obs::Counter queries_;
+  obs::Counter full_solves_;
+  obs::Counter incremental_solves_;
+  obs::Gauge queue_depth_;
+  obs::Gauge repl_lag_ops_;
+  obs::Counter spatial_queries_;
+  obs::Counter spatial_points_touched_;
+  obs::Counter spatial_updates_;
+  obs::Counter spatial_rebuilds_;
+  obs::Counter ls_moves_;
+  obs::Counter ls_improvements_;
+  obs::Counter ls_evals_;
+  obs::Counter ls_far_evals_;
+  obs::Counter ls_skipped_;
+  obs::Counter ls_gain_sums_;
+  obs::Histogram solve_seconds_;
+  /// Per-store-shard series; empty with one store shard.
+  std::vector<StoreShard> shards_;
+  obs::Counter affinity_hits_;
+  obs::Counter affinity_misses_;
 };
 
 }  // namespace mmph::serve

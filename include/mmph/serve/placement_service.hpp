@@ -253,10 +253,10 @@ class PlacementService {
 
   [[nodiscard]] std::size_t queue_depth() const { return batcher_.depth(); }
   [[nodiscard]] MetricsSnapshot metrics() const { return metrics_.snapshot(); }
-  /// Underlying instrument registry, for Prometheus-style exposition.
-  [[nodiscard]] const obs::Registry& metrics_registry() const noexcept {
-    return metrics_.registry();
-  }
+  /// Describes the serve series and those of every WAL writer the service
+  /// logs through (`{shard="s"}`-labeled when there is more than one) into
+  /// \p registry. Thread-safe: reads atomics only.
+  void describe_metrics(obs::Registry& registry) const;
   [[nodiscard]] const ServiceConfig& config() const noexcept { return config_; }
 
  private:

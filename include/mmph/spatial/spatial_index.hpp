@@ -55,6 +55,14 @@ struct IndexStats {
   std::uint64_t points_touched = 0;       ///< ids returned across queries
   std::uint64_t incremental_updates = 0;  ///< add + update + swap_remove
   std::uint64_t rebuilds = 0;             ///< bulk (re)builds, ctor included
+
+  IndexStats& operator+=(const IndexStats& other) noexcept {
+    queries += other.queries;
+    points_touched += other.points_touched;
+    incremental_updates += other.incremental_updates;
+    rebuilds += other.rebuilds;
+    return *this;
+  }
 };
 
 enum class IndexKind {

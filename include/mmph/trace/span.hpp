@@ -57,26 +57,22 @@ class SpanCollector {
   /// Forgets all recorded spans (enabled flag is unchanged).
   void reset();
 
-  /// Histogram registry mirroring every span name as
-  /// `mmph_span_<sanitized>_seconds` — scraped alongside the serve/net
-  /// registries so remote operators see span latency distributions, not
-  /// just count/mean/max.
-  [[nodiscard]] const obs::Registry& registry() const noexcept {
-    return registry_;
-  }
+  /// Describes every recorded span name as a `mmph_span_<sanitized>_seconds`
+  /// histogram into \p registry, so a kStats scrape shows span latency
+  /// distributions, not just count/mean/max.
+  void describe(obs::Registry& registry) const;
 
  private:
   struct Cell {
     std::uint64_t count = 0;
     double total_seconds = 0.0;
     double max_seconds = 0.0;
-    obs::Histogram* histogram = nullptr;  // owned by registry_
+    obs::Histogram histogram;
   };
 
   std::atomic<bool> enabled_{false};
   mutable std::mutex mutex_;
   std::map<std::string, Cell> cells_;
-  obs::Registry registry_;
 };
 
 /// RAII span: times its scope and reports to a collector on destruction.

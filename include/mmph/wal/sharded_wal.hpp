@@ -127,6 +127,10 @@ class ShardedWal {
   /// Poisons every writer (store/log divergence detected upstream).
   void poison_all(const std::string& reason);
 
+  /// Describes every writer's mmph_wal_* series into \p registry,
+  /// labeled `shard="s"` when there is more than one.
+  void describe(obs::Registry& registry) const;
+
   /// Per-shard replication tail (the building block for streaming
   /// per-shard segments to replicas): encoded records of shard \p s with
   /// epochs > \p epoch.

@@ -140,10 +140,9 @@ class WalWriter {
   [[nodiscard]] std::uint64_t ops_since_snapshot() const;
   [[nodiscard]] const WalConfig& config() const noexcept { return config_; }
 
-  /// Instrument registry (mmph_wal_*), for the merged kStats exposition.
-  [[nodiscard]] const obs::Registry& registry() const noexcept {
-    return registry_;
-  }
+  /// Describes the mmph_wal_* series, carrying \p labels, into
+  /// \p registry (the kStats scrape).
+  void describe(obs::Registry& registry, const obs::Labels& labels = {}) const;
 
  private:
   struct TailEntry {
@@ -174,13 +173,12 @@ class WalWriter {
   std::size_t tail_bytes_ = 0;
   std::uint64_t tail_base_epoch_ = 0;  ///< epoch before the oldest entry
 
-  obs::Registry registry_;
-  obs::Counter* appends_total_;
-  obs::Counter* bytes_total_;
-  obs::Counter* commits_total_;
-  obs::Counter* snapshots_total_;
-  obs::Counter* failures_total_;
-  obs::Histogram* fsync_seconds_;
+  obs::Counter appends_total_;
+  obs::Counter bytes_total_;
+  obs::Counter commits_total_;
+  obs::Counter snapshots_total_;
+  obs::Counter failures_total_;
+  obs::Histogram fsync_seconds_;
 };
 
 }  // namespace mmph::wal

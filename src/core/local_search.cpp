@@ -294,9 +294,11 @@ Solution polish_from(const Problem& problem, const geo::PointSet& centers,
   // The seed as an answer. A bare seed's accounting is built only here,
   // when nothing beat it.
   const auto seed_answer = [&] {
-    return accounted != nullptr
-               ? *accounted
-               : SwapEvaluator(problem, centers, population_index).account();
+    if (accounted != nullptr) return *accounted;
+    const SwapEvaluator fresh(problem, centers, population_index);
+    Solution answer = fresh.account();
+    st.owned_index += fresh.owned_index_stats();
+    return answer;
   };
 
   // The shift pass queries the candidates at the problem radius; when they
@@ -317,6 +319,13 @@ Solution polish_from(const Problem& problem, const geo::PointSet& centers,
   GainCache local_gains;
   GainCache& gains = carried != nullptr ? *carried : local_gains;
   PolishRun run(problem, candidates, config, eval, st, gains);
+  // Counts the queries of the indexes built here once the search is over.
+  const auto count_owned_indexes = [&] {
+    st.owned_index += eval.owned_index_stats();
+    if (owned_shift_index != nullptr) {
+      st.owned_index += owned_shift_index->stats();
+    }
+  };
   try {
     run.search(shift_index);
   } catch (const std::exception&) {
@@ -325,6 +334,7 @@ Solution polish_from(const Problem& problem, const geo::PointSet& centers,
     // the caller's f(ls) >= f(seed) contract still holds.
     st.aborted = true;
     gains.clear();
+    count_owned_indexes();
     return seed_answer();
   }
 
@@ -335,6 +345,7 @@ Solution polish_from(const Problem& problem, const geo::PointSet& centers,
   // centers are the seed, and this is their accounting. The gains carry
   // over only when the answer is the evaluator's final state.
   Solution out = eval.account();
+  count_owned_indexes();
   const bool improved = out.total_reward > seed_total;
   if (st.moves > 0 && !improved) {
     gains.clear();

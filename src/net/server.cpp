@@ -5,7 +5,6 @@
 #include <deque>
 #include <future>
 #include <mutex>
-#include <sstream>
 #include <utility>
 
 #include "mmph/support/assert.hpp"
@@ -393,8 +392,8 @@ void NetServer::adopt_connection(Loop& loop, Socket sock) {
   conn->owner = loop.index;
   loop.epoll.add(conn->sock.fd(), EPOLLIN, conn.get());
   loop.conns.push_back(std::move(conn));
-  loop.met->count_accepted();
-  loop.met->set_open_connections(loop.conns.size());
+  loop.met->accepted.add();
+  loop.met->open_connections.set(static_cast<double>(loop.conns.size()));
   metrics_.set_open_connections(
       open_total_.load(std::memory_order_relaxed));
 }
@@ -402,7 +401,7 @@ void NetServer::adopt_connection(Loop& loop, Socket sock) {
 void NetServer::assert_owner(const Loop& loop, Connection& conn) {
   MMPH_ASSERT(conn.owner == loop.index,
               "connection touched by a loop that does not own it");
-  loop.met->count_ownership_check();
+  loop.met->ownership_checks.add();
 }
 
 bool NetServer::read_and_stage(Loop& loop, Connection& conn) {
@@ -412,7 +411,7 @@ bool NetServer::read_and_stage(Loop& loop, Connection& conn) {
     const IoResult r = sock_read(conn.sock, chunk, sizeof(chunk), *loop.ops);
     if (r.status == IoStatus::kWouldBlock) break;
     if (r.status != IoStatus::kOk) return false;  // EOF or error
-    loop.met->add_bytes_in(r.bytes);
+    loop.met->bytes_in.add(r.bytes);
     conn.decoder.feed(chunk, r.bytes);
     if (conn.decoder.buffered() + conn.unsent() > config_.max_buffered_bytes) {
       return false;  // peer floods faster than we drain: drop it
@@ -433,12 +432,12 @@ bool NetServer::read_and_stage(Loop& loop, Connection& conn) {
       reply.request_id = decoded.request_id;
       reply.status = WireStatus::kBadRequest;
       conn.queue(reply);
-      loop.met->count_frame_out();
+      loop.met->frames_out.add();
       conn.close_after_flush = true;
       break;
     }
 
-    loop.met->count_frame_in();
+    loop.met->frames_in.add();
     conn.last_activity = arrival;
     RequestFrame& frame = decoded.request;
 
@@ -454,8 +453,8 @@ bool NetServer::read_and_stage(Loop& loop, Connection& conn) {
       reply.epoch = service_->epoch();
       reply.stats = render_stats();
       conn.queue(reply);
-      loop.met->count_frame_out();
-      loop.met->count_request();
+      loop.met->frames_out.add();
+      loop.met->requests.add();
       continue;
     }
 
@@ -463,14 +462,14 @@ bool NetServer::read_and_stage(Loop& loop, Connection& conn) {
     // next pump_replication pass this connection receives the stream.
     // Servers running without a WAL have no log to stream: kBadRequest.
     if (frame.type == FrameType::kReplSubscribe) {
-      loop.met->count_request();
+      loop.met->requests.add();
       if (service_->wal() == nullptr) {
         ResponseFrame reply;
         reply.request_id = frame.request_id;
         reply.status = WireStatus::kBadRequest;
         reply.epoch = service_->epoch();
         conn.queue(reply);
-        loop.met->count_frame_out();
+        loop.met->frames_out.add();
         continue;
       }
       conn.repl_subscriber = true;
@@ -495,7 +494,7 @@ bool NetServer::read_and_stage(Loop& loop, Connection& conn) {
       reply.status = WireStatus::kBadRequest;
       reply.epoch = service_->epoch();
       conn.queue(reply);
-      loop.met->count_frame_out();
+      loop.met->frames_out.add();
       continue;
     }
 
@@ -528,7 +527,7 @@ bool NetServer::read_and_stage(Loop& loop, Connection& conn) {
 
     conn.staged.push_back(std::move(request));
     conn.staged_meta.push_back({frame.request_id, arrival});
-    loop.met->count_request();
+    loop.met->requests.add();
   }
   return true;
 }
@@ -568,7 +567,7 @@ void NetServer::collect_replies(Loop& loop, Connection& conn) {
       reply.centers = response.solution->centers;
     }
     conn.queue(reply);
-    loop.met->count_frame_out();
+    loop.met->frames_out.add();
     if (reply.status == WireStatus::kTimeout) metrics_.count_timeout();
 
     const double latency = seconds_since(head.arrival);
@@ -598,7 +597,7 @@ void NetServer::pump_replication(Loop& loop, Connection& conn) {
       const auto* base = conn.repl_snapshot.data() + conn.repl_snapshot_offset;
       chunk.blob.assign(base, base + n);
       conn.queue(chunk);
-      loop.met->count_frame_out();
+      loop.met->frames_out.add();
       conn.repl_snapshot_offset += n;
       if (n == remaining) {
         conn.repl_snapshot.clear();
@@ -631,7 +630,7 @@ void NetServer::pump_replication(Loop& loop, Connection& conn) {
     // direct API with a batch far above net::kMaxBatchCount) — the
     // subscriber is dropped rather than sent a torn stream.
     conn.queue(ops);
-    loop.met->count_frame_out();
+    loop.met->frames_out.add();
     conn.repl_epoch = tail.last_epoch;
   }
 }
@@ -653,7 +652,7 @@ bool NetServer::flush(Loop& loop, Connection& conn) {
     if (r.status == IoStatus::kWouldBlock) break;
     if (r.status != IoStatus::kOk) return false;
     if (r.bytes == 0) break;  // defensive: no progress, treat as blocked
-    loop.met->add_bytes_out(r.bytes);
+    loop.met->bytes_out.add(r.bytes);
     conn.out_bytes -= r.bytes;
     std::size_t left = r.bytes;
     while (left > 0) {
@@ -673,14 +672,11 @@ bool NetServer::flush(Loop& loop, Connection& conn) {
 }
 
 std::string NetServer::render_stats() const {
-  std::ostringstream out;
-  metrics_.registry().write_exposition(out);
-  service_->metrics_registry().write_exposition(out);
-  if (service_->wal() != nullptr) {
-    service_->wal()->registry().write_exposition(out);
-  }
-  trace::SpanCollector::global().registry().write_exposition(out);
-  return out.str();
+  obs::Registry registry;
+  metrics_.describe(registry);
+  service_->describe_metrics(registry);
+  trace::SpanCollector::global().describe(registry);
+  return registry.exposition_text();
 }
 
 void NetServer::close_connection(Loop& loop, std::size_t index) {
@@ -702,7 +698,7 @@ void NetServer::close_connection(Loop& loop, std::size_t index) {
   // and may read the metrics snapshot before this thread runs again.
   metrics_.set_open_connections(
       open_total_.load(std::memory_order_relaxed));
-  loop.met->set_open_connections(loop.conns.size() - 1);
+  loop.met->open_connections.set(static_cast<double>(loop.conns.size() - 1));
   loop.conns[index] = std::move(loop.conns.back());
   loop.conns.pop_back();
 }

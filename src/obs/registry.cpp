@@ -1,7 +1,9 @@
 #include "mmph/obs/registry.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "mmph/support/assert.hpp"
 
@@ -18,112 +20,100 @@ std::string format_double(double v) {
   return buf;
 }
 
-}  // namespace
-
-Counter& Registry::counter(std::string_view name, std::string_view help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(std::string(name));
-  if (it != index_.end()) {
-    Entry& entry = entries_[it->second];
-    MMPH_REQUIRE(entry.kind == Kind::kCounter,
-                 "metric registered with a different instrument kind");
-    return *entry.counter;
-  }
-  counters_.emplace_back();
-  Entry entry{std::string(name), std::string(help), Kind::kCounter,
-              &counters_.back(), nullptr, nullptr};
-  index_.emplace(entry.name, entries_.size());
-  entries_.push_back(std::move(entry));
-  return counters_.back();
-}
-
-Gauge& Registry::gauge(std::string_view name, std::string_view help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(std::string(name));
-  if (it != index_.end()) {
-    Entry& entry = entries_[it->second];
-    MMPH_REQUIRE(entry.kind == Kind::kGauge,
-                 "metric registered with a different instrument kind");
-    return *entry.gauge;
-  }
-  gauges_.emplace_back();
-  Entry entry{std::string(name), std::string(help), Kind::kGauge, nullptr,
-              &gauges_.back(), nullptr};
-  index_.emplace(entry.name, entries_.size());
-  entries_.push_back(std::move(entry));
-  return gauges_.back();
-}
-
-Histogram& Registry::histogram(std::string_view name, std::string_view help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(std::string(name));
-  if (it != index_.end()) {
-    Entry& entry = entries_[it->second];
-    MMPH_REQUIRE(entry.kind == Kind::kHistogram,
-                 "metric registered with a different instrument kind");
-    return *entry.histogram;
-  }
-  MMPH_REQUIRE(name.find('{') == std::string_view::npos,
-               "histogram names cannot carry inline labels");
-  histograms_.emplace_back();
-  Entry entry{std::string(name), std::string(help), Kind::kHistogram, nullptr,
-              nullptr, &histograms_.back()};
-  index_.emplace(entry.name, entries_.size());
-  entries_.push_back(std::move(entry));
-  return histograms_.back();
-}
-
-void Registry::write_exposition(std::ostream& out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string last_family;  // dedupe headers of labeled same-base series
-  for (const Entry& entry : entries_) {
-    const std::size_t brace = entry.name.find('{');
-    const std::string family = entry.name.substr(0, brace);
-    const bool new_family = family != last_family;
-    last_family = family;
-    if (new_family && !entry.help.empty()) {
-      out << "# HELP " << family << ' ' << entry.help << '\n';
-    }
-    switch (entry.kind) {
-      case Kind::kCounter:
-        if (new_family) out << "# TYPE " << family << " counter\n";
-        out << entry.name << ' ' << entry.counter->value() << '\n';
-        break;
-      case Kind::kGauge:
-        if (new_family) out << "# TYPE " << family << " gauge\n";
-        out << entry.name << ' ' << format_double(entry.gauge->value())
-            << '\n';
-        break;
-      case Kind::kHistogram: {
-        out << "# TYPE " << entry.name << " histogram\n";
-        const HistogramSnapshot snap = entry.histogram->snapshot();
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i + 1 < kBucketCount; ++i) {
-          cumulative += snap.buckets[i];
-          out << entry.name << "_bucket{le=\""
-              << format_double(kBucketBounds[i]) << "\"} " << cumulative
-              << '\n';
-        }
-        out << entry.name << "_bucket{le=\"+Inf\"} " << snap.count << '\n';
-        out << entry.name << "_sum " << format_double(snap.sum) << '\n';
-        out << entry.name << "_count " << snap.count << '\n';
-        break;
+/// `{a="x",b="y",le="1e-06"}`, or nothing for an empty set; `le` (the
+/// bucket bound of a histogram line) always comes last.
+void write_labels(std::ostream& out, const Labels& labels,
+                  std::string_view le = {}) {
+  if (labels.empty() && le.empty()) return;
+  char sep = '{';
+  for (const Label& label : labels) {
+    out << sep << label.name << "=\"";
+    for (const char c : label.value) {
+      if (c == '\\' || c == '"') out << '\\';
+      if (c == '\n') {
+        out << "\\n";
+      } else {
+        out << c;
       }
     }
+    out << '"';
+    sep = ',';
   }
+  if (!le.empty()) out << sep << "le=\"" << le << '"';
+  out << '}';
+}
+
+constexpr const char* kTypeNames[] = {"counter", "gauge", "histogram"};
+
+}  // namespace
+
+void Registry::add(std::string_view family, std::string_view help,
+                   const Counter& counter, Labels labels) {
+  add_series(family, help, std::move(labels), counter.value());
+}
+
+void Registry::add(std::string_view family, std::string_view help,
+                   const Gauge& gauge, Labels labels) {
+  add_series(family, help, std::move(labels), gauge.value());
+}
+
+void Registry::add(std::string_view family, std::string_view help,
+                   const Histogram& histogram, Labels labels) {
+  add_series(family, help, std::move(labels), histogram.snapshot());
+}
+
+void Registry::add_series(std::string_view family, std::string_view help,
+                          Labels labels, Value value) {
+  auto [it, inserted] = index_.try_emplace(std::string(family),
+                                           families_.size());
+  if (inserted) families_.push_back(Family{std::string(family), {}, {}});
+  Family& fam = families_[it->second];
+  MMPH_REQUIRE(fam.series.empty() ||
+                   fam.series.front().value.index() == value.index(),
+               "metric family added with a different instrument kind");
+  MMPH_REQUIRE(std::none_of(fam.series.begin(), fam.series.end(),
+                            [&](const Series& s) { return s.labels == labels; }),
+               "metric series added twice with the same labels");
+  if (fam.help.empty()) fam.help = help;
+  fam.series.push_back(Series{std::move(labels), std::move(value)});
 }
 
 std::string Registry::exposition_text() const {
   std::ostringstream out;
-  write_exposition(out);
+  for (const Family& fam : families_) {
+    const std::string& name = fam.name;
+    if (!fam.help.empty()) out << "# HELP " << name << ' ' << fam.help << '\n';
+    out << "# TYPE " << name << ' '
+        << kTypeNames[fam.series.front().value.index()] << '\n';
+    for (const Series& s : fam.series) {
+      const auto* snap = std::get_if<HistogramSnapshot>(&s.value);
+      if (snap == nullptr) {
+        out << name;
+        write_labels(out, s.labels);
+        if (const auto* count = std::get_if<std::uint64_t>(&s.value)) {
+          out << ' ' << *count << '\n';
+        } else {
+          out << ' ' << format_double(std::get<double>(s.value)) << '\n';
+        }
+        continue;
+      }
+      std::uint64_t cumulative = 0;  // the last (+Inf) bucket ends at count
+      for (std::size_t i = 0; i < kBucketCount; ++i) {
+        cumulative += snap->buckets[i];
+        out << name << "_bucket";
+        write_labels(out, s.labels,
+                     i + 1 < kBucketCount ? format_double(kBucketBounds[i])
+                                          : "+Inf");
+        out << ' ' << cumulative << '\n';
+      }
+      out << name << "_sum";
+      write_labels(out, s.labels);
+      out << ' ' << format_double(snap->sum) << '\n' << name << "_count";
+      write_labels(out, s.labels);
+      out << ' ' << snap->count << '\n';
+    }
+  }
   return out.str();
-}
-
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (Counter& c : counters_) c.reset();
-  for (Gauge& g : gauges_) g.reset();
-  for (Histogram& h : histograms_) h.reset();
 }
 
 }  // namespace mmph::obs

@@ -69,6 +69,7 @@ std::optional<SolverTier> parse_solver_tier(std::string_view name) noexcept {
 PlacementService::PlacementService(ServiceConfig config, par::ThreadPool* pool)
     : config_(config),
       pool_(pool != nullptr ? *pool : par::ThreadPool::global()),
+      metrics_(config.store_shards),
       batcher_(config.queue_capacity, &metrics_, config.fault_hook),
       store_(config.dim, std::max<std::size_t>(config.store_shards, 1),
              checked_radius(config)) {
@@ -86,9 +87,6 @@ PlacementService::PlacementService(ServiceConfig config, par::ThreadPool* pool)
   MMPH_REQUIRE(config_.shard_wal == nullptr ||
                    config_.shard_wal->shard_count() == config_.store_shards,
                "PlacementService: shard_wal shard count != store_shards");
-  if (config_.store_shards > 1) {
-    metrics_.configure_store_shards(config_.store_shards);
-  }
   sharded_ = std::make_unique<ShardedSolver>(pool_, config_.shard);
 }
 
@@ -575,6 +573,12 @@ void PlacementService::commit_wal_locked() {
   }
 }
 
+void PlacementService::describe_metrics(obs::Registry& registry) const {
+  metrics_.describe(registry);
+  if (config_.wal != nullptr) config_.wal->describe(registry);
+  if (config_.shard_wal != nullptr) config_.shard_wal->describe(registry);
+}
+
 void PlacementService::poison_wal_locked(const std::string& reason) {
   if (config_.shard_wal != nullptr) config_.shard_wal->poison_all(reason);
   if (config_.wal != nullptr) config_.wal->poison(reason);
@@ -809,6 +813,9 @@ core::Solution PlacementService::polish_locked(const core::Problem& problem,
           : core::polish(problem, view_->solution.centers, candidates, search,
                          &stats, index_.get(), gains);
   if (full == nullptr) out.solver_name = "warm-start";
+  // Without a carried index the polish queries a grid of its own, which
+  // publish_spatial_locked never sees.
+  metrics_.add_spatial(stats.owned_index);
   if (deep) {
     metrics_.add_ls(stats);
     trace::SpanCollector::global().record(

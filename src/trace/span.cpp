@@ -33,11 +33,7 @@ void SpanCollector::record(const std::string& name, double seconds) {
   ++cell.count;
   cell.total_seconds += seconds;
   cell.max_seconds = std::max(cell.max_seconds, seconds);
-  if (cell.histogram == nullptr) {
-    cell.histogram = &registry_.histogram(metric_name_for_span(name),
-                                          "span duration: " + name);
-  }
-  cell.histogram->observe(seconds);
+  cell.histogram.observe(seconds);
 }
 
 std::vector<SpanStats> SpanCollector::stats() const {
@@ -54,7 +50,14 @@ std::vector<SpanStats> SpanCollector::stats() const {
 void SpanCollector::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   cells_.clear();
-  registry_.reset();
+}
+
+void SpanCollector::describe(obs::Registry& registry) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [name, cell] : cells_) {
+    registry.add(metric_name_for_span(name), "span duration: " + name,
+                 cell.histogram);
+  }
 }
 
 }  // namespace mmph::trace

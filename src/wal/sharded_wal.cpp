@@ -108,6 +108,16 @@ void ShardedWal::poison_all(const std::string& reason) {
   for (auto& w : writers_) w->poison(reason);
 }
 
+void ShardedWal::describe(obs::Registry& registry) const {
+  if (writers_.size() == 1) {
+    writers_[0]->describe(registry);
+    return;
+  }
+  for (std::size_t s = 0; s < writers_.size(); ++s) {
+    writers_[s]->describe(registry, {{"shard", std::to_string(s)}});
+  }
+}
+
 WalWriter::TailResult ShardedWal::tail_since(std::size_t s,
                                              std::uint64_t epoch,
                                              std::size_t max_bytes) const {

@@ -78,19 +78,7 @@ WalWriter::WalWriter(WalConfig config, std::uint64_t base_epoch,
       next_lsn_(base_lsn + 1),
       last_epoch_(base_epoch),
       snapshot_epoch_(base_epoch),
-      tail_base_epoch_(base_epoch),
-      appends_total_(&registry_.counter(
-          "mmph_wal_appends_total", "Records appended to the write-ahead log")),
-      bytes_total_(&registry_.counter("mmph_wal_bytes",
-                                      "Bytes appended to the write-ahead log")),
-      commits_total_(&registry_.counter("mmph_wal_commits_total",
-                                        "Group-commit durability barriers")),
-      snapshots_total_(&registry_.counter("mmph_wal_snapshots_total",
-                                          "Checkpoints written")),
-      failures_total_(&registry_.counter(
-          "mmph_wal_failures_total", "WAL writes/fsyncs that failed")),
-      fsync_seconds_(&registry_.histogram("mmph_wal_fsync_seconds",
-                                          "Latency of WAL fsync calls")) {
+      tail_base_epoch_(base_epoch) {
   MMPH_REQUIRE(!config_.dir.empty(), "WalWriter: dir must be set");
   if (ops_.mkdir(config_.dir) < 0 && errno != EEXIST) {
     throw WalError(with_errno("wal: mkdir " + config_.dir));
@@ -106,6 +94,23 @@ WalWriter::WalWriter(WalConfig config, std::uint64_t base_epoch,
   }
 }
 
+void WalWriter::describe(obs::Registry& registry,
+                         const obs::Labels& labels) const {
+  registry.add("mmph_wal_appends_total",
+               "Records appended to the write-ahead log", appends_total_,
+               labels);
+  registry.add("mmph_wal_bytes", "Bytes appended to the write-ahead log",
+               bytes_total_, labels);
+  registry.add("mmph_wal_commits_total", "Group-commit durability barriers",
+               commits_total_, labels);
+  registry.add("mmph_wal_snapshots_total", "Checkpoints written",
+               snapshots_total_, labels);
+  registry.add("mmph_wal_failures_total", "WAL writes/fsyncs that failed",
+               failures_total_, labels);
+  registry.add("mmph_wal_fsync_seconds", "Latency of WAL fsync calls",
+               fsync_seconds_, labels);
+}
+
 WalWriter::~WalWriter() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ >= 0) {
@@ -117,7 +122,7 @@ WalWriter::~WalWriter() {
 
 WalError WalWriter::poison_locked(const std::string& reason) {
   failed_ = true;
-  failures_total_->add();
+  failures_total_.add();
   return WalError(reason);
 }
 
@@ -143,7 +148,7 @@ void WalWriter::fsync_locked(int fd, const char* what) {
   do {
     rc = ops_.fsync(fd);
   } while (rc < 0 && errno == EINTR);
-  fsync_seconds_->observe(
+  fsync_seconds_.observe(
       std::chrono::duration<double>(Clock::now() - start).count());
   if (rc < 0) {
     throw poison_locked(with_errno(std::string("wal: fsync ") + what));
@@ -165,8 +170,8 @@ void WalWriter::append(WalRecord& record) {
     dirty_ = false;
   }
 
-  appends_total_->add();
-  bytes_total_->add(bytes.size());
+  appends_total_.add();
+  bytes_total_.add(bytes.size());
   next_lsn_ += 1;
   last_epoch_ = record.epoch;
   ops_since_snapshot_ += record.count();
@@ -190,7 +195,7 @@ void WalWriter::commit() {
   if (config_.fsync == FsyncPolicy::kGroupCommit && dirty_) {
     fsync_locked(fd_, "segment");
     dirty_ = false;
-    commits_total_->add();
+    commits_total_.add();
   }
 }
 
@@ -250,7 +255,7 @@ void WalWriter::write_snapshot(const WalSnapshot& snapshot) {
   }
   snapshot_epoch_ = snapshot.epoch;
   ops_since_snapshot_ = 0;
-  snapshots_total_->add();
+  snapshots_total_.add();
   prune_locked(snapshot.epoch);
 }
 

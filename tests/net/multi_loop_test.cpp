@@ -1,12 +1,17 @@
 // Multi-loop NetServer tests: the --loops 1 golden replay digest (pinned
 // against the pre-refactor single-threaded poll(2) server), multi-loop
 // equivalence to the direct service, accept distribution in both modes,
-// connection-ownership coverage, per-loop metric conservation, and the
-// client's bounded pipelining.
+// connection-ownership coverage, per-loop metric conservation (also in
+// scrapes taken while the loops record), and the client's bounded
+// pipelining.
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -296,6 +301,58 @@ TEST(MultiLoop, LoopLabeledSeriesAppearInStatsScrape) {
             std::string::npos);
   EXPECT_NE(stats.stats->find("mmph_net_ownership_checks_total"),
             std::string::npos);
+  server.stop();
+}
+
+// Value of the sample line `series<SP>value` in an exposition; 0 if absent.
+std::uint64_t sample(const std::string& text, const std::string& series) {
+  const std::size_t at = text.find("\n" + series + " ");
+  return at == std::string::npos
+             ? 0
+             : std::stoull(text.substr(at + series.size() + 2));
+}
+
+TEST(MultiLoop, ScrapesWhileLoopsRecordStayConsistent) {
+  // Scrapes render from the event loops while other loops record (the
+  // TSan gate runs this suite); each one writes every TYPE line once,
+  // and the last one's totals are the sums of its per-loop series.
+  net::NetServer server(golden_service_config(), fast_net_config(2));
+  server.start();
+  net::NetClientConfig client_config;
+  client_config.port = server.port();
+
+  constexpr int kClients = 3;
+  constexpr int kRequests = 40;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&client_config] {
+      net::NetClient client(client_config);
+      for (int i = 0; i < kRequests; ++i) {
+        EXPECT_EQ(client.query_placement().status, net::WireStatus::kOk);
+      }
+    });
+  }
+  net::NetClient scraper(client_config);
+  std::uint64_t scrapes = 0;
+  for (; scrapes < 20; ++scrapes) {
+    const net::ResponseFrame reply = scraper.stats();
+    ASSERT_EQ(reply.status, net::WireStatus::kOk);
+    std::istringstream text(*reply.stats);
+    std::set<std::string> types;
+    for (std::string line; std::getline(text, line);) {
+      if (line.rfind("# TYPE ", 0) == 0) {
+        EXPECT_TRUE(types.insert(line).second) << "repeated: " << line;
+      }
+    }
+  }
+  for (std::thread& t : clients) t.join();
+
+  const std::string text = *scraper.stats().stats;
+  const std::uint64_t total = sample(text, "mmph_net_requests_total");
+  EXPECT_EQ(total, kClients * kRequests + scrapes);
+  EXPECT_EQ(sample(text, "mmph_net_loop_requests_total{loop=\"0\"}") +
+                sample(text, "mmph_net_loop_requests_total{loop=\"1\"}"),
+            total);
   server.stop();
 }
 

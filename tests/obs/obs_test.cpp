@@ -1,5 +1,6 @@
 // mmph::obs: pinned histogram bucket layout, exact quantile math against
-// a brute-force sort, registry identity, and the exposition format.
+// a brute-force sort, the registry's family keying, and the exposition
+// format.
 
 #include <gtest/gtest.h>
 
@@ -106,39 +107,25 @@ TEST(ObsHistogram, NonFiniteObservationsAreCountedButExcludedFromSum) {
   EXPECT_DOUBLE_EQ(hist.sum(), 1.0);
 }
 
-TEST(ObsRegistry, SameNameReturnsSameInstrument) {
-  Registry registry;
-  Counter& a = registry.counter("mmph_test_total");
-  Counter& b = registry.counter("mmph_test_total");
-  EXPECT_EQ(&a, &b);
-  a.add(3);
-  EXPECT_EQ(b.value(), 3u);
-  // Same name as a different kind is a caller bug, not a silent alias.
-  EXPECT_THROW((void)registry.gauge("mmph_test_total"), InvalidArgument);
-}
-
-TEST(ObsRegistry, PointersSurviveLaterRegistrations) {
-  Registry registry;
-  Counter& first = registry.counter("mmph_first_total");
-  for (int i = 0; i < 100; ++i) {
-    (void)registry.counter("mmph_filler_" + std::to_string(i) + "_total");
-  }
-  first.add(7);
-  EXPECT_EQ(registry.counter("mmph_first_total").value(), 7u);
-}
-
 TEST(ObsRegistry, ExpositionFormatIsPrometheusShaped) {
-  Registry registry;
-  registry.counter("mmph_requests_total", "requests served").add(42);
-  registry.gauge("mmph_depth").set(3.5);
-  Histogram& hist = registry.histogram("mmph_latency_seconds");
+  Counter requests;
+  requests.add(42);
+  Gauge depth;
+  depth.set(3.5);
+  Histogram hist;
   hist.observe(5e-7);  // bucket 0
   hist.observe(3e-6);  // bucket 4 (bounds 2.83e-6 < 3e-6 <= 4e-6)
 
+  Registry registry;
+  registry.add("mmph_requests_total", "requests served", requests);
+  registry.add("mmph_depth", "", depth);
+  registry.add("mmph_latency_seconds", "", hist);
   const std::string text = registry.exposition_text();
-  EXPECT_NE(text.find("# TYPE mmph_requests_total counter\n"),
+  EXPECT_NE(text.find("# HELP mmph_requests_total requests served\n"
+                      "# TYPE mmph_requests_total counter\n"
+                      "mmph_requests_total 42\n"),
             std::string::npos);
-  EXPECT_NE(text.find("mmph_requests_total 42\n"), std::string::npos);
+  EXPECT_EQ(text.find("# HELP mmph_depth"), std::string::npos);
   EXPECT_NE(text.find("# TYPE mmph_depth gauge\n"), std::string::npos);
   EXPECT_NE(text.find("mmph_depth 3.5\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE mmph_latency_seconds histogram\n"),
@@ -155,10 +142,94 @@ TEST(ObsRegistry, ExpositionFormatIsPrometheusShaped) {
   EXPECT_NE(text.find("mmph_latency_seconds_sum 3.5e-06\n"),
             std::string::npos);
 
-  registry.reset();
-  const std::string zeroed = registry.exposition_text();
-  EXPECT_NE(zeroed.find("mmph_requests_total 0\n"), std::string::npos);
-  EXPECT_NE(zeroed.find("mmph_latency_seconds_count 0\n"),
+  // The registry copies values: a later record shows in the next scrape's
+  // registry, not in this one.
+  requests.add();
+  EXPECT_EQ(registry.exposition_text(), text);
+}
+
+// Families interleaved series by series (the way per-loop and per-shard
+// series are described) still write one header each, with each family's
+// series contiguous under it, in first-add order.
+TEST(ObsRegistry, InterleavedLabeledFamiliesWriteOneHeaderEach) {
+  Counter a0, a1, b0, b1;
+  a0.add(1);
+  a1.add(2);
+  b0.add(3);
+  b1.add(4);
+  Histogram h0, h1;
+  h0.observe(1e-6);
+  h1.observe(3e-6);
+
+  Registry registry;
+  for (int s = 0; s < 2; ++s) {
+    const Labels labels = {{"shard", std::to_string(s)}};
+    registry.add("mmph_a_total", "family a", s == 0 ? a0 : a1, labels);
+    registry.add("mmph_b_total", "family b", s == 0 ? b0 : b1, labels);
+    registry.add("mmph_h_seconds", "family h", s == 0 ? h0 : h1, labels);
+  }
+  std::istringstream text(registry.exposition_text());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(text, line);) lines.push_back(line);
+
+  // One HELP/TYPE pair per family, and every sample line belongs to the
+  // family whose header came last.
+  std::vector<std::string> families;
+  std::string current;
+  for (const std::string& line : lines) {
+    if (line.rfind("# HELP ", 0) == 0) continue;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      current = line.substr(7, line.find(' ', 7) - 7);
+      families.push_back(current);
+      continue;
+    }
+    ASSERT_FALSE(current.empty()) << line;
+    EXPECT_EQ(line.rfind(current, 0), 0u) << "outside its family: " << line;
+  }
+  EXPECT_EQ(families, (std::vector<std::string>{
+                          "mmph_a_total", "mmph_b_total", "mmph_h_seconds"}));
+  EXPECT_EQ(std::count_if(lines.begin(), lines.end(),
+                          [](const std::string& l) {
+                            return l.rfind("# HELP ", 0) == 0;
+                          }),
+            3);
+
+  const std::string joined = registry.exposition_text();
+  EXPECT_NE(joined.find("mmph_a_total{shard=\"0\"} 1\n"
+                        "mmph_a_total{shard=\"1\"} 2\n"),
+            std::string::npos);
+  EXPECT_NE(joined.find("mmph_b_total{shard=\"0\"} 3\n"
+                        "mmph_b_total{shard=\"1\"} 4\n"),
+            std::string::npos);
+  // Series labels come ahead of `le` on bucket lines; _sum and _count
+  // carry the series labels alone.
+  EXPECT_NE(joined.find("mmph_h_seconds_bucket{shard=\"0\",le=\"1e-06\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(joined.find("mmph_h_seconds_bucket{shard=\"1\",le=\"1e-06\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(joined.find("mmph_h_seconds_bucket{shard=\"1\",le=\"+Inf\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(joined.find("mmph_h_seconds_count{shard=\"1\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(joined.find("mmph_h_seconds_sum{shard=\"0\"} 1e-06\n"),
+            std::string::npos);
+}
+
+TEST(ObsRegistry, FamilyKeepsOneKindAndOneSeriesPerLabelSet) {
+  Counter counter;
+  Gauge gauge;
+  Registry registry;
+  registry.add("mmph_x_total", "", counter, {{"loop", "0"}});
+  // Same family as a different kind, or the same series twice, is a
+  // caller bug: either would make the exposition unparseable.
+  EXPECT_THROW(registry.add("mmph_x_total", "", gauge), InvalidArgument);
+  EXPECT_THROW(registry.add("mmph_x_total", "", counter, {{"loop", "0"}}),
+               InvalidArgument);
+  EXPECT_NO_THROW(registry.add("mmph_x_total", "", counter, {{"loop", "1"}}));
+  // Label values are escaped, so any string stays one well-formed line.
+  registry.add("mmph_z", "", gauge, {{"name", "a\"b\\c\nd"}});
+  EXPECT_NE(registry.exposition_text().find(
+                "mmph_z{name=\"a\\\"b\\\\c\\nd\"} 0\n"),
             std::string::npos);
 }
 

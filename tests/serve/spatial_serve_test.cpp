@@ -331,7 +331,9 @@ TEST(SpatialServe, SpatialCountersAreRegisteredAndAdvance) {
   EXPECT_GT(after.spatial_queries, 0u);
   EXPECT_EQ(after.spatial_rebuilds, 1u);
 
-  const std::string exposition = service.metrics_registry().exposition_text();
+  obs::Registry registry;
+  service.describe_metrics(registry);
+  const std::string exposition = registry.exposition_text();
   EXPECT_NE(exposition.find("mmph_spatial_queries_total"), std::string::npos);
   EXPECT_NE(exposition.find("mmph_spatial_rebuilds_total"), std::string::npos);
   EXPECT_NE(exposition.find("mmph_spatial_points_touched_total"),

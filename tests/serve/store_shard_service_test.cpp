@@ -40,6 +40,13 @@ UserRecord user(std::uint64_t id, double weight, double x, double y) {
   return record;
 }
 
+/// The service's kStats series (serve and WAL) as exposition text.
+std::string exposition(const PlacementService& service) {
+  obs::Registry registry;
+  service.describe_metrics(registry);
+  return registry.exposition_text();
+}
+
 ServiceConfig sharded_config(std::size_t shards) {
   ServiceConfig config;
   config.dim = 2;
@@ -439,7 +446,7 @@ TEST(ShardService, AffinityCountersTrackTheHintShardMatch) {
   (void)service.pump();
   EXPECT_EQ(r2.get().status, ResponseStatus::kOk);
 
-  const std::string text = service.metrics_registry().exposition_text();
+  const std::string text = exposition(service);
   EXPECT_NE(text.find("mmph_store_shard_affinity_hits_total 1"),
             std::string::npos)
       << text;
@@ -454,7 +461,7 @@ TEST(ShardService, PerShardRowGaugesPublishAfterSolves) {
   PlacementService service(sharded_config(4));
   run_workload(service);
   (void)service.placement();
-  const std::string text = service.metrics_registry().exposition_text();
+  const std::string text = exposition(service);
   EXPECT_NE(text.find("mmph_store_shard_rows{shard=\"0\"}"),
             std::string::npos)
       << text;
@@ -469,7 +476,7 @@ TEST(ShardService, ExpositionWritesEachFamilyHeaderOnce) {
   PlacementService service(sharded_config(4));
   run_workload(service);
   (void)service.placement();
-  std::istringstream text(service.metrics_registry().exposition_text());
+  std::istringstream text(exposition(service));
   std::set<std::string> families;
   std::size_t type_lines = 0;
   for (std::string line; std::getline(text, line);) {

@@ -1,4 +1,4 @@
-// Warm re-solves of the placement service. Five layers:
+// Warm re-solves of the placement service. Seven layers:
 //
 //   1. the polish contract under churn — polishing a solution carried
 //      over from the previous epoch (re-accounted against the mutated
@@ -19,7 +19,10 @@
 //   6. the carried marginal gains — every warm kLs placement equals a
 //      cache-less core::polish of the served centers over a reference
 //      copy of the rows, counters included, through an injected
-//      evaluation fault, a failed index mirror and a restore.
+//      evaluation fault, a failed index mirror and a restore;
+//   7. the polish's own grid in the mmph_spatial_* counters — with no
+//      carried index, each warm kLs polish queries a grid it built, and
+//      those queries are counted like the carried grid's.
 
 #include <gtest/gtest.h>
 
@@ -353,6 +356,77 @@ TEST(WarmLs, LsTierPlacementDigestIsPinned) {
     EXPECT_GT(m.ls_moves, 0u) << name;
     EXPECT_EQ(digest.value(), kWarmLsDigest)
         << name << ": got 0x" << std::hex << digest.value();
+  }
+}
+
+TEST(WarmLs, PolishOwnGridCountsInSpatialMetrics) {
+  // kAuto carries no index below kAutoIndexMinPoints, so at the polish-ls
+  // shape every polish gathers its balls through a grid of its own. The
+  // kGrid twin lends its carried grid to the same polish instead, and
+  // that grid's own counters are the oracle: the same queries, the same
+  // points touched.
+  using core::kernels::IndexMode;
+  ServiceConfig config;
+  config.dim = 2;
+  config.k = 8;
+  config.radius = 1.0;
+  config.solver = SolverTier::kLs;
+  PlacementService owned(config);
+  PlacementService lent(config);
+  const auto under = [](IndexMode mode, const auto& fn) {
+    const core::kernels::ScopedIndexMode scoped(mode);
+    fn();
+  };
+
+  const double side = std::sqrt(2500.0 / 10.0);  // 10 users per unit²
+  rnd::Pcg64 rng(19);
+  std::vector<UserRecord> live;
+  for (std::uint64_t id = 1; id <= 2500; ++id) {
+    live.push_back(make_user(id, rng, side));
+  }
+  under(IndexMode::kAuto, [&] {
+    owned.apply_add(live);
+    (void)owned.placement();
+  });
+  under(IndexMode::kGrid, [&] {
+    lent.apply_add(live);
+    (void)lent.placement();
+  });
+  for (int slot = 0; slot < 5; ++slot) {
+    std::vector<UserRecord> moved;
+    for (int m = 0; m < 25; ++m) {
+      UserRecord& user = live[rng.next_below(live.size())];
+      for (double& x : user.interest) {
+        x = std::clamp(x + 2.0 * rng.next_double() - 1.0, 0.0, side);
+      }
+      moved.push_back(user);
+    }
+    const MetricsSnapshot owned_before = owned.metrics();
+    const MetricsSnapshot lent_before = lent.metrics();
+    under(IndexMode::kAuto, [&] {
+      owned.apply_add(moved);
+      (void)owned.placement();
+    });
+    under(IndexMode::kGrid, [&] {
+      lent.apply_add(moved);
+      (void)lent.placement();
+    });
+    const MetricsSnapshot o = owned.metrics();
+    const MetricsSnapshot l = lent.metrics();
+    const std::string context = "slot " + std::to_string(slot);
+    ASSERT_EQ(o.incremental_solves, owned_before.incremental_solves + 1)
+        << context;
+    ASSERT_EQ(l.incremental_solves, lent_before.incremental_solves + 1)
+        << context;
+    EXPECT_GT(o.spatial_queries, owned_before.spatial_queries) << context;
+    EXPECT_EQ(o.spatial_queries - owned_before.spatial_queries,
+              l.spatial_queries - lent_before.spatial_queries)
+        << context;
+    EXPECT_EQ(o.spatial_points_touched - owned_before.spatial_points_touched,
+              l.spatial_points_touched - lent_before.spatial_points_touched)
+        << context;
+    EXPECT_EQ(o.spatial_rebuilds, owned_before.spatial_rebuilds + 1)
+        << context << ": one grid build per polish";
   }
 }
 

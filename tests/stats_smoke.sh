@@ -2,10 +2,11 @@
 # Two-process smoke test of the kStats scrape path: start `mmph_cli
 # serve-net --listen` on an ephemeral loopback port, push a small replay
 # through it, then scrape `mmph_cli stats` and check that the Prometheus
-# exposition carries non-zero counters from all three registries (net,
-# serve, trace spans come and go with enablement so only net/serve are
-# asserted). A second server at --store-shards 4 --loops 2 checks that
-# the exposition writes each family's TYPE line once. Used both by
+# exposition carries non-zero counters from the net, serve and WAL layers
+# (trace spans come and go with enablement, so they are not asserted). A
+# second server at --store-shards 4 --loops 2 checks that the exposition
+# writes each family's TYPE line once and carries every WAL shard's
+# series. Used both by
 # tools/check.sh stats-smoke and by tests/cli_test.sh (ctest). Usage:
 # stats_smoke.sh <path-to-mmph_cli>
 set -e
@@ -88,8 +89,8 @@ grep -Eq "^mmph_net_request_latency_seconds_count [1-9]" "$DIR/stats.txt" \
 grep -q "mmph_net_request_latency_seconds_bucket{le=\"+Inf\"}" "$DIR/stats.txt" \
   || { echo "missing +Inf bucket"; cat "$DIR/stats.txt"; exit 1; }
 
-# The server runs with --wal-dir, so the exposition must merge the WAL
-# registry (appends moved with the replay) and carry the replication lag
+# The server runs with --wal-dir, so the exposition must carry the WAL
+# writer's series (appends moved with the replay) and the replication lag
 # gauge (0 on a primary, but always present).
 grep -Eq "^mmph_wal_appends_total [1-9]" "$DIR/stats.txt" \
   || { echo "missing wal appends"; cat "$DIR/stats.txt"; exit 1; }
@@ -118,5 +119,16 @@ grep -q "^# TYPE mmph_store_shard_rows gauge" "$DIR/stats4.txt" \
 DUPLICATES=$(grep '^# TYPE' "$DIR/stats4.txt" | sort | uniq -d)
 [ -z "$DUPLICATES" ] \
   || { echo "repeated TYPE lines:"; echo "$DUPLICATES"; exit 1; }
+# Every shard log is scraped: one shard-labeled series per WAL shard, each
+# mmph_wal_* family under exactly one TYPE line.
+for shard in 0 1 2 3; do
+  grep -Eq "^mmph_wal_appends_total\{shard=\"$shard\"\} [0-9]" "$DIR/stats4.txt" \
+    || { echo "missing wal appends of shard $shard"; cat "$DIR/stats4.txt"; exit 1; }
+done
+for family in mmph_wal_appends_total mmph_wal_bytes mmph_wal_commits_total \
+    mmph_wal_snapshots_total mmph_wal_failures_total mmph_wal_fsync_seconds; do
+  [ "$(grep -c "^# TYPE $family " "$DIR/stats4.txt")" = 1 ] \
+    || { echo "want one TYPE line for $family"; cat "$DIR/stats4.txt"; exit 1; }
+done
 stop_server
 echo "stats_smoke OK"

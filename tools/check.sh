@@ -26,7 +26,8 @@
 #                               # reproducing seed.
 #                               # MMPH_SANITIZE=ON tools/check.sh chaos
 #                               # is the pre-merge gate for serve/net/wal
-#                               # changes (same sweep under ASan/UBSan).
+#                               # changes (same sweep under ASan/UBSan;
+#                               # CI job sanitize-chaos).
 #   tools/check.sh wal          # build + every wal-labeled test (codec,
 #                               # crash-point matrix, replication,
 #                               # atomicity) — the fast WAL gate; the
