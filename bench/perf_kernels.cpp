@@ -1,11 +1,15 @@
 // Scalar vs. blocked vs. blocked+active-set vs. parallel-init evaluation
 // cost for the coverage reward (the inner loop of every greedy solver).
+// "scalar" is core::reference_coverage_reward, the per-point reference
+// loop; "blocked" is core::coverage_reward; "+active" is the evaluator
+// (kernels::ActiveSet) on its compacted-scan backend.
 //
 // Unlike the google-benchmark perf_* binaries this is a plain timed repro:
 // it emits a machine-readable BENCH_kernels.json (n, variant, ns/eval,
 // speedup vs. scalar) so CI and the tutorial can diff numbers across
-// machines, and it self-checks blocked-vs-scalar agreement before timing
-// so a kernel regression fails the run instead of producing fast garbage.
+// machines, and it self-checks the blocked kernels' and the evaluator's
+// sums against the reference loop before timing, so a kernel regression
+// fails the run instead of producing fast garbage.
 //
 //   ./perf_kernels --n 1000,10000,100000 --out BENCH_kernels.json
 //
@@ -19,10 +23,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "mmph/core/indexed_eval.hpp"
 #include "mmph/core/kernels.hpp"
 #include "mmph/core/lazy_greedy.hpp"
 #include "mmph/core/problem.hpp"
@@ -130,31 +135,36 @@ int main(int argc, char** argv) try {
     std::vector<std::size_t> cand_idx(cand);
     for (std::size_t c = 0; c < cand; ++c) cand_idx[c] = c * (n / cand);
 
-    // Self-check before timing: the blocked kernel must agree with the
-    // per-point reference path on this exact workload.
+    // The evaluator on its scan backend, started from the same residual.
+    const core::kernels::ScopedIndexMode scan_only(
+        core::kernels::IndexMode::kNone);
+    const core::kernels::ActiveSet active(problem, y_mid);
+
+    // Self-check before timing: the blocked kernel and the evaluator must
+    // agree with the per-point reference loop on this exact workload.
     for (std::size_t c = 0; c < std::min<std::size_t>(cand, 32); ++c) {
       const geo::ConstVec center = problem.point(cand_idx[c]);
-      double ref;
-      {
-        core::kernels::ScopedBlockedKernels off(false);
-        ref = core::coverage_reward(problem, center, y_mid);
-      }
-      const double got =
-          core::kernels::block_coverage_reward(problem, center, y_mid);
-      if (std::fabs(got - ref) > 1e-9 * (1.0 + std::fabs(ref))) {
-        std::fprintf(stderr,
-                     "FAIL: blocked kernel disagrees with scalar at n=%zu "
-                     "candidate=%zu (blocked=%.17g scalar=%.17g)\n",
-                     n, c, got, ref);
-        return 1;
+      const double ref =
+          core::reference_coverage_reward(problem, center, y_mid);
+      const double blocked = core::coverage_reward(problem, center, y_mid);
+      const double evaluated = active.coverage_reward(center);
+      for (const double got : {blocked, evaluated}) {
+        if (std::fabs(got - ref) > 1e-9 * (1.0 + std::fabs(ref))) {
+          std::fprintf(stderr,
+                       "FAIL: kernels disagree with the reference loop at "
+                       "n=%zu candidate=%zu (blocked=%.17g evaluator=%.17g "
+                       "reference=%.17g)\n",
+                       n, c, blocked, evaluated, ref);
+          return 1;
+        }
       }
     }
 
     const double scalar_ns = time_ns_per_eval(cand, [&] {
-      core::kernels::ScopedBlockedKernels off(false);
       double acc = 0.0;
       for (const std::size_t i : cand_idx) {
-        acc += core::coverage_reward(problem, problem.point(i), y_mid);
+        acc += core::reference_coverage_reward(problem, problem.point(i),
+                                               y_mid);
       }
       return acc;
     });
@@ -163,14 +173,12 @@ int main(int argc, char** argv) try {
     const double blocked_ns = time_ns_per_eval(cand, [&] {
       double acc = 0.0;
       for (const std::size_t i : cand_idx) {
-        acc += core::kernels::block_coverage_reward(problem,
-                                                    problem.point(i), y_mid);
+        acc += core::coverage_reward(problem, problem.point(i), y_mid);
       }
       return acc;
     });
     rows.push_back({n, "blocked", blocked_ns, scalar_ns / blocked_ns});
 
-    const core::kernels::ActiveSet active(problem, y_mid);
     const double active_ns = time_ns_per_eval(cand, [&] {
       double acc = 0.0;
       for (const std::size_t i : cand_idx) {
@@ -227,36 +235,48 @@ int main(int argc, char** argv) try {
     const core::Problem problem = core::Problem::from_workload(
         rnd::generate_workload(spec, rng), /*radius=*/1.0, geo::l2_metric());
 
-    const core::kernels::ScopedIndexMode grid_on(
-        core::kernels::IndexMode::kGrid);
-
     const auto build_start = Clock::now();
-    const auto indexed = core::kernels::IndexedActiveSet::try_make(problem);
+    const std::unique_ptr<spatial::SpatialIndex> grid =
+        spatial::make_index(problem.points(), problem.radius(),
+                            problem.metric());
     const double build_seconds =
         std::chrono::duration<double>(Clock::now() - build_start).count();
-    if (!indexed) {
+
+    // The evaluator on each backend: the grid (lent), then the scan.
+    std::optional<core::kernels::ActiveSet> indexed;
+    std::optional<core::kernels::ActiveSet> active;
+    {
+      const core::kernels::ScopedIndexMode grid_on(
+          core::kernels::IndexMode::kGrid);
+      indexed.emplace(problem, grid.get());
+      const core::kernels::ScopedIndexMode scan_only(
+          core::kernels::IndexMode::kNone);
+      active.emplace(problem);
+    }
+    if (!indexed->indexed()) {
       std::fprintf(stderr, "FAIL: spatial index refused n=%zu\n", n);
       return 1;
     }
-
-    const std::vector<double> ones(n, 1.0);
-    const core::kernels::ActiveSet active(problem, ones);
 
     const std::size_t cand = std::min<std::size_t>(n <= 1000000 ? 256 : 64, n);
     std::vector<std::size_t> cand_idx(cand);
     for (std::size_t c = 0; c < cand; ++c) cand_idx[c] = c * (n / cand);
 
     // Bitwise self-check: the indexed evaluation is an acceleration of the
-    // blocked one, not an approximation — exact equality or fail.
+    // blocked one, not an approximation — exact equality or fail — and
+    // both match the reference loop.
+    const std::vector<double> ones(n, 1.0);
     for (std::size_t c = 0; c < std::min<std::size_t>(cand, 32); ++c) {
       const geo::ConstVec center = problem.point(cand_idx[c]);
       const double got = indexed->coverage_reward(center);
-      const double ref = active.coverage_reward(center);
-      if (got != ref) {
+      const double scan = active->coverage_reward(center);
+      const double ref =
+          core::reference_coverage_reward(problem, center, ones);
+      if (got != scan || std::fabs(got - ref) > 1e-9 * (1.0 + ref)) {
         std::fprintf(stderr,
-                     "FAIL: indexed eval diverges from blocked at n=%zu "
-                     "candidate=%zu (indexed=%.17g blocked=%.17g)\n",
-                     n, c, got, ref);
+                     "FAIL: indexed eval diverges at n=%zu candidate=%zu "
+                     "(indexed=%.17g blocked=%.17g reference=%.17g)\n",
+                     n, c, got, scan, ref);
         return 1;
       }
     }
@@ -264,12 +284,12 @@ int main(int argc, char** argv) try {
     const double blocked_ns = time_ns_per_eval(cand, [&] {
       double acc = 0.0;
       for (const std::size_t i : cand_idx) {
-        acc += active.coverage_reward(problem.point(i));
+        acc += active->coverage_reward(problem.point(i));
       }
       return acc;
     });
 
-    const spatial::IndexStats stats_before = indexed->index().stats();
+    const spatial::IndexStats stats_before = grid->stats();
     const double indexed_ns = time_ns_per_eval(cand, [&] {
       double acc = 0.0;
       for (const std::size_t i : cand_idx) {
@@ -277,7 +297,7 @@ int main(int argc, char** argv) try {
       }
       return acc;
     });
-    const spatial::IndexStats stats_after = indexed->index().stats();
+    const spatial::IndexStats stats_after = grid->stats();
     const double touched_per_eval =
         static_cast<double>(stats_after.points_touched -
                             stats_before.points_touched) /
@@ -285,8 +305,12 @@ int main(int argc, char** argv) try {
 
     const std::size_t kk = std::min(k, n);
     const auto lazy_start = Clock::now();
-    const core::Solution lazy_indexed =
-        core::LazyGreedySolver().solve(problem, kk);
+    core::Solution lazy_indexed;
+    {
+      const core::kernels::ScopedIndexMode grid_on(
+          core::kernels::IndexMode::kGrid);
+      lazy_indexed = core::LazyGreedySolver().solve(problem, kk);
+    }
     const double lazy_indexed_seconds =
         std::chrono::duration<double>(Clock::now() - lazy_start).count();
 

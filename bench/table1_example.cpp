@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
 
     io::Table table({"Coverage reward", "1", "2", "3", "4", "Total"});
     std::vector<core::Solution> solutions;
-    for (const std::string& name : {"greedy2", "greedy3", "greedy4"}) {
+    for (const char* name : {"greedy2", "greedy3", "greedy4"}) {
       const core::Solution s =
           core::make_solver(name, problem)->solve(problem, 4);
       std::vector<std::string> row{name};

@@ -51,12 +51,15 @@ int main(int argc, char** argv) {
     double cumulative = 0.0;
     for (std::size_t j = 0; j < plan.centers.size(); ++j) {
       cumulative += plan.round_rewards[j];
-      table.add_row(
-          {std::to_string(j + 1),
-           "(" + io::fixed(plan.centers[j][0], 2) + ", " +
-               io::fixed(plan.centers[j][1], 2) + ")",
-           io::fixed(plan.round_rewards[j], 2), io::fixed(cumulative, 2),
-           io::percent(cumulative / problem.total_weight())});
+      std::string site = "(";
+      site += io::fixed(plan.centers[j][0], 2);
+      site += ", ";
+      site += io::fixed(plan.centers[j][1], 2);
+      site += ")";
+      table.add_row({std::to_string(j + 1), site,
+                     io::fixed(plan.round_rewards[j], 2),
+                     io::fixed(cumulative, 2),
+                     io::percent(cumulative / problem.total_weight())});
     }
     if (as_csv) {
       table.print_csv(std::cout);

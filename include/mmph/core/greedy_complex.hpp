@@ -39,19 +39,12 @@ class GreedyComplexSolver final : public RoundSolverBase {
   [[nodiscard]] std::string name() const override { return "greedy4"; }
 
  protected:
-  void select_center(const Problem& problem, std::span<const double> y,
-                     std::span<double> out) const override;
-
   /// Both inner steps of a walk — the heaviest point the disk rewards and
   /// the coverage reward of a trial center — only involve points within r
-  /// of the center, so the indexed path takes each step's ball from the
-  /// spatial index instead of scanning all n points. Candidates are still
-  /// visited in ascending index order with the same strict-> tie-breaks,
-  /// so the indexed path picks identical centers.
-  [[nodiscard]] bool supports_indexed_scan() const override { return true; }
-  bool indexed_select(const Problem& problem,
-                      const kernels::IndexedActiveSet& active,
-                      std::span<double> out) const override;
+  /// of the center, so each step reads the evaluator's ball around the
+  /// center (the index query when it indexes) in ascending index order.
+  void select_center(const Problem& problem, const kernels::ActiveSet& active,
+                     std::span<double> out) const override;
 
  private:
   geo::L1CenterRule l1_rule_;

@@ -17,16 +17,8 @@ class GreedyLocalSolver final : public RoundSolverBase {
   [[nodiscard]] std::string name() const override { return "greedy2"; }
 
  protected:
-  void select_center(const Problem& problem, std::span<const double> y,
+  void select_center(const Problem& problem, const kernels::ActiveSet& active,
                      std::span<double> out) const override;
-
-  /// The all-candidates scan maps directly onto the spatial-index
-  /// evaluator: same ascending order, same strict-> tie-break, identical
-  /// rewards — so the indexed path picks identical centers.
-  [[nodiscard]] bool supports_indexed_scan() const override { return true; }
-  bool indexed_select(const Problem& problem,
-                      const kernels::IndexedActiveSet& active,
-                      std::span<double> out) const override;
 };
 
 }  // namespace mmph::core

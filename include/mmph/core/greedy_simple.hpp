@@ -17,7 +17,7 @@ class GreedySimpleSolver final : public RoundSolverBase {
   [[nodiscard]] std::string name() const override { return "greedy3"; }
 
  protected:
-  void select_center(const Problem& problem, std::span<const double> y,
+  void select_center(const Problem& problem, const kernels::ActiveSet& active,
                      std::span<double> out) const override;
 };
 

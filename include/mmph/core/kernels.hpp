@@ -1,39 +1,38 @@
 #pragma once
 
 /// \file kernels.hpp
-/// \brief Batched, SIMD-friendly reward kernels: the streaming inner loops
-/// behind every solver's coverage evaluations.
+/// \brief Batched, SIMD-friendly reward kernels and the one coverage
+/// evaluator every greedy scores and commits centers through.
 ///
-/// The plain kernels in reward.hpp walk one point at a time through
-/// Metric::distance — a branchy call that pays a sqrt even for points far
-/// outside the coverage ball. The block kernels here stage distances for a
-/// fixed-size block of contiguous SoA rows (norm- and dimension-specialized
-/// tight loops the compiler auto-vectorizes), then fuse the coverage and
-/// residual math (`w_i * min(u_i, y_i)`) in one pass over the block. An L2
+/// The per-point reference loop (reward.hpp's reference_coverage_reward)
+/// walks one point at a time through Metric::distance — a branchy call that
+/// pays a sqrt even for points far outside the coverage ball. The block
+/// kernels here stage distances for a fixed-size block of contiguous SoA
+/// rows (norm- and dimension-specialized tight loops the compiler
+/// auto-vectorizes), then fuse the coverage and residual math
+/// (`w_i * min(u_i, y_i)`) in one pass over the block. An L2
 /// squared-distance early-out means out-of-range points never reach sqrt.
+/// core::coverage_reward and core::apply_center are these kernels over the
+/// whole population.
 ///
 /// Determinism contract: for the same problem and residual, the blocked
-/// kernels produce *bit-identical* sums to the per-point reference path —
+/// kernels produce *bit-identical* sums to the per-point reference loop —
 /// terms are accumulated in ascending point order, each term is computed
 /// with the same operations as `unit_coverage`, the early-out is guarded by
-/// a relative margin so it never drops a point the reference path keeps,
+/// a relative margin so it never drops a point the reference loop keeps,
 /// and skipped terms are exact +0.0 (adding them cannot change the sum).
-/// Every solver therefore selects the same centers with the blocked path on
-/// or off; tests pin this.
 ///
 /// The layer also provides:
-///   - ActiveSet: a residual-aware compaction of the population. Points
-///     whose residual has hit exactly 0 can never contribute again
-///     (residuals only decrease), so they are dropped from the scan while
-///     preserving the relative order — and hence the exact sums — of the
-///     survivors.
+///   - ActiveSet: the residual-owning evaluator. It picks a backend once,
+///     at construction — the spatial radius index or the compacted blocked
+///     scan — and either backend returns the full scan's sums bit for bit.
 ///   - ParallelEvaluator: shards an all-candidates gain scan (the O(n^2)
 ///     first round that lazy evaluation cannot avoid) across a ThreadPool.
 ///     Each gain lands in its own slot of a dense vector, so results are
 ///     deterministic regardless of scheduling.
 
-#include <atomic>
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -42,6 +41,7 @@
 #include "mmph/core/problem.hpp"
 #include "mmph/parallel/parallel_for.hpp"
 #include "mmph/parallel/thread_pool.hpp"
+#include "mmph/spatial/spatial_index.hpp"
 
 namespace mmph::core::kernels {
 
@@ -49,32 +49,11 @@ namespace mmph::core::kernels {
 /// resident in L1 alongside the coordinate, weight and residual streams.
 inline constexpr std::size_t kBlockSize = 256;
 
-/// Whether reward.hpp's kernels delegate to the blocked path (default on).
-/// The per-point reference path is kept for A/B tests and benchmarks.
-void set_blocked_enabled(bool enabled) noexcept;
-[[nodiscard]] bool blocked_enabled() noexcept;
-
-/// RAII toggle for tests: forces the blocked path on/off, restoring the
-/// previous setting on destruction. Not meant for concurrent use.
-class ScopedBlockedKernels {
- public:
-  explicit ScopedBlockedKernels(bool enabled) noexcept
-      : previous_(blocked_enabled()) {
-    set_blocked_enabled(enabled);
-  }
-  ~ScopedBlockedKernels() { set_blocked_enabled(previous_); }
-  ScopedBlockedKernels(const ScopedBlockedKernels&) = delete;
-  ScopedBlockedKernels& operator=(const ScopedBlockedKernels&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// Whether solvers route coverage evaluations through a spatial radius
-/// index (mmph::spatial) instead of the full-population scan. The indexed
-/// path is bit-identical to the scan (see spatial_index.hpp for the
-/// contract), so this is purely a cost knob:
-///   - kNone: never index — every eval scans all n points (blocked or not).
+/// Whether evaluators run on a spatial radius index (mmph::spatial)
+/// instead of the compacted full-population scan. The index is
+/// bit-identical to the scan (see spatial_index.hpp for the contract), so
+/// this is purely a cost knob:
+///   - kNone: never index — every eval scans the live points.
 ///   - kGrid: always index, even for tiny populations (the differential
 ///     corpus uses this to exercise the indexed path; above kGridMaxDim
 ///     dimensions the kd-tree stands in for the grid).
@@ -83,8 +62,8 @@ class ScopedBlockedKernels {
 ///     (>= kAutoIndexMinPoints), low-dimensional enough for the grid
 ///     (dim <= spatial::kGridMaxDim), and sparse enough that a radius
 ///     query visits a small slice of the population (see
-///     kAutoMaxQueryFraction). See indexed_eval.hpp's
-///     auto_index_profitable for the exact predicate.
+///     kAutoMaxQueryFraction). auto_index_profitable is the exact
+///     predicate.
 enum class IndexMode {
   kNone,
   kGrid,
@@ -113,7 +92,8 @@ void set_index_mode(IndexMode mode) noexcept;
 [[nodiscard]] std::optional<IndexMode> parse_index_mode(
     std::string_view name) noexcept;
 
-/// RAII toggle for tests, mirroring ScopedBlockedKernels.
+/// RAII toggle for tests and benchmarks: sets the index mode, restoring
+/// the previous one on destruction. Not meant for concurrent use.
 class ScopedIndexMode {
  public:
   explicit ScopedIndexMode(IndexMode mode) noexcept : previous_(index_mode()) {
@@ -127,22 +107,34 @@ class ScopedIndexMode {
   IndexMode previous_;
 };
 
-/// Blocked equivalent of core::coverage_reward: g(c) = sum_i w_i min(u_i, y_i).
-[[nodiscard]] double block_coverage_reward(const Problem& problem,
-                                           geo::ConstVec center,
-                                           std::span<const double> y);
+/// The index policy, the one reader of index_mode(): kNone never indexes,
+/// kGrid indexes any non-empty problem, kAuto indexes when
+/// auto_index_profitable says so or when \p lent_index_fits — an index the
+/// caller already carries over these rows costs no build.
+[[nodiscard]] bool should_index(const Problem& problem,
+                                bool lent_index_fits = false);
 
-/// Blocked equivalent of core::apply_center: commits the round, y_i -= z_i.
-double block_apply_center(const Problem& problem, geo::ConstVec center,
-                          std::span<double> y);
+/// The kAuto predicate: true when indexing \p problem is expected to beat
+/// the full scan. Requires a large population (>= kAutoIndexMinPoints), a
+/// grid-friendly dimension (<= spatial::kGridMaxDim), and
+/// query_box_sparse. Dense workloads — coverage balls comparable to the
+/// whole box — scan faster than they gather, so kAuto declines them; kGrid
+/// still forces the index for such cases.
+[[nodiscard]] bool auto_index_profitable(const Problem& problem);
 
-/// Index-list variants for spatial-index callers (IndexedActiveSet feeds
-/// them a SpatialIndex query): evaluate only the points named by
-/// \p indices, in order, accumulating term by term onto \p g.
-/// Accumulate-into (rather than return-a-partial) keeps the floating-point
-/// association identical to one per-point loop over the concatenated index
-/// lists, so a caller feeding several spans gets bit-identical sums to the
-/// unblocked path.
+/// The density clause alone: true when a radius query is estimated to
+/// visit at most kAutoMaxQueryFraction of the points (the 3r query box
+/// against the bounding box; one O(n) pass). core::SwapEvaluator applies
+/// it at any n to choose between an owned index and a full scan.
+[[nodiscard]] bool query_box_sparse(const Problem& problem);
+
+/// Index-list kernels for spatial-index callers (ActiveSet's index backend
+/// and core::SwapEvaluator feed them a SpatialIndex query): evaluate only
+/// the points named by \p indices, in order, accumulating term by term
+/// onto \p g. Accumulate-into (rather than return-a-partial) keeps the
+/// floating-point association identical to one per-point loop over the
+/// concatenated index lists, so a caller feeding several spans gets
+/// bit-identical sums to the full scan.
 void block_coverage_reward(const Problem& problem, geo::ConstVec center,
                            std::span<const double> y,
                            std::span<const std::size_t> indices, double& g);
@@ -150,59 +142,80 @@ void block_apply_center(const Problem& problem, geo::ConstVec center,
                         std::span<double> y,
                         std::span<const std::size_t> indices, double& g);
 
-/// A compacted view of the population holding only points whose residual is
-/// still positive, stored SoA (packed coords / weights / residuals) so the
-/// block kernels stream over survivors at full memory bandwidth.
+/// The residual-owning coverage evaluator. It holds the residual y from
+/// construction on and picks its backend once, by should_index():
+///   - the radius index: a lent index whose rows match the problem, or one
+///     it builds. An eval runs the index-list kernels over the points
+///     possibly within r of the center; apply_center masks every point
+///     whose residual hit exactly 0 out of the index, so queries shrink as
+///     coverage saturates.
+///   - the compacted scan: packed SoA rows (coords / weights / residuals)
+///     of the points whose residual is still positive, streamed by the
+///     block kernels and recompacted once 1/8 of the rows are exhausted.
+///     Exact comparison against 0.0 (never an epsilon) keeps arbitrarily
+///     small positive residuals in play.
+/// Both backends return core::coverage_reward / core::apply_center over
+/// the full residual vector bit for bit: dropped and out-of-ball terms are
+/// exact +0.0 and the survivors keep ascending order. The backend changes
+/// cost, never a selection.
 ///
-/// Semantics: the set owns the residual state from construction on.
-/// coverage_reward/apply_center match the full-population kernels exactly
-/// (dropped points contribute exact zeros; survivor order is preserved), so
-/// a solver that swaps its residual vector for an ActiveSet selects the
-/// same centers. Compaction triggers automatically once at least 1/8 of the
-/// scanned rows are exhausted; exact comparison against 0.0 (never an
-/// epsilon) keeps arbitrarily small positive residuals in play.
+/// Thread-safety: coverage_reward and ball are safe to call concurrently;
+/// apply_center and compact are not.
 class ActiveSet {
  public:
-  /// Starts with every point active and residual 1 (a fresh round 1).
-  explicit ActiveSet(const Problem& problem);
+  /// Starts every point at residual 1 (a fresh round 1). \p lent is an
+  /// index the caller maintains across solves (e.g. PlacementService's
+  /// carried grid); it is used when the mode allows indexing and its point
+  /// count, dimension and radius match the problem (rows must correspond),
+  /// and it is unmasked first. Otherwise the evaluator builds its own index
+  /// or scans, as should_index() decides.
+  explicit ActiveSet(const Problem& problem,
+                     spatial::SpatialIndex* lent = nullptr);
 
-  /// Starts from an existing residual vector (points with y[i] == 0 are
-  /// dropped immediately). \p y.size() must equal problem.size().
-  ActiveSet(const Problem& problem, std::span<const double> y);
+  /// Starts from residual \p y (size problem.size()); points with y_i == 0
+  /// start exhausted.
+  ActiveSet(const Problem& problem, std::span<const double> y,
+            spatial::SpatialIndex* lent = nullptr);
 
-  /// Points still scanned (== active points between compactions plus
-  /// not-yet-compacted exhausted ones).
-  [[nodiscard]] std::size_t scan_size() const noexcept { return weights_.size(); }
+  /// Whether evaluations run on the radius index (else the compacted scan).
+  [[nodiscard]] bool indexed() const noexcept { return index_ != nullptr; }
 
   /// Points with residual > 0.
-  [[nodiscard]] std::size_t active_count() const noexcept {
-    return weights_.size() - exhausted_;
+  [[nodiscard]] std::size_t active_count() const noexcept { return active_; }
+
+  /// The full residual vector, exhausted points exactly 0.0: bit for bit
+  /// the y that core::apply_center leaves after the same commits.
+  [[nodiscard]] std::span<const double> residual() const noexcept {
+    return y_;
   }
 
-  /// g(c) over the active points — equals block_coverage_reward against the
-  /// equivalent full residual vector, bit for bit.
+  /// g(c) = sum_i w_i min(u_i(c), y_i) against the owned residual.
   [[nodiscard]] double coverage_reward(geo::ConstVec center) const;
 
-  /// Commits a center against the internal residual state; returns the
-  /// claimed reward and compacts when enough points became exhausted.
+  /// Commits a center: y_i -= z_i; returns the claimed reward.
   double apply_center(geo::ConstVec center);
 
-  /// Drops exhausted points now (idempotent; automatic in apply_center).
+  /// Ascending ids of a superset of the points that can earn reward from a
+  /// disk at \p center: the index's ball query (written into \p scratch),
+  /// or every point the scan still holds.
+  [[nodiscard]] std::span<const std::size_t> ball(
+      geo::ConstVec center, std::vector<std::size_t>& scratch) const;
+
+  /// Drops exhausted rows from the scan now (idempotent; automatic in
+  /// apply_center; the index backend masks them as they exhaust).
   void compact();
 
-  /// Writes the equivalent full residual vector: 0 for exhausted points,
-  /// the internal residual for active ones. \p y.size() == problem.size().
-  void export_residual(std::span<double> y) const;
-
  private:
-  void gather(std::span<const double> y);
-
   const Problem& problem_;
-  std::vector<double> coords_;        // packed rows of active points
-  std::vector<double> weights_;       // aligned with coords_ rows
-  std::vector<double> residual_;      // aligned; the live y values
-  std::vector<std::size_t> original_; // row -> original point index
-  std::size_t exhausted_ = 0;         // rows with residual exactly 0
+  std::unique_ptr<spatial::SpatialIndex> owned_;
+  spatial::SpatialIndex* index_ = nullptr;  ///< null: the compacted scan
+  std::vector<double> y_;                   ///< full-length residual
+  std::size_t active_ = 0;
+  // Compacted scan backend: packed rows of the points not yet dropped.
+  std::vector<double> coords_;
+  std::vector<double> weights_;
+  std::vector<double> packed_;         ///< their residuals (mirrored in y_)
+  std::vector<std::size_t> original_;  ///< row -> point id, ascending
 };
 
 /// Shards an all-candidates gain scan across a ThreadPool. Results are

@@ -11,12 +11,12 @@
 /// as GreedyLocalSolver (same tie-breaking) — verified by tests — while
 /// evaluating far fewer coverage rewards (see bench/perf_lazy_greedy).
 ///
-/// Lazy evaluation cuts how many reward evaluations run; the blocked
-/// kernels (kernels.hpp) make each one stream at memory bandwidth. When
-/// they are enabled the solver scans a residual-aware ActiveSet, and the
-/// first-round all-candidates scan — the O(n^2) initialization laziness
-/// cannot avoid — can be sharded across a ThreadPool. Both paths select
-/// identical centers (pinned by tests).
+/// Lazy evaluation cuts how many reward evaluations run; the evaluator
+/// (kernels::ActiveSet) makes each one cheap — a radius-index query or a
+/// compacted blocked scan — and the first-round all-candidates scan — the
+/// O(n^2) initialization laziness cannot avoid — can be sharded across a
+/// ThreadPool. Every backend and schedule selects identical centers
+/// (pinned by tests).
 ///
 /// The candidate domain defaults to the problem's own points (Algorithm 2);
 /// the candidate-set overload draws centers from any point set instead,
@@ -71,7 +71,7 @@ class LazyGreedySolver final : public Solver {
   /// Lends a caller-maintained spatial index (rows must correspond to the
   /// problem's points) so solve() skips the index build. The index outlives
   /// the solver's use of it; solve() re-unmasks it at start. Whether it is
-  /// consulted still follows kernels::index_mode().
+  /// consulted follows kernels::should_index().
   void set_shared_index(spatial::SpatialIndex* index) noexcept {
     index_ = index;
   }

@@ -31,7 +31,8 @@ struct SolverConfig {
 ///   "ls-tabu"     same seed, tabu best-improvement move selection
 ///   "greedy2+ls"  greedy2 seed, pure swap sweeps over grid ∪ points
 /// All three report as "ls(<base>)". Spatial indexing is not a name: every
-/// solver that supports it follows kernels::index_mode() (--index).
+/// greedy evaluates through kernels::ActiveSet, which follows
+/// kernels::index_mode() (--index).
 [[nodiscard]] std::vector<std::string> solver_names();
 
 /// Builds the named solver for \p problem.

@@ -24,15 +24,23 @@ namespace mmph::core {
 [[nodiscard]] double unit_coverage(const Problem& problem, geo::ConstVec center,
                                    std::size_t i);
 
-/// Coverage reward g(c) = sum_i w_i min(u_i(c), y_i) against residual \p y.
+/// Coverage reward g(c) = sum_i w_i min(u_i(c), y_i) against residual \p y
+/// (the blocked kernels of kernels.hpp over every point).
 [[nodiscard]] double coverage_reward(const Problem& problem,
                                      geo::ConstVec center,
                                      std::span<const double> y);
 
 /// Commits a center: y_i -= z_i for every point; returns the round reward
-/// g(c) that was claimed.
+/// g(c) that was claimed (the blocked kernels of kernels.hpp).
 double apply_center(const Problem& problem, geo::ConstVec center,
                     std::span<double> y);
+
+/// The per-point reference loop for g(c): one unit_coverage call per point,
+/// in ascending order, no blocking. The oracle that tests and
+/// bench/perf_kernels check the blocked kernels and the evaluator against.
+[[nodiscard]] double reference_coverage_reward(const Problem& problem,
+                                               geo::ConstVec center,
+                                               std::span<const double> y);
 
 /// Single-point residual reward w_i * y_i (Algorithm 3's selection key).
 [[nodiscard]] double single_point_reward(const Problem& problem, std::size_t i,

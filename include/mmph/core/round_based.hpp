@@ -33,7 +33,7 @@ class RoundBasedSolver final : public RoundSolverBase {
   }
 
  protected:
-  void select_center(const Problem& problem, std::span<const double> y,
+  void select_center(const Problem& problem, const kernels::ActiveSet& active,
                      std::span<double> out) const override;
 
  private:

@@ -32,7 +32,7 @@ class PolishedRoundSolver final : public RoundSolverBase {
   [[nodiscard]] std::string name() const override { return "greedy1+polish"; }
 
  protected:
-  void select_center(const Problem& problem, std::span<const double> y,
+  void select_center(const Problem& problem, const kernels::ActiveSet& active,
                      std::span<double> out) const override;
 
  private:

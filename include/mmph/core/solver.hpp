@@ -19,7 +19,7 @@
 namespace mmph::core {
 
 namespace kernels {
-class IndexedActiveSet;
+class ActiveSet;
 }
 
 /// Interface implemented by all content-placement algorithms.
@@ -37,40 +37,21 @@ class Solver {
 };
 
 /// Base for the round-based algorithms (1, 2, 3, 4): runs the k-round loop,
-/// delegating only the per-round center choice.
+/// delegating only the per-round center choice. Every round scores and
+/// commits through one kernels::ActiveSet, which owns the residual and
+/// picks the radius index or the compacted scan (kernels::should_index()).
 class RoundSolverBase : public Solver {
  public:
   [[nodiscard]] Solution solve(const Problem& problem,
                                std::size_t k) const final;
 
  protected:
-  /// Chooses the round's center given the residual \p y.
-  /// Writes the chosen center coordinates (problem.dim() values) to \p out.
+  /// Chooses the round's center, scoring candidates through \p active
+  /// (its residual() is the round's y). Writes the chosen center
+  /// coordinates (problem.dim() values) to \p out.
   virtual void select_center(const Problem& problem,
-                             std::span<const double> y,
+                             const kernels::ActiveSet& active,
                              std::span<double> out) const = 0;
-
-  /// Solvers whose select_center only reads points within the coverage
-  /// radius of the centers it scores (greedy2's candidate scan, greedy4's
-  /// new-center walk) can opt into the spatial-index evaluation path by
-  /// returning true here and implementing indexed_select. The base loop
-  /// then builds an IndexedActiveSet (subject to kernels::index_mode())
-  /// and calls indexed_select instead; selections must match select_center
-  /// bit for bit (the indexed evaluator guarantees identical rewards).
-  [[nodiscard]] virtual bool supports_indexed_scan() const { return false; }
-
-  /// Indexed counterpart of select_center, evaluating candidates through
-  /// \p active. Returns false to decline (e.g. an unsupported instance
-  /// shape), in which case the loop falls back to select_center for the
-  /// remaining rounds.
-  virtual bool indexed_select(const Problem& problem,
-                              const kernels::IndexedActiveSet& active,
-                              std::span<double> out) const {
-    (void)problem;
-    (void)active;
-    (void)out;
-    return false;
-  }
 };
 
 }  // namespace mmph::core

@@ -308,7 +308,7 @@ class PlacementService {
   /// Interest rows of recently churned-in users (swap candidates).
   std::deque<std::vector<double>> recent_points_;
 
-  /// Coverage index carried across churn epochs (kernels::index_mode()
+  /// Coverage index carried across churn epochs (kernels::should_index()
   /// decides whether one is kept). Rows mirror the store's live rows:
   /// every mutation applies the same add/update/swap-remove to both, so a
   /// re-solve skips the O(n) build. The index is an accelerator, never

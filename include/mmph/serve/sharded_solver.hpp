@@ -83,7 +83,7 @@ class ShardedSolver final : public core::Solver {
   /// problem's points (e.g. PlacementService's carried grid); the merge
   /// pass evaluates through it (core::LazyGreedySolver::set_shared_index).
   /// Pass nullptr to revert to per-solve builds. The index must outlive
-  /// solves; whether it is consulted follows kernels::index_mode().
+  /// solves; whether it is consulted follows kernels::should_index().
   void set_shared_index(spatial::SpatialIndex* index) noexcept {
     shared_index_ = index;
   }

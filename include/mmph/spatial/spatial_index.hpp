@@ -8,8 +8,8 @@
 /// c. The blocked kernels still scan all n points per evaluation; a
 /// SpatialIndex answers "which points can be within r of c" in
 /// O(points-in-ball), so an indexed evaluation touches only the candidates
-/// that can contribute (see core::kernels::IndexedActiveSet for the bridge
-/// into the reward kernels).
+/// that can contribute (see core::kernels::ActiveSet for the bridge into
+/// the reward kernels).
 ///
 /// Contract that makes indexed solves *bit-identical* to full scans:
 ///   - query() appends a **superset of the closed metric ball** around the

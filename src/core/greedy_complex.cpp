@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "mmph/core/indexed_eval.hpp"
+#include "mmph/core/kernels.hpp"
 #include "mmph/core/reward.hpp"
 #include "mmph/geometry/vec.hpp"
 
@@ -29,18 +29,18 @@ namespace {
 // this accumulated set, growing by one point per step, so a walk takes at
 // most n-1 steps.
 //
-// `near(c, visit)` calls visit(j) in ascending j for a superset of the
-// points the disk at c can reward (every point on the scan path, the
-// index's ball query on the indexed path); `reward_at(c)` is g(c) against
-// y. Points outside the disk or with y_j == 0 earn exactly 0 in step (2)
-// and never win its strict comparison, so any such superset picks the same
-// j as the full scan.
-template <typename Near, typename RewardAt>
-void walk_from_seed(const Problem& problem, std::span<const double> y,
+// `active.ball(c)` holds, in ascending j, a superset of the points the
+// disk at c can reward (the index's ball query, or every point the scan
+// still holds), and `active.coverage_reward(c)` is g(c) against y. Points
+// outside the disk or with y_j == 0 earn exactly 0 in step (2) and never
+// win its strict comparison, so any such superset picks the same j as a
+// scan of all n points.
+void walk_from_seed(const Problem& problem, const kernels::ActiveSet& active,
                     std::size_t seed, geo::L1CenterRule l1_rule,
-                    const Near& near, const RewardAt& reward_at,
+                    std::vector<std::size_t>& scratch,
                     std::vector<double>& center, double& reward) {
   const std::size_t n = problem.size();
+  const std::span<const double> y = active.residual();
 
   geo::PointSet accumulated(problem.dim());
   accumulated.push_back(problem.point(seed));
@@ -48,23 +48,23 @@ void walk_from_seed(const Problem& problem, std::span<const double> y,
   in_set[seed] = true;
 
   geo::assign(center, problem.point(seed));
-  reward = reward_at(center);
+  reward = active.coverage_reward(center);
 
   for (std::size_t step = 0; step + 1 < n; ++step) {
     // (2) heaviest remaining point by the reward the current disk gives it
     // (w_j * z_j); ties toward the lowest index.
     double best_w = 0.0;
     std::size_t best_j = n;
-    near(center, [&](std::size_t j) {
-      if (in_set[j]) return;
+    for (const std::size_t j : active.ball(center, scratch)) {
+      if (in_set[j]) continue;
       const double u = unit_coverage(problem, center, j);
-      if (u <= 0.0) return;
+      if (u <= 0.0) continue;
       const double wz = problem.weight(j) * std::min(u, y[j]);
       if (wz > best_w) {
         best_w = wz;
         best_j = j;
       }
-    });
+    }
     // (3) every remaining point is outside the disk (or exhausted): stop.
     if (best_j == n || best_w <= 0.0) return;
 
@@ -74,7 +74,7 @@ void walk_from_seed(const Problem& problem, std::span<const double> y,
         geo::smallest_enclosing(accumulated, problem.metric(), l1_rule);
 
     // (5) accept only an improving move.
-    const double candidate_reward = reward_at(ball.center);
+    const double candidate_reward = active.coverage_reward(ball.center);
     if (candidate_reward <= reward) return;
     in_set[best_j] = true;
     center = ball.center;
@@ -82,56 +82,27 @@ void walk_from_seed(const Problem& problem, std::span<const double> y,
   }
 }
 
+}  // namespace
+
 // Walks from every seed and writes the best final disk's center to `out`
 // (ties keep the lowest seed index).
-template <typename Near, typename RewardAt>
-void best_walk(const Problem& problem, std::span<const double> y,
-               geo::L1CenterRule l1_rule, const Near& near,
-               const RewardAt& reward_at, std::span<double> out) {
+void GreedyComplexSolver::select_center(const Problem& problem,
+                                        const kernels::ActiveSet& active,
+                                        std::span<double> out) const {
   double best = -1.0;
   std::vector<double> best_center(problem.dim());
   std::vector<double> center(problem.dim());
+  std::vector<std::size_t> scratch;
 
   for (std::size_t seed = 0; seed < problem.size(); ++seed) {
     double reward = 0.0;
-    walk_from_seed(problem, y, seed, l1_rule, near, reward_at, center,
-                   reward);
+    walk_from_seed(problem, active, seed, l1_rule_, scratch, center, reward);
     if (reward > best) {  // strict: ties keep the lowest seed index
       best = reward;
       best_center = center;
     }
   }
   geo::assign(out, best_center);
-}
-
-}  // namespace
-
-void GreedyComplexSolver::select_center(const Problem& problem,
-                                        std::span<const double> y,
-                                        std::span<double> out) const {
-  const auto every_point = [&](geo::ConstVec, const auto& visit) {
-    for (std::size_t j = 0; j < problem.size(); ++j) visit(j);
-  };
-  const auto reward_at = [&](geo::ConstVec c) {
-    return coverage_reward(problem, c, y);
-  };
-  best_walk(problem, y, l1_rule_, every_point, reward_at, out);
-}
-
-bool GreedyComplexSolver::indexed_select(
-    const Problem& problem, const kernels::IndexedActiveSet& active,
-    std::span<double> out) const {
-  std::vector<std::size_t> ball;
-  const auto points_in_ball = [&](geo::ConstVec c, const auto& visit) {
-    active.index().query(c, ball);
-    for (const std::size_t j : ball) visit(j);
-  };
-  const auto reward_at = [&](geo::ConstVec c) {
-    return active.coverage_reward(c);
-  };
-  best_walk(problem, active.residual(), l1_rule_, points_in_ball, reward_at,
-            out);
-  return true;
 }
 
 }  // namespace mmph::core

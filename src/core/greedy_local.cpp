@@ -1,29 +1,13 @@
 #include "mmph/core/greedy_local.hpp"
 
-#include "mmph/core/indexed_eval.hpp"
-#include "mmph/core/reward.hpp"
+#include "mmph/core/kernels.hpp"
 #include "mmph/geometry/vec.hpp"
 
 namespace mmph::core {
 
 void GreedyLocalSolver::select_center(const Problem& problem,
-                                      std::span<const double> y,
+                                      const kernels::ActiveSet& active,
                                       std::span<double> out) const {
-  double best = -1.0;
-  std::size_t best_i = 0;
-  for (std::size_t i = 0; i < problem.size(); ++i) {
-    const double g = coverage_reward(problem, problem.point(i), y);
-    if (g > best) {  // strict: ties keep the lowest index
-      best = g;
-      best_i = i;
-    }
-  }
-  geo::assign(out, problem.point(best_i));
-}
-
-bool GreedyLocalSolver::indexed_select(const Problem& problem,
-                                       const kernels::IndexedActiveSet& active,
-                                       std::span<double> out) const {
   double best = -1.0;
   std::size_t best_i = 0;
   for (std::size_t i = 0; i < problem.size(); ++i) {
@@ -34,7 +18,6 @@ bool GreedyLocalSolver::indexed_select(const Problem& problem,
     }
   }
   geo::assign(out, problem.point(best_i));
-  return true;
 }
 
 }  // namespace mmph::core

@@ -1,13 +1,15 @@
 #include "mmph/core/greedy_simple.hpp"
 
+#include "mmph/core/kernels.hpp"
 #include "mmph/core/reward.hpp"
 #include "mmph/geometry/vec.hpp"
 
 namespace mmph::core {
 
 void GreedySimpleSolver::select_center(const Problem& problem,
-                                       std::span<const double> y,
+                                       const kernels::ActiveSet& active,
                                        std::span<double> out) const {
+  const std::span<const double> y = active.residual();
   double best = -1.0;
   std::size_t best_i = 0;
   for (std::size_t i = 0; i < problem.size(); ++i) {

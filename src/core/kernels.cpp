@@ -1,6 +1,7 @@
 #include "mmph/core/kernels.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "mmph/core/reward.hpp"
@@ -10,7 +11,6 @@
 namespace mmph::core::kernels {
 namespace {
 
-std::atomic<bool> g_blocked_enabled{true};
 std::atomic<IndexMode> g_index_mode{IndexMode::kAuto};
 
 enum class NormKind { kL1, kL2, kLinf, kLp };
@@ -37,14 +37,13 @@ struct Params {
   bool binary;     // RewardShape::kBinary
 };
 
-Params make_params(const geo::Metric& metric, double radius,
-                   RewardShape shape) {
+Params make_params(const Problem& problem) {
   Params prm;
-  prm.kind = to_kind(metric.norm());
-  prm.p = metric.p();
-  prm.radius = radius;
-  prm.r2_skip = radius * radius * geo::kSquaredSkipMargin;
-  prm.binary = shape == RewardShape::kBinary;
+  prm.kind = to_kind(problem.metric().norm());
+  prm.p = problem.metric().p();
+  prm.radius = problem.radius();
+  prm.r2_skip = prm.radius * prm.radius * geo::kSquaredSkipMargin;
+  prm.binary = problem.reward_shape() == RewardShape::kBinary;
   return prm;
 }
 
@@ -293,14 +292,6 @@ void dispatch_indexed(const double* rows, const double* w, double* y,
 
 }  // namespace
 
-void set_blocked_enabled(bool enabled) noexcept {
-  g_blocked_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool blocked_enabled() noexcept {
-  return g_blocked_enabled.load(std::memory_order_relaxed);
-}
-
 void set_index_mode(IndexMode mode) noexcept {
   g_index_mode.store(mode, std::memory_order_relaxed);
 }
@@ -328,38 +319,45 @@ std::optional<IndexMode> parse_index_mode(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-double block_coverage_reward(const Problem& problem, geo::ConstVec center,
-                             std::span<const double> y) {
-  MMPH_ASSERT(y.size() == problem.size(), "block coverage: residual size");
-  MMPH_ASSERT(center.size() == problem.dim(), "block coverage: center dim");
-  const Params prm =
-      make_params(problem.metric(), problem.radius(), problem.reward_shape());
-  double g = 0.0;
-  dispatch<false>(problem.points().raw().data(), problem.weights().data(),
-                  const_cast<double*>(y.data()), problem.size(),
-                  problem.dim(), center.data(), prm, g);
-  return g;
+bool should_index(const Problem& problem, bool lent_index_fits) {
+  switch (index_mode()) {
+    case IndexMode::kNone:
+      return false;
+    case IndexMode::kGrid:
+      return problem.size() > 0;
+    case IndexMode::kAuto:
+      return lent_index_fits || auto_index_profitable(problem);
+  }
+  return false;
 }
 
-double block_apply_center(const Problem& problem, geo::ConstVec center,
-                          std::span<double> y) {
-  MMPH_ASSERT(y.size() == problem.size(), "block apply: residual size");
-  MMPH_ASSERT(center.size() == problem.dim(), "block apply: center dim");
-  const Params prm =
-      make_params(problem.metric(), problem.radius(), problem.reward_shape());
-  double g = 0.0;
-  dispatch<true>(problem.points().raw().data(), problem.weights().data(),
-                 y.data(), problem.size(), problem.dim(), center.data(), prm,
-                 g);
-  return g;
+bool auto_index_profitable(const Problem& problem) {
+  if (problem.size() < kAutoIndexMinPoints) return false;
+  if (problem.dim() > spatial::kGridMaxDim) return false;
+  return query_box_sparse(problem);
+}
+
+bool query_box_sparse(const Problem& problem) {
+  // Estimate the population fraction a query gathers: the 3^dim cell
+  // neighborhood is an L-inf box of side 3r, so under a roughly uniform
+  // spread the visited fraction is the volume ratio against the bounding
+  // box. Degenerate extents (all points on a hyperplane) contribute
+  // factor 1 — the query spans that axis entirely.
+  const geo::Box box = problem.points().bounding_box();
+  const double query_side = 3.0 * problem.radius();
+  double fraction = 1.0;
+  for (std::size_t d = 0; d < box.dim(); ++d) {
+    const double extent = box.hi[d] - box.lo[d];
+    if (extent > query_side) fraction *= query_side / extent;
+  }
+  return fraction <= kAutoMaxQueryFraction;
 }
 
 void block_coverage_reward(const Problem& problem, geo::ConstVec center,
                            std::span<const double> y,
                            std::span<const std::size_t> indices, double& g) {
   MMPH_ASSERT(y.size() == problem.size(), "block coverage: residual size");
-  const Params prm =
-      make_params(problem.metric(), problem.radius(), problem.reward_shape());
+  const Params prm = make_params(problem);
   dispatch_indexed<false>(problem.points().raw().data(),
                           problem.weights().data(),
                           const_cast<double*>(y.data()), problem.dim(),
@@ -371,98 +369,130 @@ void block_apply_center(const Problem& problem, geo::ConstVec center,
                         std::span<double> y,
                         std::span<const std::size_t> indices, double& g) {
   MMPH_ASSERT(y.size() == problem.size(), "block apply: residual size");
-  const Params prm =
-      make_params(problem.metric(), problem.radius(), problem.reward_shape());
+  const Params prm = make_params(problem);
   dispatch_indexed<true>(problem.points().raw().data(),
                          problem.weights().data(), y.data(), problem.dim(),
                          center.data(), prm, indices.data(), indices.size(),
                          g);
 }
 
-ActiveSet::ActiveSet(const Problem& problem) : problem_(problem) {
-  gather(std::vector<double>(problem.size(), 1.0));
-}
+ActiveSet::ActiveSet(const Problem& problem, spatial::SpatialIndex* lent)
+    : ActiveSet(problem, fresh_residual(problem), lent) {}
 
-ActiveSet::ActiveSet(const Problem& problem, std::span<const double> y)
-    : problem_(problem) {
+ActiveSet::ActiveSet(const Problem& problem, std::span<const double> y,
+                     spatial::SpatialIndex* lent)
+    : problem_(problem), y_(y.begin(), y.end()) {
   MMPH_REQUIRE(y.size() == problem.size(), "ActiveSet: residual size");
-  gather(y);
-}
-
-void ActiveSet::gather(std::span<const double> y) {
-  const std::size_t n = problem_.size();
-  const std::size_t dim = problem_.dim();
-  const double* rows = problem_.points().raw().data();
-  coords_.clear();
-  weights_.clear();
-  residual_.clear();
-  original_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (y[i] == 0.0) continue;
+  const bool lent_fits = lent != nullptr && problem.size() > 0 &&
+                         lent->size() == problem.size() &&
+                         lent->dim() == problem.dim() &&
+                         lent->radius() == problem.radius();
+  if (should_index(problem, lent_fits)) {
+    if (lent_fits) {
+      // A lent index may carry masks from its previous user.
+      index_ = lent;
+      index_->unmask_all();
+    } else {
+      owned_ = spatial::make_index(problem.points(), problem.radius(),
+                                   problem.metric());
+      index_ = owned_.get();
+    }
+    for (std::size_t i = 0; i < y_.size(); ++i) {
+      if (y_[i] == 0.0) {
+        index_->mask(i);
+      } else {
+        ++active_;
+      }
+    }
+    return;
+  }
+  const std::size_t dim = problem.dim();
+  const double* rows = problem.points().raw().data();
+  for (std::size_t i = 0; i < y_.size(); ++i) {
+    if (y_[i] == 0.0) continue;
     coords_.insert(coords_.end(), rows + i * dim, rows + (i + 1) * dim);
-    weights_.push_back(problem_.weight(i));
-    residual_.push_back(y[i]);
+    weights_.push_back(problem.weight(i));
+    packed_.push_back(y_[i]);
     original_.push_back(i);
   }
-  exhausted_ = 0;
+  active_ = original_.size();
 }
 
 double ActiveSet::coverage_reward(geo::ConstVec center) const {
   MMPH_ASSERT(center.size() == problem_.dim(), "ActiveSet: center dim");
-  const Params prm = make_params(problem_.metric(), problem_.radius(),
-                                 problem_.reward_shape());
   double g = 0.0;
+  if (index_ != nullptr) {
+    thread_local std::vector<std::size_t> ids;
+    index_->query(center, ids);
+    block_coverage_reward(problem_, center, y_, ids, g);
+    return g;
+  }
+  const Params prm = make_params(problem_);
   dispatch<false>(coords_.data(), weights_.data(),
-                  const_cast<double*>(residual_.data()), weights_.size(),
+                  const_cast<double*>(packed_.data()), weights_.size(),
                   problem_.dim(), center.data(), prm, g);
   return g;
 }
 
 double ActiveSet::apply_center(geo::ConstVec center) {
   MMPH_ASSERT(center.size() == problem_.dim(), "ActiveSet: center dim");
-  const Params prm = make_params(problem_.metric(), problem_.radius(),
-                                 problem_.reward_shape());
   double g = 0.0;
-  dispatch<true>(coords_.data(), weights_.data(), residual_.data(),
+  if (index_ != nullptr) {
+    thread_local std::vector<std::size_t> ids;
+    index_->query(center, ids);
+    block_apply_center(problem_, center, y_, ids, g);
+    // Queries return only unmasked points, each still positive.
+    for (const std::size_t id : ids) {
+      if (y_[id] == 0.0) {
+        index_->mask(id);
+        --active_;
+      }
+    }
+    return g;
+  }
+  const Params prm = make_params(problem_);
+  dispatch<true>(coords_.data(), weights_.data(), packed_.data(),
                  weights_.size(), problem_.dim(), center.data(), prm, g);
-  std::size_t zeros = 0;
-  for (const double v : residual_) zeros += v == 0.0 ? 1 : 0;
-  exhausted_ = zeros;
+  std::size_t live = 0;
+  for (std::size_t row = 0; row < packed_.size(); ++row) {
+    y_[original_[row]] = packed_[row];
+    live += packed_[row] != 0.0 ? 1 : 0;
+  }
+  active_ = live;
   // Compact once 1/8 of the scan is dead weight; cheap relative to the
   // scans it saves, and sums are unaffected (dropped terms are +0.0).
-  if (exhausted_ > 0 && exhausted_ * 8 >= weights_.size()) compact();
+  const std::size_t exhausted = packed_.size() - live;
+  if (exhausted > 0 && exhausted * 8 >= packed_.size()) compact();
   return g;
 }
 
+std::span<const std::size_t> ActiveSet::ball(
+    geo::ConstVec center, std::vector<std::size_t>& scratch) const {
+  if (index_ == nullptr) return original_;
+  index_->query(center, scratch);
+  return scratch;
+}
+
 void ActiveSet::compact() {
-  if (exhausted_ == 0) return;
+  if (active_ == packed_.size()) return;
   const std::size_t dim = problem_.dim();
   std::size_t keep = 0;
-  for (std::size_t row = 0; row < weights_.size(); ++row) {
-    if (residual_[row] == 0.0) continue;
+  for (std::size_t row = 0; row < packed_.size(); ++row) {
+    if (packed_[row] == 0.0) continue;
     if (keep != row) {
       std::copy(coords_.begin() + static_cast<std::ptrdiff_t>(row * dim),
                 coords_.begin() + static_cast<std::ptrdiff_t>((row + 1) * dim),
                 coords_.begin() + static_cast<std::ptrdiff_t>(keep * dim));
       weights_[keep] = weights_[row];
-      residual_[keep] = residual_[row];
+      packed_[keep] = packed_[row];
       original_[keep] = original_[row];
     }
     ++keep;
   }
   coords_.resize(keep * dim);
   weights_.resize(keep);
-  residual_.resize(keep);
+  packed_.resize(keep);
   original_.resize(keep);
-  exhausted_ = 0;
-}
-
-void ActiveSet::export_residual(std::span<double> y) const {
-  MMPH_REQUIRE(y.size() == problem_.size(), "ActiveSet: residual size");
-  std::fill(y.begin(), y.end(), 0.0);
-  for (std::size_t row = 0; row < weights_.size(); ++row) {
-    y[original_[row]] = residual_[row];
-  }
 }
 
 std::vector<double> ParallelEvaluator::pool_gains(
@@ -474,3 +504,32 @@ std::vector<double> ParallelEvaluator::pool_gains(
 }
 
 }  // namespace mmph::core::kernels
+
+namespace mmph::core {
+
+double coverage_reward(const Problem& problem, geo::ConstVec center,
+                       std::span<const double> y) {
+  MMPH_ASSERT(y.size() == problem.size(), "coverage_reward: residual size");
+  MMPH_ASSERT(center.size() == problem.dim(), "coverage_reward: center dim");
+  const kernels::Params prm = kernels::make_params(problem);
+  double g = 0.0;
+  kernels::dispatch<false>(problem.points().raw().data(),
+                           problem.weights().data(),
+                           const_cast<double*>(y.data()), problem.size(),
+                           problem.dim(), center.data(), prm, g);
+  return g;
+}
+
+double apply_center(const Problem& problem, geo::ConstVec center,
+                    std::span<double> y) {
+  MMPH_ASSERT(y.size() == problem.size(), "apply_center: residual size");
+  MMPH_ASSERT(center.size() == problem.dim(), "apply_center: center dim");
+  const kernels::Params prm = kernels::make_params(problem);
+  double g = 0.0;
+  kernels::dispatch<true>(problem.points().raw().data(),
+                          problem.weights().data(), y.data(), problem.size(),
+                          problem.dim(), center.data(), prm, g);
+  return g;
+}
+
+}  // namespace mmph::core

@@ -1,13 +1,10 @@
 #include "mmph/core/lazy_greedy.hpp"
 
-#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
 
-#include "mmph/core/indexed_eval.hpp"
 #include "mmph/core/kernels.hpp"
-#include "mmph/core/reward.hpp"
 #include "mmph/support/assert.hpp"
 
 namespace mmph::core {
@@ -45,23 +42,14 @@ Solution LazyGreedySolver::solve(const Problem& problem,
   sol.solver_name = name();
   sol.centers = geo::PointSet(problem.dim());
   sol.centers.reserve(k);
-  sol.residual = fresh_residual(problem);
   last_evals_.store(0, std::memory_order_relaxed);
 
-  // Evaluation backends, strongest first: a spatial radius index (per-eval
-  // cost O(points-in-ball) instead of O(n)), else an ActiveSet over the
-  // blocked kernels (exhausted points compact away). Sums — and therefore
-  // center selection — are identical across all three paths: dropped and
-  // out-of-ball terms are exact zeros.
-  const auto indexed = kernels::IndexedActiveSet::try_make(problem, index_);
-  const bool blocked = !indexed && kernels::blocked_enabled();
-  std::optional<kernels::ActiveSet> active;
-  if (blocked) active.emplace(problem);
-
+  // One evaluator owns the residual: the radius index (the lent one when
+  // it fits) or the compacted blocked scan, as kernels::should_index()
+  // decides.
+  kernels::ActiveSet active(problem, index_);
   const auto gain = [&](std::size_t c) {
-    if (indexed) return indexed->coverage_reward(candidates[c]);
-    return blocked ? active->coverage_reward(candidates[c])
-                   : coverage_reward(problem, candidates[c], sol.residual);
+    return active.coverage_reward(candidates[c]);
   };
 
   // First-round scan: every candidate's fresh gain. This O(|candidates| n)
@@ -90,20 +78,14 @@ Solution LazyGreedySolver::solve(const Problem& problem,
     }
     const geo::ConstVec center = candidates[top.index];
     sol.centers.push_back(center);
-    const double g = indexed   ? indexed->apply_center(center)
-                     : blocked ? active->apply_center(center)
-                               : apply_center(problem, center, sol.residual);
+    const double g = active.apply_center(center);
     sol.round_rewards.push_back(g);
     sol.total_reward += g;
     // The chosen entry stays in the heap with a now-stale gain; future
     // re-evaluation yields ~0 marginal gain, which is correct (re-picking
     // an exhausted center is allowed by the paper's formulation).
   }
-  if (indexed) {
-    indexed->export_residual(sol.residual);
-  } else if (blocked) {
-    active->export_residual(sol.residual);
-  }
+  sol.residual.assign(active.residual().begin(), active.residual().end());
   return sol;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mmph/core/kernels.hpp"
 #include "mmph/geometry/vec.hpp"
 #include "mmph/support/assert.hpp"
 
@@ -34,35 +33,16 @@ double unit_coverage(const Problem& problem, geo::ConstVec center,
   return u > 0.0 ? u : 0.0;
 }
 
-double coverage_reward(const Problem& problem, geo::ConstVec center,
-                       std::span<const double> y) {
-  MMPH_ASSERT(y.size() == problem.size(), "coverage_reward: residual size");
-  if (kernels::blocked_enabled()) {
-    return kernels::block_coverage_reward(problem, center, y);
-  }
-  // Per-point reference path, kept for A/B tests and the perf baseline.
+double reference_coverage_reward(const Problem& problem,
+                                 geo::ConstVec center,
+                                 std::span<const double> y) {
+  MMPH_ASSERT(y.size() == problem.size(),
+              "reference_coverage_reward: residual size");
   double g = 0.0;
   for (std::size_t i = 0; i < problem.size(); ++i) {
     const double u = unit_coverage(problem, center, i);
     if (u <= 0.0) continue;
     g += problem.weight(i) * std::min(u, y[i]);
-  }
-  return g;
-}
-
-double apply_center(const Problem& problem, geo::ConstVec center,
-                    std::span<double> y) {
-  MMPH_ASSERT(y.size() == problem.size(), "apply_center: residual size");
-  if (kernels::blocked_enabled()) {
-    return kernels::block_apply_center(problem, center, y);
-  }
-  double g = 0.0;
-  for (std::size_t i = 0; i < problem.size(); ++i) {
-    const double u = unit_coverage(problem, center, i);
-    if (u <= 0.0) continue;
-    const double z = std::min(u, y[i]);
-    y[i] -= z;
-    g += problem.weight(i) * z;
   }
   return g;
 }

@@ -1,6 +1,6 @@
 #include "mmph/core/round_based.hpp"
 
-#include "mmph/core/reward.hpp"
+#include "mmph/core/kernels.hpp"
 #include "mmph/geometry/vec.hpp"
 #include "mmph/support/assert.hpp"
 
@@ -20,14 +20,14 @@ RoundBasedSolver RoundBasedSolver::over_grid(const Problem& problem,
 }
 
 void RoundBasedSolver::select_center(const Problem& problem,
-                                     std::span<const double> y,
+                                     const kernels::ActiveSet& active,
                                      std::span<double> out) const {
   MMPH_REQUIRE(candidates_.dim() == problem.dim(),
                "RoundBasedSolver: candidate dimension mismatch");
   double best = -1.0;
   std::size_t best_c = 0;
   for (std::size_t c = 0; c < candidates_.size(); ++c) {
-    const double g = coverage_reward(problem, candidates_[c], y);
+    const double g = active.coverage_reward(candidates_[c]);
     if (g > best) {  // strict: ties keep the lowest candidate index
       best = g;
       best_c = c;

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "mmph/core/reward.hpp"
+#include "mmph/core/kernels.hpp"
 #include "mmph/geometry/vec.hpp"
 #include "mmph/support/assert.hpp"
 
@@ -29,7 +29,7 @@ PolishedRoundSolver PolishedRoundSolver::over_grid(const Problem& problem,
 }
 
 void PolishedRoundSolver::select_center(const Problem& problem,
-                                        std::span<const double> y,
+                                        const kernels::ActiveSet& active,
                                         std::span<double> out) const {
   MMPH_REQUIRE(candidates_.dim() == problem.dim(),
                "PolishedRoundSolver: candidate dimension mismatch");
@@ -38,7 +38,7 @@ void PolishedRoundSolver::select_center(const Problem& problem,
   double best = -1.0;
   std::size_t best_c = 0;
   for (std::size_t c = 0; c < candidates_.size(); ++c) {
-    const double g = coverage_reward(problem, candidates_[c], y);
+    const double g = active.coverage_reward(candidates_[c]);
     if (g > best) {
       best = g;
       best_c = c;
@@ -57,7 +57,7 @@ void PolishedRoundSolver::select_center(const Problem& problem,
       for (const double delta : {step, -step}) {
         probe = center;
         probe[d] += delta;
-        const double g = coverage_reward(problem, probe, y);
+        const double g = active.coverage_reward(probe);
         if (g > best + 1e-12) {
           best = g;
           center = probe;

@@ -1,7 +1,8 @@
 #include "mmph/core/solver.hpp"
 
-#include "mmph/core/indexed_eval.hpp"
-#include "mmph/core/reward.hpp"
+#include <vector>
+
+#include "mmph/core/kernels.hpp"
 #include "mmph/support/assert.hpp"
 
 namespace mmph::core {
@@ -13,31 +14,17 @@ Solution RoundSolverBase::solve(const Problem& problem, std::size_t k) const {
   sol.centers = geo::PointSet(problem.dim());
   sol.centers.reserve(k);
   sol.round_rewards.reserve(k);
-  sol.residual = fresh_residual(problem);
 
-  // Solvers that opted in evaluate through a spatial radius index (subject
-  // to kernels::index_mode()); selections are bit-identical to the scan
-  // path. If a round declines, the residual is exported and the loop
-  // continues on the plain path.
-  std::unique_ptr<kernels::IndexedActiveSet> indexed;
-  if (supports_indexed_scan()) {
-    indexed = kernels::IndexedActiveSet::try_make(problem);
-  }
-
+  kernels::ActiveSet active(problem);
   std::vector<double> center(problem.dim());
   for (std::size_t j = 0; j < k; ++j) {
-    if (indexed && !indexed_select(problem, *indexed, center)) {
-      indexed->export_residual(sol.residual);
-      indexed.reset();
-    }
-    if (!indexed) select_center(problem, sol.residual, center);
-    const double g = indexed ? indexed->apply_center(center)
-                             : apply_center(problem, center, sol.residual);
+    select_center(problem, active, center);
+    const double g = active.apply_center(center);
     sol.centers.push_back(center);
     sol.round_rewards.push_back(g);
     sol.total_reward += g;
   }
-  if (indexed) indexed->export_residual(sol.residual);
+  sol.residual.assign(active.residual().begin(), active.residual().end());
   return sol;
 }
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mmph/core/indexed_eval.hpp"
-#include "mmph/core/reward.hpp"
+#include "mmph/core/kernels.hpp"
 #include "mmph/geometry/vec.hpp"
 #include "mmph/support/assert.hpp"
 
@@ -35,12 +34,10 @@ Solution StochasticGreedySolver::solve(const Problem& problem,
   sol.solver_name = name();
   sol.centers = geo::PointSet(problem.dim());
   sol.centers.reserve(k);
-  sol.residual = fresh_residual(problem);
 
-  // Optional spatial-index backend: per-candidate evals touch only the
-  // points within coverage radius. Bit-identical to the scan path (see
-  // indexed_eval.hpp), so the sampled picks are unchanged.
-  const auto indexed = kernels::IndexedActiveSet::try_make(problem);
+  // Per-candidate evals touch only the points within coverage radius when
+  // the evaluator indexes; either backend gives the same sampled picks.
+  kernels::ActiveSet active(problem);
 
   for (std::size_t j = 0; j < k; ++j) {
     // Sample without replacement via a partial Fisher-Yates over a fresh
@@ -59,23 +56,18 @@ Solution StochasticGreedySolver::solve(const Problem& problem,
     double best = -1.0;
     std::size_t best_i = idx[0];
     for (std::size_t t = 0; t < s; ++t) {
-      const double g =
-          indexed ? indexed->coverage_reward(problem.point(idx[t]))
-                  : coverage_reward(problem, problem.point(idx[t]),
-                                    sol.residual);
+      const double g = active.coverage_reward(problem.point(idx[t]));
       if (g > best) {
         best = g;
         best_i = idx[t];
       }
     }
-    const double g =
-        indexed ? indexed->apply_center(problem.point(best_i))
-                : apply_center(problem, problem.point(best_i), sol.residual);
+    const double g = active.apply_center(problem.point(best_i));
     sol.centers.push_back(problem.point(best_i));
     sol.round_rewards.push_back(g);
     sol.total_reward += g;
   }
-  if (indexed) indexed->export_residual(sol.residual);
+  sol.residual.assign(active.residual().begin(), active.residual().end());
   return sol;
 }
 

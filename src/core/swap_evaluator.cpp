@@ -4,7 +4,6 @@
 #include <iterator>
 #include <utility>
 
-#include "mmph/core/indexed_eval.hpp"
 #include "mmph/core/kernels.hpp"
 #include "mmph/core/reward.hpp"
 #include "mmph/geometry/vec.hpp"

@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "mmph/core/indexed_eval.hpp"
 #include "mmph/core/kernels.hpp"
 #include "mmph/core/local_search.hpp"
 #include "mmph/core/objective.hpp"
@@ -649,12 +648,9 @@ wal::WalSnapshot PlacementService::shard_wal_snapshot_locked(
 }
 
 void PlacementService::ensure_index_locked(const core::Problem& problem) {
-  const core::kernels::IndexMode mode = core::kernels::index_mode();
-  const bool want =
-      mode != core::kernels::IndexMode::kNone && !store_.empty() &&
-      config_.dim <= spatial::kGridMaxDim &&
-      (mode == core::kernels::IndexMode::kGrid ||
-       core::kernels::auto_index_profitable(problem));
+  // The carried index is a UniformGridIndex, which stops at kGridMaxDim.
+  const bool want = !store_.empty() && config_.dim <= spatial::kGridMaxDim &&
+                    core::kernels::should_index(problem);
   if (!want) {
     publish_spatial_locked();
     index_.reset();
@@ -797,7 +793,7 @@ core::Solution PlacementService::polish_locked(const core::Problem& problem,
   }
   const geo::PointSet& candidates = pool.empty() ? problem.points() : pool;
   // The carried coverage index, when present, serves the delta
-  // evaluations; the polish unmasks it and IndexedActiveSet re-unmasks at
+  // evaluations; the polish unmasks it and kernels::ActiveSet re-unmasks at
   // its next solve, so lending it both ways is safe under the service
   // mutex. A polish abort (ls.eval_throw) falls back to the seed (and
   // empties gains_). With one store shard the gains carry between

@@ -1,7 +1,9 @@
-// Tests for the blocked reward kernels (kernels.hpp): equivalence with the
-// per-point reference path across norms, dimensions, reward shapes and
-// residual states; ActiveSet semantics; ParallelEvaluator determinism; and
-// solver-identity — the same centers with the blocked path on and off.
+// Tests for the blocked reward kernels and the coverage evaluator
+// (kernels.hpp), each against the per-point reference loop
+// (reference_coverage_reward): equivalence across norms, dimensions, reward
+// shapes and residual states; ActiveSet semantics on both backends;
+// ParallelEvaluator determinism; and solver identity — the same centers as
+// a test-local greedy that scores with the reference loop.
 
 #include "mmph/core/kernels.hpp"
 
@@ -46,17 +48,48 @@ std::vector<std::vector<double>> residual_cases(std::size_t n) {
   return {zero, partial, full};
 }
 
-double reference_coverage(const Problem& p, geo::ConstVec c,
-                          std::span<const double> y) {
-  kernels::ScopedBlockedKernels off(false);
-  return coverage_reward(p, c, y);
-}
-
+/// Per-point reference commit: y_i -= min(u_i, y_i), one point at a time.
 double reference_apply(const Problem& p, geo::ConstVec c,
                        std::span<double> y) {
-  kernels::ScopedBlockedKernels off(false);
-  return apply_center(p, c, y);
+  double g = 0.0;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const double u = unit_coverage(p, c, i);
+    if (u <= 0.0) continue;
+    const double z = std::min(u, y[i]);
+    y[i] -= z;
+    g += p.weight(i) * z;
+  }
+  return g;
 }
+
+/// Algorithm 2 over \p candidates, scored with the reference loop and
+/// committed with reference_apply (ties toward the lowest candidate).
+Solution reference_greedy(const Problem& p, const geo::PointSet& candidates,
+                          std::size_t k) {
+  Solution sol;
+  sol.centers = geo::PointSet(p.dim());
+  sol.residual = fresh_residual(p);
+  for (std::size_t round = 0; round < k; ++round) {
+    double best = -1.0;
+    std::size_t best_c = 0;
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+      const double g =
+          reference_coverage_reward(p, candidates[c], sol.residual);
+      if (g > best) {
+        best = g;
+        best_c = c;
+      }
+    }
+    sol.centers.push_back(candidates[best_c]);
+    const double g = reference_apply(p, candidates[best_c], sol.residual);
+    sol.round_rewards.push_back(g);
+    sol.total_reward += g;
+  }
+  return sol;
+}
+
+constexpr kernels::IndexMode kBackends[] = {kernels::IndexMode::kNone,
+                                            kernels::IndexMode::kGrid};
 
 TEST(BlockKernels, MatchScalarAcrossNormsDimsShapesResiduals) {
   const std::vector<geo::Metric> metrics{geo::l1_metric(), geo::l2_metric(),
@@ -69,8 +102,8 @@ TEST(BlockKernels, MatchScalarAcrossNormsDimsShapesResiduals) {
         for (const auto& y : residual_cases(p.size())) {
           for (std::size_t c = 0; c < 10; ++c) {
             const geo::ConstVec center = p.point(c * 7);
-            const double expect = reference_coverage(p, center, y);
-            const double got = kernels::block_coverage_reward(p, center, y);
+            const double expect = reference_coverage_reward(p, center, y);
+            const double got = coverage_reward(p, center, y);
             EXPECT_NEAR(got, expect, 1e-12 * (1.0 + std::fabs(expect)))
                 << metric.name() << " dim=" << dim
                 << " shape=" << reward_shape_name(shape);
@@ -93,7 +126,7 @@ TEST(BlockKernels, ApplyMatchesScalarResidualUpdates) {
       for (std::size_t round = 0; round < 4; ++round) {
         const geo::ConstVec center = p.point(round * 31);
         const double g_ref = reference_apply(p, center, y_ref);
-        const double g_blk = kernels::block_apply_center(p, center, y_blk);
+        const double g_blk = apply_center(p, center, y_blk);
         EXPECT_NEAR(g_blk, g_ref, 1e-12 * (1.0 + std::fabs(g_ref)));
         for (std::size_t i = 0; i < p.size(); ++i) {
           EXPECT_NEAR(y_blk[i], y_ref[i], 1e-13) << "point " << i;
@@ -111,13 +144,13 @@ TEST(BlockKernels, LargeBlockCountAndTailHandled) {
   const auto y = fresh_residual(p);
   for (std::size_t c = 0; c < 5; ++c) {
     const geo::ConstVec center = p.point(c * 101);
-    EXPECT_NEAR(kernels::block_coverage_reward(p, center, y),
-                reference_coverage(p, center, y), 1e-12);
+    EXPECT_NEAR(coverage_reward(p, center, y),
+                reference_coverage_reward(p, center, y), 1e-12);
   }
 }
 
 // The index-list kernels fed from a grid query, one short span at a time
-// (the accumulate-into contract), equal the per-point reference path over
+// (the accumulate-into contract), equal the per-point reference loop over
 // the whole population.
 TEST(IndexedKernels, BlockedCellSpansMatchReferencePath) {
   constexpr std::size_t kSpan = 7;
@@ -145,7 +178,7 @@ TEST(IndexedKernels, BlockedCellSpansMatchReferencePath) {
       for_each_span([&](std::span<const std::size_t> span) {
         kernels::block_apply_center(p, center, y_index, span, app);
       });
-      EXPECT_EQ(cov, reference_coverage(p, center, y_ref));
+      EXPECT_EQ(cov, reference_coverage_reward(p, center, y_ref));
       EXPECT_EQ(app, reference_apply(p, center, y_ref));
     }
     for (std::size_t i = 0; i < p.size(); ++i) {
@@ -154,56 +187,93 @@ TEST(IndexedKernels, BlockedCellSpansMatchReferencePath) {
   }
 }
 
+// Both backends: scores and commits equal the reference loop bitwise, the
+// residual equals the reference residual, and exhausted points are
+// counted out exactly (compaction or masking drops only exact zeros).
 TEST(ActiveSet, MatchesFullScanAndCompacts) {
   const Problem p =
       random_problem(500, 2, geo::l2_metric(), RewardShape::kLinear, 61);
-  kernels::ActiveSet active(p);
-  std::vector<double> y = fresh_residual(p);
-  EXPECT_EQ(active.active_count(), p.size());
+  for (const kernels::IndexMode backend : kBackends) {
+    const kernels::ScopedIndexMode mode(backend);
+    kernels::ActiveSet active(p);
+    EXPECT_EQ(active.indexed(), backend == kernels::IndexMode::kGrid);
+    std::vector<double> y = fresh_residual(p);
+    EXPECT_EQ(active.active_count(), p.size());
 
-  for (std::size_t round = 0; round < 6; ++round) {
-    const geo::ConstVec center = p.point(round * 71);
-    const double expect_cov = kernels::block_coverage_reward(p, center, y);
-    EXPECT_DOUBLE_EQ(active.coverage_reward(center), expect_cov);
-    const double expect_gain = kernels::block_apply_center(p, center, y);
-    EXPECT_DOUBLE_EQ(active.apply_center(center), expect_gain);
+    for (std::size_t round = 0; round < 6; ++round) {
+      const geo::ConstVec center = p.point(round * 71);
+      EXPECT_EQ(active.coverage_reward(center),
+                reference_coverage_reward(p, center, y));
+      EXPECT_EQ(active.apply_center(center), reference_apply(p, center, y));
+    }
+
+    const std::span<const double> residual = active.residual();
+    ASSERT_EQ(residual.size(), p.size());
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      EXPECT_EQ(residual[i], y[i]) << "point " << i;
+    }
+    std::size_t active_in_y = 0;
+    for (const double v : y) active_in_y += v > 0.0 ? 1 : 0;
+    EXPECT_LT(active_in_y, p.size());
+    EXPECT_EQ(active.active_count(), active_in_y);
   }
-
-  // The active set's exported residual equals the full-vector state.
-  std::vector<double> exported(p.size());
-  active.export_residual(exported);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    EXPECT_DOUBLE_EQ(exported[i], y[i]) << "point " << i;
-  }
-
-  // Exhausted points are dropped from the scan but counted out exactly.
-  std::size_t active_in_y = 0;
-  for (const double v : y) active_in_y += v > 0.0 ? 1 : 0;
-  EXPECT_EQ(active.active_count(), active_in_y);
 }
 
 TEST(ActiveSet, ZeroResidualStartsEmpty) {
   const Problem p =
       random_problem(64, 2, geo::l2_metric(), RewardShape::kLinear, 67);
   const std::vector<double> zeros(p.size(), 0.0);
-  kernels::ActiveSet active(p, zeros);
-  EXPECT_EQ(active.active_count(), 0u);
-  EXPECT_EQ(active.scan_size(), 0u);
-  EXPECT_DOUBLE_EQ(active.coverage_reward(p.point(0)), 0.0);
-  std::vector<double> exported(p.size(), 5.0);
-  active.export_residual(exported);
-  for (const double v : exported) EXPECT_DOUBLE_EQ(v, 0.0);
+  for (const kernels::IndexMode backend : kBackends) {
+    const kernels::ScopedIndexMode mode(backend);
+    const kernels::ActiveSet active(p, zeros);
+    EXPECT_EQ(active.active_count(), 0u);
+    EXPECT_EQ(active.coverage_reward(p.point(0)), 0.0);
+    std::vector<std::size_t> scratch;
+    EXPECT_TRUE(active.ball(p.point(0), scratch).empty());
+    for (const double v : active.residual()) EXPECT_EQ(v, 0.0);
+  }
 }
 
 TEST(ActiveSet, ExplicitCompactPreservesSums) {
   const Problem p =
       random_problem(300, 3, geo::l1_metric(), RewardShape::kLinear, 71);
-  kernels::ActiveSet active(p);
-  (void)active.apply_center(p.point(5));
-  (void)active.apply_center(p.point(90));
-  const double before = active.coverage_reward(p.point(33));
-  active.compact();
-  EXPECT_DOUBLE_EQ(active.coverage_reward(p.point(33)), before);
+  for (const kernels::IndexMode backend : kBackends) {
+    const kernels::ScopedIndexMode mode(backend);
+    kernels::ActiveSet active(p);
+    (void)active.apply_center(p.point(5));
+    (void)active.apply_center(p.point(90));
+    const double before = active.coverage_reward(p.point(33));
+    EXPECT_EQ(before, reference_coverage_reward(p, p.point(33),
+                                                active.residual()));
+    active.compact();
+    EXPECT_EQ(active.coverage_reward(p.point(33)), before);
+  }
+}
+
+// The ball superset: ascending ids, and every point the reference loop
+// rewards at the center (u > 0 and y > 0) is in it.
+TEST(ActiveSet, BallIsAscendingSupersetOfRewardedPoints) {
+  const Problem p =
+      random_problem(400, 2, geo::l2_metric(), RewardShape::kLinear, 73);
+  for (const kernels::IndexMode backend : kBackends) {
+    const kernels::ScopedIndexMode mode(backend);
+    kernels::ActiveSet active(p);
+    for (std::size_t round = 0; round < 4; ++round) {
+      (void)active.apply_center(p.point(round * 37));
+    }
+    std::vector<std::size_t> scratch;
+    for (std::size_t c = 0; c < 10; ++c) {
+      const geo::ConstVec center = p.point(c * 29);
+      const std::span<const std::size_t> ball = active.ball(center, scratch);
+      EXPECT_TRUE(std::is_sorted(ball.begin(), ball.end()));
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        if (unit_coverage(p, center, i) <= 0.0 || active.residual()[i] == 0.0)
+          continue;
+        EXPECT_TRUE(std::binary_search(ball.begin(), ball.end(), i))
+            << "point " << i << " missing from the ball";
+      }
+    }
+  }
 }
 
 TEST(ParallelEvaluator, PoolAndSerialGainsAreIdentical) {
@@ -221,7 +291,7 @@ TEST(ParallelEvaluator, PoolAndSerialGainsAreIdentical) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i], b[i]) << "candidate " << i;
   }
-  // Same determinism over an active set and over an explicit pool.
+  // Same determinism over the evaluator and over an explicit pool.
   const kernels::ActiveSet active(p);
   const auto active_gain = [&](std::size_t i) {
     return active.coverage_reward(p.point(i));
@@ -253,19 +323,12 @@ TEST(SolverIdentity, LazyGreedySameCentersKernelsOnAndOff) {
   for (const geo::Metric& metric : {geo::l1_metric(), geo::l2_metric()}) {
     const Problem p =
         random_problem(250, 2, metric, RewardShape::kLinear, 97);
-    Solution on, off;
-    {
-      kernels::ScopedBlockedKernels guard(true);
-      on = LazyGreedySolver().solve(p, 6);
-    }
-    {
-      kernels::ScopedBlockedKernels guard(false);
-      off = LazyGreedySolver().solve(p, 6);
-    }
-    expect_identical_centers(on, off);
-    EXPECT_NEAR(on.total_reward, off.total_reward, 1e-9);
+    const Solution lazy = LazyGreedySolver().solve(p, 6);
+    const Solution reference = reference_greedy(p, p.points(), 6);
+    expect_identical_centers(lazy, reference);
+    EXPECT_NEAR(lazy.total_reward, reference.total_reward, 1e-9);
     for (std::size_t i = 0; i < p.size(); ++i) {
-      EXPECT_NEAR(on.residual[i], off.residual[i], 1e-12);
+      EXPECT_NEAR(lazy.residual[i], reference.residual[i], 1e-12);
     }
   }
 }
@@ -283,19 +346,17 @@ TEST(SolverIdentity, LazyGreedyParallelInitSameCenters) {
 TEST(SolverIdentity, IndexedGreedySameCentersKernelsOnAndOff) {
   const Problem p =
       random_problem(250, 2, geo::l2_metric(), RewardShape::kLinear, 103);
-  Solution indexed, reference;
+  Solution indexed;
   {
     kernels::ScopedIndexMode grid(kernels::IndexMode::kGrid);
     indexed = GreedyLocalSolver().solve(p, 5);
   }
-  {
-    kernels::ScopedIndexMode none(kernels::IndexMode::kNone);
-    kernels::ScopedBlockedKernels scalar(false);
-    reference = GreedyLocalSolver().solve(p, 5);
-  }
-  expect_identical_centers(indexed, reference);
+  expect_identical_centers(indexed, reference_greedy(p, p.points(), 5));
 }
 
+// The sharded solver against the same pipeline rebuilt from the reference
+// greedy: each shard's own greedy, the winners pooled in shard order, then
+// one greedy over the pool on the full problem.
 TEST(SolverIdentity, ShardedSolverSameCentersKernelsOnAndOff) {
   const Problem p =
       random_problem(600, 2, geo::l2_metric(), RewardShape::kLinear, 107);
@@ -303,17 +364,28 @@ TEST(SolverIdentity, ShardedSolverSameCentersKernelsOnAndOff) {
   config.max_shards = 4;
   config.min_shard_size = 32;
   serve::ShardedSolver solver(par::ThreadPool::global(), config);
-  Solution on, off;
-  {
-    kernels::ScopedBlockedKernels guard(true);
-    on = solver.solve(p, 5);
+  const Solution sharded = solver.solve(p, 5);
+
+  geo::PointSet pool(p.dim());
+  for (const auto& members : serve::shard_indices(
+           p.points(), config, par::ThreadPool::global().thread_count())) {
+    geo::PointSet points(p.dim());
+    std::vector<double> weights;
+    for (const std::size_t i : members) {
+      points.push_back(p.point(i));
+      weights.push_back(p.weight(i));
+    }
+    const Problem sub(points, std::move(weights), p.radius(), p.metric(),
+                      p.reward_shape());
+    const Solution winners =
+        reference_greedy(sub, points, std::min<std::size_t>(5, sub.size()));
+    for (std::size_t j = 0; j < winners.centers.size(); ++j) {
+      pool.push_back(winners.centers[j]);
+    }
   }
-  {
-    kernels::ScopedBlockedKernels guard(false);
-    off = solver.solve(p, 5);
-  }
-  expect_identical_centers(on, off);
-  EXPECT_NEAR(on.total_reward, off.total_reward, 1e-9);
+  const Solution reference = reference_greedy(p, pool, 5);
+  expect_identical_centers(sharded, reference);
+  EXPECT_NEAR(sharded.total_reward, reference.total_reward, 1e-9);
 }
 
 TEST(EvaluationCount, StableAcrossKernelAndParallelPaths) {
@@ -327,14 +399,7 @@ TEST(EvaluationCount, StableAcrossKernelAndParallelPaths) {
   EXPECT_GE(baseline, p.size());
   EXPECT_LT(baseline, 4 * p.size());
 
-  // Identical work with the blocked path off (same heap trajectory)...
-  {
-    kernels::ScopedBlockedKernels guard(false);
-    const LazyGreedySolver reference;
-    (void)reference.solve(p, 4);
-    EXPECT_EQ(reference.last_evaluation_count(), baseline);
-  }
-  // ...and with the first-round scan sharded across the pool.
+  // Identical work with the first-round scan sharded across the pool.
   const LazyGreedySolver parallel(&par::ThreadPool::global());
   (void)parallel.solve(p, 4);
   EXPECT_EQ(parallel.last_evaluation_count(), baseline);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mmph/core/kernels.hpp"
 #include "mmph/core/reward.hpp"
 #include "mmph/core/solver.hpp"
 #include "mmph/geometry/vec.hpp"
@@ -24,7 +25,7 @@ class FixedCenterSolver final : public RoundSolverBase {
   mutable int select_calls = 0;
 
  protected:
-  void select_center(const Problem&, std::span<const double>,
+  void select_center(const Problem&, const kernels::ActiveSet&,
                      std::span<double> out) const override {
     ++select_calls;
     geo::assign(out, center_);
@@ -42,7 +43,7 @@ class ThrowingSolver final : public RoundSolverBase {
   [[nodiscard]] std::string name() const override { return "throwing"; }
 
  protected:
-  void select_center(const Problem& problem, std::span<const double>,
+  void select_center(const Problem& problem, const kernels::ActiveSet&,
                      std::span<double> out) const override {
     if (++calls_ == round_) throw StateError("synthetic failure");
     geo::assign(out, problem.point(0));

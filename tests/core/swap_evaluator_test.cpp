@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mmph/core/indexed_eval.hpp"
+#include "mmph/core/kernels.hpp"
 #include "mmph/core/objective.hpp"
 #include "mmph/core/swap_evaluator.hpp"
 #include "mmph/random/workload.hpp"

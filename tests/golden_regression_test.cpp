@@ -65,7 +65,11 @@ TEST_P(GoldenRegression, TotalRewardIsPinned) {
 INSTANTIATE_TEST_SUITE_P(
     Seed2011, GoldenRegression,
     ::testing::Values(GoldenCase{"greedy1", 54.394178540702413},
+                      GoldenCase{"greedy1", 54.394178540702413,
+                                 IndexMode::kGrid},
                       GoldenCase{"greedy1+polish", 54.515130530836885},
+                      GoldenCase{"greedy1+polish", 54.515130530836885,
+                                 IndexMode::kGrid},
                       GoldenCase{"greedy2", 53.454110154622086},
                       GoldenCase{"greedy2-lazy", 53.454110154622086},
                       GoldenCase{"greedy2", 53.454110154622086,
@@ -73,6 +77,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{"greedy2+ls", 54.394178540702413},
                       GoldenCase{"greedy2-stoch", 53.101500734581599},
                       GoldenCase{"greedy3", 47.647518605761121},
+                      GoldenCase{"greedy3", 47.647518605761121,
+                                 IndexMode::kGrid},
                       GoldenCase{"greedy4", 55.009471112685659},
                       GoldenCase{"greedy4", 55.009471112685659,
                                  IndexMode::kGrid},

@@ -195,7 +195,9 @@ TEST(ShardedStore, GlobalSnapshotConcatenatesShardRanges) {
   EXPECT_EQ(ranges.back().second, 30u);
   for (std::size_t s = 0; s < 3; ++s) {
     EXPECT_EQ(ranges[s].second - ranges[s].first, store.shard(s).size());
-    if (s > 0) EXPECT_EQ(ranges[s].first, ranges[s - 1].second);
+    if (s > 0) {
+      EXPECT_EQ(ranges[s].first, ranges[s - 1].second);
+    }
     // Rows in shard s's range are exactly shard s's snapshot rows.
     const StoreSnapshot& part = store.shard_snapshot(s);
     for (std::size_t i = 0; i < part.size(); ++i) {

@@ -1,12 +1,13 @@
 // Indexed-vs-unindexed differential sweep: the spatial coverage index is
 // an acceleration, never an approximation. Over the same ~210-instance
-// seeded corpus as core/differential_test.cpp, every solver with an
-// indexed path (greedy2, greedy4 under both L1 center rules, lazy,
-// stochastic, sharded) must produce *bit-identical* solutions under
-// IndexMode::kGrid and IndexMode::kNone — the index returns an ascending
-// superset of the coverage ball and out-of-ball terms contribute exact
-// +0.0, so sums associate identically. Also pins the kd-tree fallback
-// (dim > kGridMaxDim), the kAuto threshold, and IndexedActiveSet's
+// seeded corpus as core/differential_test.cpp, every greedy that evaluates
+// through kernels::ActiveSet (greedy1, greedy1+polish, greedy2, greedy3,
+// greedy4 under both L1 center rules, lazy, stochastic, sharded) must
+// produce *bit-identical* solutions under IndexMode::kGrid and
+// IndexMode::kNone — the index returns an ascending superset of the
+// coverage ball and out-of-ball terms contribute exact +0.0, so sums
+// associate identically. Also pins the kd-tree fallback
+// (dim > kGridMaxDim), the kAuto threshold, and the index backend's
 // coverage/apply against the plain reward kernels.
 
 #include <gtest/gtest.h>
@@ -18,12 +19,14 @@
 
 #include "mmph/core/greedy_complex.hpp"
 #include "mmph/core/greedy_local.hpp"
-#include "mmph/core/indexed_eval.hpp"
+#include "mmph/core/greedy_simple.hpp"
 #include "mmph/core/kernels.hpp"
 #include "mmph/core/lazy_greedy.hpp"
 #include "mmph/core/objective.hpp"
 #include "mmph/core/problem.hpp"
 #include "mmph/core/reward.hpp"
+#include "mmph/core/round_based.hpp"
+#include "mmph/core/round_polish.hpp"
 #include "mmph/core/solution.hpp"
 #include "mmph/core/stochastic_greedy.hpp"
 #include "mmph/geometry/norms.hpp"
@@ -80,6 +83,7 @@ TEST(IndexedSolver, GridIndexIsBitInvisibleAcrossCorpus) {
   par::ThreadPool pool(2);
   const serve::ShardedSolver sharded(pool, serve::ShardedSolverConfig{});
   const GreedyLocalSolver greedy2;
+  const GreedySimpleSolver greedy3;
   const GreedyComplexSolver greedy4(geo::L1CenterRule::kPaperProjection);
   const GreedyComplexSolver greedy4_exact(geo::L1CenterRule::kExactIfPossible);
   const LazyGreedySolver lazy;
@@ -95,6 +99,10 @@ TEST(IndexedSolver, GridIndexIsBitInvisibleAcrossCorpus) {
     rnd::Rng rng(seed);
     const Problem problem = Problem::from_workload(
         rnd::generate_workload(spec, rng), 1.0, variant.metric);
+    // The registry's default pitch: grid over the box unioned with points.
+    const RoundBasedSolver greedy1 = RoundBasedSolver::over_grid(problem, 0.5);
+    const PolishedRoundSolver greedy1_polish =
+        PolishedRoundSolver::over_grid(problem, 0.5);
 
     for (const std::size_t k : {std::size_t{1}, std::size_t{2},
                                 std::size_t{3}}) {
@@ -106,7 +114,14 @@ TEST(IndexedSolver, GridIndexIsBitInvisibleAcrossCorpus) {
                                   std::to_string(k);
 
       expect_index_invisible(
+          [&] { return greedy1.solve(problem, k); }, context + " greedy1");
+      expect_index_invisible(
+          [&] { return greedy1_polish.solve(problem, k); },
+          context + " greedy1+polish");
+      expect_index_invisible(
           [&] { return greedy2.solve(problem, k); }, context + " greedy2");
+      expect_index_invisible(
+          [&] { return greedy3.solve(problem, k); }, context + " greedy3");
       expect_index_invisible(
           [&] { return greedy4.solve(problem, k); }, context + " greedy4");
       expect_index_invisible(
@@ -192,11 +207,11 @@ TEST(IndexedSolver, AutoDensityGuardSkipsDenseBoxes) {
   EXPECT_FALSE(kernels::auto_index_profitable(dense));
   {
     const kernels::ScopedIndexMode automode(kernels::IndexMode::kAuto);
-    EXPECT_EQ(kernels::IndexedActiveSet::try_make(dense), nullptr);
+    EXPECT_FALSE(kernels::ActiveSet(dense).indexed());
   }
   {
     const kernels::ScopedIndexMode force(kernels::IndexMode::kGrid);
-    EXPECT_NE(kernels::IndexedActiveSet::try_make(dense), nullptr);
+    EXPECT_TRUE(kernels::ActiveSet(dense).indexed());
   }
 
   spec.box_side = 64.0;  // same population spread thin: ~0.2% per query
@@ -206,7 +221,7 @@ TEST(IndexedSolver, AutoDensityGuardSkipsDenseBoxes) {
   EXPECT_TRUE(kernels::auto_index_profitable(sparse));
   {
     const kernels::ScopedIndexMode automode(kernels::IndexMode::kAuto);
-    EXPECT_NE(kernels::IndexedActiveSet::try_make(sparse), nullptr);
+    EXPECT_TRUE(kernels::ActiveSet(sparse).indexed());
   }
 }
 
@@ -232,10 +247,12 @@ Problem random_problem(std::size_t n, std::size_t dim, double radius,
                                 metric);
 }
 
-/// An IndexedActiveSet forced onto the index (fresh residual 1).
-std::unique_ptr<kernels::IndexedActiveSet> indexed_set(const Problem& p) {
+/// An evaluator forced onto the index backend (fresh residual 1).
+std::unique_ptr<kernels::ActiveSet> indexed_set(const Problem& p) {
   const kernels::ScopedIndexMode grid(kernels::IndexMode::kGrid);
-  return kernels::IndexedActiveSet::try_make(p);
+  auto active = std::make_unique<kernels::ActiveSet>(p);
+  EXPECT_TRUE(active->indexed());
+  return active;
 }
 
 TEST(IndexedReward, CoverageMatchesPlainKernel) {

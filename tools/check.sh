@@ -5,8 +5,10 @@
 #   tools/check.sh              # plain build + ctest
 #   MMPH_SANITIZE=ON tools/check.sh   # same, under ASan/UBSan
 #   tools/check.sh perf-smoke   # build + perf_kernels at n=1000 (fast
-#                               # kernel-speedup sanity; self-checks
-#                               # blocked-vs-scalar agreement), then
+#                               # kernel-speedup sanity; self-checks the
+#                               # blocked kernels' and the evaluator's
+#                               # sums against the per-point reference
+#                               # loop), then
 #                               # perf_ls --max-n 2500 (self-checks ls >=
 #                               # lazy, ls <= bound, and warm polishes with
 #                               # carried gains bitwise equal to cache-less
@@ -19,11 +21,13 @@
 #   tools/check.sh stats-smoke  # build + two-process metrics smoke test
 #                               # (serve-net --listen scraped by `stats`
 #                               # over an ephemeral loopback port)
-#   tools/check.sh chaos        # build + chaos_runner seed sweep: 750
-#                               # deterministic fault schedules (400 serve
-#                               # + 100 net + 250 wal) through the full
-#                               # stack; any failure prints its
-#                               # reproducing seed.
+#   tools/check.sh chaos        # build + chaos_runner seed sweep: 1,070
+#                               # seeds (400 serve + 100 net + 250 wal +
+#                               # 120 shard + 200 ls); net seeds run at 1
+#                               # and 4 loops and shard seeds at 1 and 4
+#                               # shards, so 1,290 deterministic fault
+#                               # schedules through the full stack; any
+#                               # failure prints its reproducing seed.
 #                               # MMPH_SANITIZE=ON tools/check.sh chaos
 #                               # is the pre-merge gate for serve/net/wal
 #                               # changes (same sweep under ASan/UBSan;
@@ -35,7 +39,9 @@
 #   tools/check.sh index        # build + every spatial-labeled test (the
 #                               # mmph::spatial query/churn contracts, the
 #                               # indexed-vs-unindexed solver differential
-#                               # corpus, the serve-path warm-index test).
+#                               # corpus, the coverage evaluator's own
+#                               # suites (kernels_test, solver_base_test),
+#                               # the serve-path warm-index test).
 #                               # MMPH_SANITIZE=ON tools/check.sh index
 #                               # runs the same gate under ASan/UBSan —
 #                               # the pre-merge gate for index changes

@@ -254,8 +254,12 @@ int cmd_describe(io::Args& args) {
   table.add_row({"total weight", io::fixed(p.total_weight(), 4)});
   std::string lo = "(", hi = "(";
   for (std::size_t d = 0; d < p.dim(); ++d) {
-    lo += (d ? ", " : "") + io::fixed(box.lo[d], 2);
-    hi += (d ? ", " : "") + io::fixed(box.hi[d], 2);
+    if (d > 0) {
+      lo += ", ";
+      hi += ", ";
+    }
+    lo += io::fixed(box.lo[d], 2);
+    hi += io::fixed(box.hi[d], 2);
   }
   table.add_row({"bbox lo", lo + ")"});
   table.add_row({"bbox hi", hi + ")"});

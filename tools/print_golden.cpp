@@ -23,13 +23,15 @@ int main() {
     IndexMode index;
   };
   const Row rows[] = {
-      {"greedy1", IndexMode::kAuto},       {"greedy1+polish", IndexMode::kAuto},
-      {"greedy2", IndexMode::kAuto},       {"greedy2-lazy", IndexMode::kAuto},
-      {"greedy2", IndexMode::kGrid},       {"greedy2+ls", IndexMode::kAuto},
-      {"greedy2-stoch", IndexMode::kAuto}, {"greedy3", IndexMode::kAuto},
-      {"greedy4", IndexMode::kAuto},       {"greedy4", IndexMode::kGrid},
-      {"exhaustive", IndexMode::kAuto},    {"sieve", IndexMode::kAuto},
-      {"kmeans", IndexMode::kAuto},        {"random", IndexMode::kAuto},
+      {"greedy1", IndexMode::kAuto},        {"greedy1", IndexMode::kGrid},
+      {"greedy1+polish", IndexMode::kAuto}, {"greedy1+polish", IndexMode::kGrid},
+      {"greedy2", IndexMode::kAuto},        {"greedy2-lazy", IndexMode::kAuto},
+      {"greedy2", IndexMode::kGrid},        {"greedy2+ls", IndexMode::kAuto},
+      {"greedy2-stoch", IndexMode::kAuto},  {"greedy3", IndexMode::kAuto},
+      {"greedy3", IndexMode::kGrid},        {"greedy4", IndexMode::kAuto},
+      {"greedy4", IndexMode::kGrid},        {"exhaustive", IndexMode::kAuto},
+      {"sieve", IndexMode::kAuto},          {"kmeans", IndexMode::kAuto},
+      {"random", IndexMode::kAuto},
   };
   for (const Row& row : rows) {
     const core::kernels::ScopedIndexMode index(row.index);
