@@ -9,7 +9,10 @@
 // speedup vs. scalar) so CI and the tutorial can diff numbers across
 // machines, and it self-checks the blocked kernels' and the evaluator's
 // sums against the reference loop before timing, so a kernel regression
-// fails the run instead of producing fast garbage.
+// fails the run instead of producing fast garbage. The spatial section
+// also times the indexed first round both ways — one query per candidate
+// against ActiveSet::coverage_rewards' sweep — and fails on any bitwise
+// difference between them.
 //
 //   ./perf_kernels --n 1000,10000,100000 --out BENCH_kernels.json
 //
@@ -37,6 +40,7 @@
 #include "mmph/random/rng.hpp"
 #include "mmph/random/workload.hpp"
 #include "mmph/spatial/spatial_index.hpp"
+#include "box.hpp"
 
 namespace {
 
@@ -58,6 +62,8 @@ struct SpatialRow {
   double blocked_ns;               // O(n) full-scan eval, ns per eval
   double indexed_ns;               // O(points-in-ball) eval, ns per eval
   double touched_per_eval;         // mean points the index returned per eval
+  double first_round_mapped_seconds;  // all n candidates, one query each
+  double first_round_sweep_seconds;   // all n candidates, one sweep
   double lazy_indexed_seconds;     // lazy greedy k end to end, grid on
   double lazy_blocked_seconds;     // measured only when affordable, else -1
   double lazy_blocked_projected;   // first-round-scan projection: n evals
@@ -303,6 +309,32 @@ int main(int argc, char** argv) try {
                             stats_before.points_touched) /
         static_cast<double>(stats_after.queries - stats_before.queries);
 
+    // The indexed first round both ways: one query per candidate (the map
+    // the merge pass still runs over its pool), then the sweep
+    // LazyGreedySolver runs over its own rows. Bitwise equal, or the run
+    // fails.
+    const core::kernels::ParallelEvaluator serial_map(nullptr);
+    const auto mapped_start = Clock::now();
+    const std::vector<double> mapped = serial_map.map(n, [&](std::size_t c) {
+      return indexed->coverage_reward(problem.point(c));
+    });
+    const double first_round_mapped_seconds =
+        std::chrono::duration<double>(Clock::now() - mapped_start).count();
+    const auto sweep_start = Clock::now();
+    const std::vector<double> swept =
+        indexed->coverage_rewards(problem.points());
+    const double first_round_sweep_seconds =
+        std::chrono::duration<double>(Clock::now() - sweep_start).count();
+    for (std::size_t c = 0; c < n; ++c) {
+      if (swept[c] != mapped[c]) {
+        std::fprintf(stderr,
+                     "FAIL: first-round sweep diverges at n=%zu "
+                     "candidate=%zu (sweep=%.17g mapped=%.17g)\n",
+                     n, c, swept[c], mapped[c]);
+        return 1;
+      }
+    }
+
     const std::size_t kk = std::min(k, n);
     const auto lazy_start = Clock::now();
     core::Solution lazy_indexed;
@@ -334,14 +366,17 @@ int main(int argc, char** argv) try {
         blocked_ns * static_cast<double>(n) / 1e9;
 
     spatial_rows.push_back({n, spec.box_side, build_seconds, blocked_ns,
-                            indexed_ns, touched_per_eval, lazy_indexed_seconds,
+                            indexed_ns, touched_per_eval,
+                            first_round_mapped_seconds,
+                            first_round_sweep_seconds, lazy_indexed_seconds,
                             lazy_blocked_seconds, lazy_blocked_projected});
     std::printf(
         "spatial n=%-9zu box=%7.1f build %6.2fs | blocked %10.1f ns/eval | "
-        "indexed %8.1f ns/eval (%6.1fx, %4.1f pts) | lazy k=%zu grid %7.2fs "
-        "blocked %s\n",
+        "indexed %8.1f ns/eval (%6.1fx, %4.1f pts) | first round mapped "
+        "%6.3fs sweep %6.3fs | lazy k=%zu grid %7.2fs blocked %s\n",
         n, spec.box_side, build_seconds, blocked_ns, indexed_ns,
-        blocked_ns / indexed_ns, touched_per_eval, kk, lazy_indexed_seconds,
+        blocked_ns / indexed_ns, touched_per_eval, first_round_mapped_seconds,
+        first_round_sweep_seconds, kk, lazy_indexed_seconds,
         lazy_blocked_seconds >= 0.0
             ? (std::to_string(lazy_blocked_seconds) + "s").c_str()
             : (">= " + std::to_string(lazy_blocked_projected) +
@@ -350,7 +385,8 @@ int main(int argc, char** argv) try {
   }
 
   std::ofstream out(out_path);
-  out << "{\n  \"bench\": \"kernels\",\n  \"scenario\": "
+  out << "{\n  \"bench\": \"kernels\",\n  \"box\": " << bench::box_json()
+      << ",\n  \"scenario\": "
          "\"clustered 2-D L2, radius 1.0, linear reward, mid-solve residual\","
          "\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -363,7 +399,9 @@ int main(int argc, char** argv) try {
   out << "  ],\n";
   out << "  \"spatial_scenario\": \"uniform 2-D L2, radius 1.0, constant "
          "density ~10 points per unit area (box_side = sqrt(n/10)), fresh "
-         "residual; lazy greedy k=16 end to end; blocked end-to-end "
+         "residual; first round = all n candidates scored once, one query "
+         "each (mapped, serial) or one sweep; lazy greedy k=16 end to end "
+         "(its first round is the sweep); blocked end-to-end "
          "measured only for n <= 100k, projected above (first-round scan "
          "= n evals at the measured blocked rate, a lower bound)\",\n";
   out << "  \"spatial\": [\n";
@@ -375,6 +413,8 @@ int main(int argc, char** argv) try {
         << ", \"indexed_ns_per_eval\": " << s.indexed_ns
         << ", \"eval_speedup\": " << s.blocked_ns / s.indexed_ns
         << ", \"points_touched_per_eval\": " << s.touched_per_eval
+        << ", \"first_round_mapped_seconds\": " << s.first_round_mapped_seconds
+        << ", \"first_round_sweep_seconds\": " << s.first_round_sweep_seconds
         << ", \"lazy_indexed_seconds\": " << s.lazy_indexed_seconds
         << ", \"lazy_blocked_seconds\": ";
     if (s.lazy_blocked_seconds >= 0.0) {

@@ -26,9 +26,11 @@
 ///   - ActiveSet: the residual-owning evaluator. It picks a backend once,
 ///     at construction — the spatial radius index or the compacted blocked
 ///     scan — and either backend returns the full scan's sums bit for bit.
-///   - ParallelEvaluator: shards an all-candidates gain scan (the O(n^2)
-///     first round that lazy evaluation cannot avoid) across a ThreadPool.
-///     Each gain lands in its own slot of a dense vector, so results are
+///     Its all-candidates call (the first round that lazy evaluation
+///     cannot avoid) sweeps the index once when the candidates are the
+///     problem's own rows, and maps candidate by candidate otherwise.
+///   - ParallelEvaluator: shards such a map across a ThreadPool. Each
+///     gain lands in its own slot of a dense vector, so results are
 ///     deterministic regardless of scheduling.
 
 #include <cstddef>
@@ -109,10 +111,11 @@ class ScopedIndexMode {
 
 /// The index policy, the one reader of index_mode(): kNone never indexes,
 /// kGrid indexes any non-empty problem, kAuto indexes when
-/// auto_index_profitable says so or when \p lent_index_fits — an index the
-/// caller already carries over these rows costs no build.
+/// auto_index_profitable says so or when \p lent fits the problem — its
+/// point count, dimension and radius match, so an index the caller already
+/// carries over these rows costs no build.
 [[nodiscard]] bool should_index(const Problem& problem,
-                                bool lent_index_fits = false);
+                                const spatial::SpatialIndex* lent = nullptr);
 
 /// The kAuto predicate: true when indexing \p problem is expected to beat
 /// the full scan. Requires a large population (>= kAutoIndexMinPoints), a
@@ -192,6 +195,19 @@ class ActiveSet {
   /// g(c) = sum_i w_i min(u_i(c), y_i) against the owned residual.
   [[nodiscard]] double coverage_reward(geo::ConstVec center) const;
 
+  /// g(c) for every candidate, each bit for bit coverage_reward(c). When
+  /// the index backend runs and \p candidates is the problem's own point
+  /// set, one serial sweep visits the rows i in ascending order and adds
+  /// row i's term to every candidate its walk returns: the index contract
+  /// is symmetric (c within r of p_i iff p_i within r of c), so each g(c)
+  /// receives exactly its nonzero terms, in the gather's ascending order.
+  /// Candidates whose own residual is 0 are masked out of every walk and
+  /// are scored one by one. Any other call maps coverage_reward over the
+  /// candidates, across \p pool when one is given (see
+  /// ParallelEvaluator).
+  [[nodiscard]] std::vector<double> coverage_rewards(
+      const geo::PointSet& candidates, par::ThreadPool* pool = nullptr) const;
+
   /// Commits a center: y_i -= z_i; returns the claimed reward.
   double apply_center(geo::ConstVec center);
 
@@ -218,9 +234,9 @@ class ActiveSet {
   std::vector<std::size_t> original_;  ///< row -> point id, ascending
 };
 
-/// Shards an all-candidates gain scan across a ThreadPool. Results are
-/// written to per-candidate slots (no shared accumulator), so the output is
-/// identical to the serial scan regardless of worker count or scheduling.
+/// Shards a per-candidate map across a ThreadPool. Results are written to
+/// per-candidate slots (no shared accumulator), so the output is identical
+/// to the serial map regardless of worker count or scheduling.
 ///
 /// A null pool means "run serially on the caller" — callers that may
 /// themselves be executing on a pool worker (e.g. per-shard solves inside
@@ -229,11 +245,6 @@ class ActiveSet {
 class ParallelEvaluator {
  public:
   explicit ParallelEvaluator(par::ThreadPool* pool) noexcept : pool_(pool) {}
-
-  /// gains[c] = coverage reward of pool[c] against \p y.
-  [[nodiscard]] std::vector<double> pool_gains(
-      const Problem& problem, const geo::PointSet& pool,
-      std::span<const double> y) const;
 
   /// Generic deterministic map: out[i] = eval(i) for i in [0, count).
   /// \p eval must be safe to call concurrently from pool workers.

@@ -13,10 +13,11 @@
 ///
 /// Lazy evaluation cuts how many reward evaluations run; the evaluator
 /// (kernels::ActiveSet) makes each one cheap — a radius-index query or a
-/// compacted blocked scan — and the first-round all-candidates scan — the
-/// O(n^2) initialization laziness cannot avoid — can be sharded across a
-/// ThreadPool. Every backend and schedule selects identical centers
-/// (pinned by tests).
+/// compacted blocked scan. The first round scores every candidate, the
+/// pass laziness cannot avoid: on the index over the problem's own points
+/// it is one O(n · points-in-ball) sweep, on the scan an O(n^2) map that
+/// can be sharded across a ThreadPool. Every backend and schedule selects
+/// identical centers (pinned by tests).
 ///
 /// The candidate domain defaults to the problem's own points (Algorithm 2);
 /// the candidate-set overload draws centers from any point set instead,
@@ -39,8 +40,9 @@ class LazyGreedySolver final : public Solver {
  public:
   LazyGreedySolver() = default;
 
-  /// With a pool, the first-round gain scan is sharded across its workers
-  /// (deterministic per-slot reduction; see kernels::ParallelEvaluator).
+  /// With a pool, a first round that maps its candidates is sharded across
+  /// the workers (deterministic per-slot writes; see
+  /// kernels::ActiveSet::coverage_rewards).
   /// Do NOT pass a pool when solve() itself may run on one of that pool's
   /// workers (e.g. per-shard solves inside ShardedSolver): blocking on
   /// work queued behind the callers can deadlock.

@@ -61,7 +61,8 @@ struct UpperBounds {
 /// lazy greedy / single-shard sharded — all bitwise-identical here) run for
 /// k rounds over the ground set \p candidates; the ratio bound's
 /// certificate depends on that, the marginal bound holds for any S.
-/// \p pool shards the candidate marginal scan (nullptr = serial).
+/// \p pool shards the candidate marginal scan when it maps candidate by
+/// candidate (nullptr = serial; see kernels::ActiveSet::coverage_rewards).
 [[nodiscard]] UpperBounds certified_upper_bounds(
     const core::Problem& problem, std::size_t k,
     const core::Solution& greedy_reference, const geo::PointSet& candidates,

@@ -3,23 +3,25 @@
 /// \file sharded_solver.hpp
 /// \brief Spatially sharded greedy placement for large populations.
 ///
-/// The point-restricted greedies are O(k n^2): every candidate evaluation
-/// scans the whole population. At serving scale (10^5+ users) a monolithic
-/// solve is seconds-to-minutes, so this solver follows the low-complexity
-/// geographic-partitioning idea (Avrachenkov et al.): split the population
-/// into S spatially coherent shards, run the lazy greedy *inside* each
-/// shard concurrently on a ThreadPool — O(n^2 / S) total work instead of
-/// O(n^2) — then merge the per-shard winners into one candidate pool and
-/// run a final lazy-greedy pass over that pool against the *full*
-/// population. The merge pass restores the global view the shards lack, so
-/// with one shard the result is bit-identical to core::LazyGreedySolver
-/// (tests pin this), and with many shards it tracks it closely.
+/// The point-restricted greedies score every candidate against the
+/// population, O(n^2) per round on a full scan. This solver follows the
+/// low-complexity geographic-partitioning idea (Avrachenkov et al.): split
+/// the population into S spatially coherent shards, run the lazy greedy
+/// *inside* each shard concurrently on a ThreadPool, then merge the
+/// per-shard winners into one candidate pool and run a final lazy-greedy
+/// pass over that pool against the *full* population. When the whole
+/// problem would ride a spatial index (kernels::should_index), each shard
+/// builds one over its own rows, so its first round is one
+/// O(shard · points-in-ball) sweep; otherwise a shard scans, O(shard^2).
+/// The merge pass restores the global view the shards lack, so with one
+/// shard the result is bit-identical to core::LazyGreedySolver (tests pin
+/// this), and with many shards it tracks it closely.
 ///
 /// Shard boundaries are kd-style recursive median splits along the widest
 /// axis (balanced regardless of clustering), unless the caller dictates
 /// row ranges (set_row_groups). The merge pass is core::LazyGreedySolver's
 /// candidate-set overload over the pooled winners, so it evaluates through
-/// the same backends (lent spatial index, blocked active set, scalar).
+/// the same evaluator (the lent spatial index or the blocked scan).
 
 #include <cstddef>
 #include <utility>
@@ -29,27 +31,27 @@
 #include "mmph/core/solver.hpp"
 #include "mmph/geometry/point_set.hpp"
 #include "mmph/parallel/thread_pool.hpp"
-
-namespace mmph::spatial {
-class SpatialIndex;
-}  // namespace mmph::spatial
+#include "mmph/spatial/spatial_index.hpp"
 
 namespace mmph::serve {
 
 struct ShardedSolverConfig {
   /// Upper bound on shards; 0 selects max(worker count, n / 2048) so
-  /// large populations shard even on few workers (per-shard cost is
-  /// quadratic, so S shards cut total work ~S-fold regardless of cores).
+  /// large populations shard even on few workers (a scanning shard costs
+  /// O(shard^2), so S shards cut its total work ~S-fold regardless of
+  /// cores).
   std::size_t max_shards = 0;
   /// Shards are never split below this many users.
   std::size_t min_shard_size = 64;
 };
 
 /// Sizes of the last solve(): shards solved and centers pooled for the
-/// merge.
+/// merge, and the counters of the shard indexes summed (zero when the
+/// shards scanned).
 struct ShardStats {
   std::size_t shards = 0;
   std::size_t candidate_pool = 0;
+  spatial::IndexStats index;
 };
 
 /// Splits [0, points.size()) into spatially coherent, roughly balanced
@@ -81,9 +83,10 @@ class ShardedSolver final : public core::Solver {
 
   /// Lends a caller-maintained spatial index whose rows correspond to the
   /// problem's points (e.g. PlacementService's carried grid); the merge
-  /// pass evaluates through it (core::LazyGreedySolver::set_shared_index).
-  /// Pass nullptr to revert to per-solve builds. The index must outlive
-  /// solves; whether it is consulted follows kernels::should_index().
+  /// pass evaluates through it (core::LazyGreedySolver::set_shared_index),
+  /// and under kAuto its fit also indexes the shards. Pass nullptr to
+  /// revert to per-solve builds. The index must outlive solves; whether it
+  /// is consulted follows kernels::should_index().
   void set_shared_index(spatial::SpatialIndex* index) noexcept {
     shared_index_ = index;
   }

@@ -30,9 +30,9 @@
 /// rebuilding per solve. Ids are dense row numbers [0, size()); after
 /// swap_remove(id) the last row takes over id, exactly like the store.
 ///
-/// Thread-safety: query() and stats() are safe to call concurrently (the
-/// counters are atomics); mutations, mask(), unmask_all() and rebuild()
-/// require external serialization and must not race queries.
+/// Thread-safety: query(), walk() and stats() are safe to call
+/// concurrently (the counters are atomics); mutations, mask(), unmask_all()
+/// and rebuild() require external serialization and must not race queries.
 
 #include <atomic>
 #include <cstddef>
@@ -86,6 +86,14 @@ class SpatialIndex {
   /// metric ball — in strictly ascending id order.
   virtual void query(geo::ConstVec center,
                      std::vector<std::size_t>& out) const = 0;
+
+  /// query() without the order: the same ids in an unspecified order,
+  /// counted the same way. For callers that consume each id on its own
+  /// (kernels::ActiveSet's first-round sweep). Defaults to query().
+  virtual void walk(geo::ConstVec center,
+                    std::vector<std::size_t>& out) const {
+    query(center, out);
+  }
 
   /// Drops \p id from future queries (residual-exhausted point). Safe to
   /// call on an already-masked id (no-op).

@@ -10,10 +10,10 @@
 /// add/update/swap_remove stay O(1) amortized with no bounding box to
 /// outgrow or rebuild.
 ///
-/// A query enumerates the cell box covering [c - r, c + r] per dimension,
-/// concatenates the buckets, and sorts ascending — the sort keeps the
-/// bit-identity contract of SpatialIndex::query (ascending superset of the
-/// L-infinity ball, hence of every p-norm ball).
+/// A walk enumerates the cell box covering [c - r, c + r] per dimension
+/// and concatenates the buckets; a query is that walk sorted ascending —
+/// the sort keeps the bit-identity contract of SpatialIndex::query
+/// (ascending superset of the L-infinity ball, hence of every p-norm ball).
 ///
 /// Masked points are removed from their bucket (queries never touch them —
 /// the ActiveSet-style payoff) and re-bucketed by unmask_all().
@@ -49,6 +49,8 @@ class UniformGridIndex final : public SpatialIndex {
 
   void query(geo::ConstVec center,
              std::vector<std::size_t>& out) const override;
+  void walk(geo::ConstVec center,
+            std::vector<std::size_t>& out) const override;
 
   void mask(std::size_t id) override;
   void unmask_all() override;

@@ -213,81 +213,94 @@ inline void run_indexed(const double* rows, const double* w, double* y,
   }
 }
 
-template <NormKind NK, bool Apply>
-void dispatch_dim(const double* rows, const double* w, double* y,
-                  std::size_t n, std::size_t dim, const double* c,
-                  const Params& prm, double& g) {
-  switch (dim) {
-    case 2:
-      run_range<NK, 2, Apply>(rows, w, y, n, dim, c, prm, g);
+/// The first-round sweep (ActiveSet::coverage_rewards): for each live row
+/// i in ascending order, row i's term at every candidate c its walk
+/// returns, with run_indexed's expressions (row p_i, center p_c), so g[c]
+/// accumulates the terms of coverage_reward(p_c) in the same order.
+template <NormKind NK, int DIM>
+void sweep_rows(const double* rows, const double* w, const double* y,
+                std::size_t n, std::size_t dim, const Params& prm,
+                const spatial::SpatialIndex& index, double* g) {
+  std::vector<std::size_t> ids;
+  double u[kBlockSize];
+  for (std::size_t i = 0; i < n; ++i) {
+    if (y[i] == 0.0) continue;  // masked: every term of row i is +0.0
+    const double* row = rows + i * dim;
+    index.walk(geo::ConstVec(row, dim), ids);
+    for (std::size_t base = 0; base < ids.size(); base += kBlockSize) {
+      const std::size_t cnt = std::min(kBlockSize, ids.size() - base);
+      const std::size_t* cb = ids.data() + base;
+      for (std::size_t j = 0; j < cnt; ++j) {
+        u[j] = dist_one<NK, DIM>(row, rows + cb[j] * dim, dim, prm.p);
+      }
+      dist_to_u<NK>(u, cnt, prm);
+      for (std::size_t j = 0; j < cnt; ++j) {
+        double z = std::min(u[j], y[i]);
+        z = z > 0.0 ? z : 0.0;
+        g[cb[j]] += w[i] * z;
+      }
+    }
+  }
+}
+
+/// Runs \p fn.template operator()<NK, DIM>(dim) for the problem's norm and
+/// dimension: 2 and 3 are specialized (DIM and the argument are constants),
+/// DIM = 0 stands for any other.
+template <typename Fn>
+void with_kernel(const Params& prm, std::size_t dim, Fn&& fn) {
+  const auto by_dim = [&]<NormKind NK>() {
+    switch (dim) {
+      case 2:
+        fn.template operator()<NK, 2>(std::size_t{2});
+        return;
+      case 3:
+        fn.template operator()<NK, 3>(std::size_t{3});
+        return;
+      default:
+        fn.template operator()<NK, 0>(dim);
+        return;
+    }
+  };
+  switch (prm.kind) {
+    case NormKind::kL1:
+      by_dim.template operator()<NormKind::kL1>();
       return;
-    case 3:
-      run_range<NK, 3, Apply>(rows, w, y, n, dim, c, prm, g);
+    case NormKind::kL2:
+      by_dim.template operator()<NormKind::kL2>();
       return;
-    default:
-      run_range<NK, 0, Apply>(rows, w, y, n, dim, c, prm, g);
+    case NormKind::kLinf:
+      by_dim.template operator()<NormKind::kLinf>();
+      return;
+    case NormKind::kLp:
+      by_dim.template operator()<NormKind::kLp>();
       return;
   }
 }
 
+/// Accumulates the rows [0, n) onto \p g (Apply: and commits into \p y).
 template <bool Apply>
 void dispatch(const double* rows, const double* w, double* y, std::size_t n,
               std::size_t dim, const double* c, const Params& prm, double& g) {
-  switch (prm.kind) {
-    case NormKind::kL1:
-      dispatch_dim<NormKind::kL1, Apply>(rows, w, y, n, dim, c, prm, g);
-      return;
-    case NormKind::kL2:
-      dispatch_dim<NormKind::kL2, Apply>(rows, w, y, n, dim, c, prm, g);
-      return;
-    case NormKind::kLinf:
-      dispatch_dim<NormKind::kLinf, Apply>(rows, w, y, n, dim, c, prm, g);
-      return;
-    case NormKind::kLp:
-      dispatch_dim<NormKind::kLp, Apply>(rows, w, y, n, dim, c, prm, g);
-      return;
-  }
+  with_kernel(prm, dim, [&]<NormKind NK, int DIM>(std::size_t d) {
+    run_range<NK, DIM, Apply>(rows, w, y, n, d, c, prm, g);
+  });
 }
 
-template <NormKind NK, bool Apply>
-void dispatch_indexed_dim(const double* rows, const double* w, double* y,
-                          std::size_t dim, const double* c, const Params& prm,
-                          const std::size_t* idx, std::size_t m, double& g) {
-  switch (dim) {
-    case 2:
-      run_indexed<NK, 2, Apply>(rows, w, y, dim, c, prm, idx, m, g);
-      return;
-    case 3:
-      run_indexed<NK, 3, Apply>(rows, w, y, dim, c, prm, idx, m, g);
-      return;
-    default:
-      run_indexed<NK, 0, Apply>(rows, w, y, dim, c, prm, idx, m, g);
-      return;
-  }
-}
-
+/// Accumulates the rows named by \p idx onto \p g (Apply: and commits).
 template <bool Apply>
 void dispatch_indexed(const double* rows, const double* w, double* y,
                       std::size_t dim, const double* c, const Params& prm,
                       const std::size_t* idx, std::size_t m, double& g) {
-  switch (prm.kind) {
-    case NormKind::kL1:
-      dispatch_indexed_dim<NormKind::kL1, Apply>(rows, w, y, dim, c, prm, idx,
-                                                 m, g);
-      return;
-    case NormKind::kL2:
-      dispatch_indexed_dim<NormKind::kL2, Apply>(rows, w, y, dim, c, prm, idx,
-                                                 m, g);
-      return;
-    case NormKind::kLinf:
-      dispatch_indexed_dim<NormKind::kLinf, Apply>(rows, w, y, dim, c, prm,
-                                                   idx, m, g);
-      return;
-    case NormKind::kLp:
-      dispatch_indexed_dim<NormKind::kLp, Apply>(rows, w, y, dim, c, prm, idx,
-                                                 m, g);
-      return;
-  }
+  with_kernel(prm, dim, [&]<NormKind NK, int DIM>(std::size_t d) {
+    run_indexed<NK, DIM, Apply>(rows, w, y, d, c, prm, idx, m, g);
+  });
+}
+
+/// Whether \p lent can stand in for an index built over \p problem's rows.
+bool lent_fits(const Problem& problem, const spatial::SpatialIndex* lent) {
+  return lent != nullptr && problem.size() > 0 &&
+         lent->size() == problem.size() && lent->dim() == problem.dim() &&
+         lent->radius() == problem.radius();
 }
 
 }  // namespace
@@ -319,14 +332,14 @@ std::optional<IndexMode> parse_index_mode(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-bool should_index(const Problem& problem, bool lent_index_fits) {
+bool should_index(const Problem& problem, const spatial::SpatialIndex* lent) {
   switch (index_mode()) {
     case IndexMode::kNone:
       return false;
     case IndexMode::kGrid:
       return problem.size() > 0;
     case IndexMode::kAuto:
-      return lent_index_fits || auto_index_profitable(problem);
+      return lent_fits(problem, lent) || auto_index_profitable(problem);
   }
   return false;
 }
@@ -383,12 +396,8 @@ ActiveSet::ActiveSet(const Problem& problem, std::span<const double> y,
                      spatial::SpatialIndex* lent)
     : problem_(problem), y_(y.begin(), y.end()) {
   MMPH_REQUIRE(y.size() == problem.size(), "ActiveSet: residual size");
-  const bool lent_fits = lent != nullptr && problem.size() > 0 &&
-                         lent->size() == problem.size() &&
-                         lent->dim() == problem.dim() &&
-                         lent->radius() == problem.radius();
-  if (should_index(problem, lent_fits)) {
-    if (lent_fits) {
+  if (should_index(problem, lent)) {
+    if (lent_fits(problem, lent)) {
       // A lent index may carry masks from its previous user.
       index_ = lent;
       index_->unmask_all();
@@ -431,6 +440,35 @@ double ActiveSet::coverage_reward(geo::ConstVec center) const {
   dispatch<false>(coords_.data(), weights_.data(),
                   const_cast<double*>(packed_.data()), weights_.size(),
                   problem_.dim(), center.data(), prm, g);
+  return g;
+}
+
+std::vector<double> ActiveSet::coverage_rewards(
+    const geo::PointSet& candidates, par::ThreadPool* pool) const {
+  if (index_ == nullptr || &candidates != &problem_.points()) {
+    return ParallelEvaluator(pool).map(candidates.size(), [&](std::size_t c) {
+      return coverage_reward(candidates[c]);
+    });
+  }
+  // A nonzero term needs dist(p_i, p_c) <= r. The distance is symmetric
+  // and a walk, like a query, returns a superset of the closed ball, so c
+  // is in row i's walk whenever i is in c's own query with a nonzero
+  // term. Every other term is exact +0.0, and each g[c] receives its
+  // terms in ascending i, the order of the gather it replaces.
+  std::vector<double> g(candidates.size(), 0.0);
+  const Params prm = make_params(problem_);
+  with_kernel(prm, problem_.dim(), [&]<NormKind NK, int DIM>(std::size_t d) {
+    sweep_rows<NK, DIM>(problem_.points().raw().data(),
+                        problem_.weights().data(), y_.data(), y_.size(), d,
+                        prm, *index_, g.data());
+  });
+  // Exhausted rows are masked out of every walk, so as candidates they
+  // take their own query.
+  if (active_ < y_.size()) {
+    for (std::size_t c = 0; c < g.size(); ++c) {
+      if (y_[c] == 0.0) g[c] = coverage_reward(candidates[c]);
+    }
+  }
   return g;
 }
 
@@ -493,14 +531,6 @@ void ActiveSet::compact() {
   weights_.resize(keep);
   packed_.resize(keep);
   original_.resize(keep);
-}
-
-std::vector<double> ParallelEvaluator::pool_gains(
-    const Problem& problem, const geo::PointSet& pool,
-    std::span<const double> y) const {
-  return map(pool.size(), [&](std::size_t c) {
-    return core::coverage_reward(problem, pool[c], y);
-  });
 }
 
 }  // namespace mmph::core::kernels

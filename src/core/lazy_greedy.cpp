@@ -48,15 +48,13 @@ Solution LazyGreedySolver::solve(const Problem& problem,
   // it fits) or the compacted blocked scan, as kernels::should_index()
   // decides.
   kernels::ActiveSet active(problem, index_);
-  const auto gain = [&](std::size_t c) {
-    return active.coverage_reward(candidates[c]);
-  };
 
-  // First-round scan: every candidate's fresh gain. This O(|candidates| n)
-  // pass is the one cost laziness cannot avoid, so it shards across the
-  // pool when one was provided (per-slot writes keep it deterministic).
+  // First round: every candidate's fresh gain, the one pass laziness
+  // cannot avoid. On the index over the problem's own points it is one
+  // sweep of the rows; otherwise it maps the candidates, across the pool
+  // when one was provided (per-slot writes keep it deterministic).
   const std::vector<double> gains =
-      kernels::ParallelEvaluator(pool_).map(candidates.size(), gain);
+      active.coverage_rewards(candidates, pool_);
   last_evals_.fetch_add(candidates.size(), std::memory_order_relaxed);
 
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap;
@@ -70,7 +68,7 @@ Solution LazyGreedySolver::solve(const Problem& problem,
     HeapEntry top = heap.top();
     while (top.round != round) {
       heap.pop();
-      top.gain = gain(top.index);
+      top.gain = active.coverage_reward(candidates[top.index]);
       last_evals_.fetch_add(1, std::memory_order_relaxed);
       top.round = round;
       heap.push(top);

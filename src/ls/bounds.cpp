@@ -6,7 +6,6 @@
 
 #include "mmph/core/bounds.hpp"
 #include "mmph/core/kernels.hpp"
-#include "mmph/core/reward.hpp"
 #include "mmph/support/assert.hpp"
 
 namespace mmph::ls {
@@ -33,14 +32,14 @@ UpperBounds certified_upper_bounds(const core::Problem& problem, std::size_t k,
       bounds.reference_value / core::approx_ratio_round_based(k);
   bounds.submodular_bound = bounds.reference_value / core::one_minus_inv_e();
 
-  // Residual after the reference solution: y_i = 1 - min(total_i, 1), so
-  // coverage_reward(c, y) is the exact marginal gain f(S + c) - f(S).
-  std::vector<double> residual = core::fresh_residual(problem);
+  // The evaluator's residual after the reference solution is
+  // y_i = 1 - min(total_i, 1), so its g(c) is the exact marginal gain
+  // f(S + c) - f(S).
+  core::kernels::ActiveSet active(problem);
   for (std::size_t j = 0; j < greedy_reference.centers.size(); ++j) {
-    (void)core::apply_center(problem, greedy_reference.centers[j], residual);
+    (void)active.apply_center(greedy_reference.centers[j]);
   }
-  std::vector<double> gains = core::kernels::ParallelEvaluator(pool).pool_gains(
-      problem, candidates, residual);
+  std::vector<double> gains = active.coverage_rewards(candidates, pool);
 
   // Sum the k largest marginals (all gains are >= 0 by construction).
   const std::size_t top = std::min(k, gains.size());

@@ -751,6 +751,12 @@ const PlacementView& PlacementService::solve_locked() {
     // A full solve's polish sums every row and hands the gains on.
     gains_.clear();
     solution = sharded_->solve(problem, config_.k);
+    // The shard grids' queries count like the polish's own grid's. Their
+    // builds, one per shard per full solve, stay out of the rebuild
+    // counter, which keeps counting the carried and polish grids.
+    spatial::IndexStats shard_grids = sharded_->last_stats().index;
+    shard_grids.rebuilds = 0;
+    metrics_.add_spatial(shard_grids);
     if (config_.solver == SolverTier::kLs && !solution.centers.empty()) {
       solution = polish_locked(problem, &solution);
     }

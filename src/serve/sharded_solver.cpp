@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <utility>
 
+#include "mmph/core/kernels.hpp"
 #include "mmph/core/lazy_greedy.hpp"
 #include "mmph/parallel/parallel_for.hpp"
 #include "mmph/support/assert.hpp"
@@ -75,8 +77,8 @@ std::vector<std::vector<std::size_t>> shard_indices(
   std::size_t budget = config.max_shards;
   if (budget == 0) {
     // Auto: at least one shard per worker for parallelism, but also cap
-    // shard size — the per-shard greedy is O(shard^2), so S shards cut
-    // total work by ~S even on a single worker.
+    // shard size — a scanning shard's greedy is O(shard^2), so S shards
+    // cut its total work by ~S even on a single worker.
     constexpr std::size_t kTargetShardSize = 2048;
     budget = std::max(workers, (n + kTargetShardSize - 1) / kTargetShardSize);
   }
@@ -123,9 +125,15 @@ core::Solution ShardedSolver::solve(const core::Problem& problem,
 
     // Each shard solves its own sub-problem and reports up to k centers;
     // results land in per-shard slots so the merged pool order is
-    // deterministic regardless of scheduling.
+    // deterministic regardless of scheduling. The index decision is the
+    // whole problem's, taken once: kAuto's size floor would send every
+    // shard to the scan, although a coverage ball holds no more of a
+    // shard's rows than of the whole problem's.
+    const bool index_shards =
+        core::kernels::should_index(problem, shared_index_);
     std::vector<geo::PointSet> shard_centers(shards.size(),
                                              geo::PointSet(problem.dim()));
+    std::vector<spatial::IndexStats> shard_index(shards.size());
     par::parallel_for(
         pool_, 0, shards.size(),
         [&](std::size_t s) {
@@ -143,11 +151,20 @@ core::Solution ShardedSolver::solve(const core::Problem& problem,
                                   problem.reward_shape());
           const std::size_t shard_k =
               std::max<std::size_t>(1, std::min(k, members.size()));
-          const core::Solution sol =
-              core::LazyGreedySolver().solve(sub, shard_k);
-          shard_centers[s] = sol.centers;
+          core::LazyGreedySolver greedy;
+          std::unique_ptr<spatial::SpatialIndex> index;
+          if (index_shards) {
+            index = spatial::make_index(sub.points(), sub.radius(),
+                                        sub.metric());
+            greedy.set_shared_index(index.get());
+          }
+          shard_centers[s] = greedy.solve(sub, shard_k).centers;
+          if (index != nullptr) shard_index[s] = index->stats();
         },
         /*grain=*/1);
+    for (const spatial::IndexStats& stats : shard_index) {
+      last_stats_.index += stats;
+    }
 
     for (const geo::PointSet& centers : shard_centers) {
       for (std::size_t j = 0; j < centers.size(); ++j) {

@@ -49,6 +49,13 @@ UniformGridIndex::Cell UniformGridIndex::cell_of_vec(geo::ConstVec p) const {
 
 void UniformGridIndex::query(geo::ConstVec center,
                              std::vector<std::size_t>& out) const {
+  walk(center, out);
+  // Ascending ids keep indexed kernel sums bit-identical to a full scan.
+  std::sort(out.begin(), out.end());
+}
+
+void UniformGridIndex::walk(geo::ConstVec center,
+                            std::vector<std::size_t>& out) const {
   MMPH_REQUIRE(center.size() == dim_,
                "UniformGridIndex: query dimension mismatch");
   out.clear();
@@ -78,8 +85,6 @@ void UniformGridIndex::query(geo::ConstVec center,
     }
     if (!advanced) break;
   }
-  // Ascending ids keep indexed kernel sums bit-identical to a full scan.
-  std::sort(out.begin(), out.end());
   count_query(out.size());
 }
 

@@ -1,9 +1,10 @@
 // Tests for the blocked reward kernels and the coverage evaluator
 // (kernels.hpp), each against the per-point reference loop
 // (reference_coverage_reward): equivalence across norms, dimensions, reward
-// shapes and residual states; ActiveSet semantics on both backends;
-// ParallelEvaluator determinism; and solver identity — the same centers as
-// a test-local greedy that scores with the reference loop.
+// shapes and residual states; ActiveSet semantics on both backends; the
+// all-candidates call (the first-round sweep) against per-candidate
+// rewards; ParallelEvaluator determinism; and solver identity — the same
+// centers as a test-local greedy that scores with the reference loop.
 
 #include "mmph/core/kernels.hpp"
 
@@ -13,6 +14,7 @@
 #include <cmath>
 #include <cstddef>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "mmph/core/greedy_local.hpp"
@@ -35,6 +37,23 @@ Problem random_problem(std::size_t n, std::size_t dim, geo::Metric metric,
   rnd::Rng rng(seed);
   return Problem::from_workload(rnd::generate_workload(spec, rng), radius,
                                 metric, shape);
+}
+
+/// Points on the half-unit lattice of [0, 4]^dim: at radius 0.5, 1 or 1.5
+/// many pairs sit at exactly r, every point lies on a grid cell face (the
+/// cell side is r), and duplicates are common.
+Problem lattice_problem(std::size_t n, std::size_t dim, geo::Metric metric,
+                        RewardShape shape, double radius, std::uint64_t seed) {
+  rnd::Rng rng(seed);
+  geo::PointSet points(dim);
+  std::vector<double> row(dim);
+  std::vector<double> weights;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (double& x : row) x = 0.5 * static_cast<double>(rng.uniform_int(0, 8));
+    points.push_back(row);
+    weights.push_back(static_cast<double>(rng.uniform_int(1, 5)));
+  }
+  return Problem(std::move(points), std::move(weights), radius, metric, shape);
 }
 
 /// Residual states exercised by the equivalence sweeps.
@@ -301,10 +320,117 @@ TEST(ParallelEvaluator, PoolAndSerialGainsAreIdentical) {
   for (std::size_t i = 0; i < c.size(); ++i) {
     EXPECT_DOUBLE_EQ(c[i], d[i]) << "candidate " << i;
   }
-  const std::vector<double> e = serial.pool_gains(p, p.points(), y);
-  const std::vector<double> f = parallel.pool_gains(p, p.points(), y);
+  // The evaluator's all-candidates call, serial against pooled.
+  const std::vector<double> e = active.coverage_rewards(p.points());
+  const std::vector<double> f =
+      active.coverage_rewards(p.points(), &par::ThreadPool::global());
+  ASSERT_EQ(e.size(), p.size());
   for (std::size_t i = 0; i < e.size(); ++i) {
-    EXPECT_DOUBLE_EQ(e[i], f[i]) << "candidate " << i;
+    EXPECT_EQ(e[i], f[i]) << "candidate " << i;
+    EXPECT_EQ(e[i], c[i]) << "candidate " << i;
+  }
+}
+
+/// The all-candidates call from residual \p y equals core::coverage_reward
+/// per candidate, bitwise, on both backends: the scan maps, the index
+/// (the grid, or the kd-tree above kGridMaxDim) sweeps.
+void expect_all_candidates_match(const Problem& p, std::span<const double> y,
+                                 const std::string& context) {
+  for (const kernels::IndexMode backend : kBackends) {
+    const kernels::ScopedIndexMode mode(backend);
+    const kernels::ActiveSet active(p, y);
+    const std::vector<double> all = active.coverage_rewards(p.points());
+    ASSERT_EQ(all.size(), p.size()) << context;
+    std::size_t mismatches = 0;
+    for (std::size_t c = 0; c < p.size(); ++c) {
+      const double want = coverage_reward(p, p.point(c), y);
+      if (all[c] != want && mismatches++ == 0) {
+        ADD_FAILURE() << context << " on " << kernels::index_mode_name(backend)
+                      << ": candidate " << c << " got " << all[c]
+                      << " want " << want;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << context << " on " << kernels::index_mode_name(backend);
+  }
+}
+
+TEST(AllCandidates, MatchPerCandidateRewardsAcrossShapes) {
+  const std::vector<geo::Metric> metrics{geo::l1_metric(), geo::l2_metric(),
+                                         geo::linf_metric(), geo::Metric(3.0)};
+  std::uint64_t seed = 300;
+  for (const geo::Metric& metric : metrics) {
+    for (std::size_t dim = 1; dim <= 5; ++dim) {
+      for (const RewardShape shape :
+           {RewardShape::kLinear, RewardShape::kBinary}) {
+        for (const double radius : {0.5, 1.0, 1.5}) {
+          const std::string context =
+              metric.name() + " dim=" + std::to_string(dim) + " " +
+              reward_shape_name(shape) + " r=" + std::to_string(radius);
+          const Problem uniform =
+              random_problem(120, dim, metric, shape, ++seed, radius);
+          expect_all_candidates_match(uniform, fresh_residual(uniform),
+                                      context + " uniform");
+          const Problem lattice =
+              lattice_problem(120, dim, metric, shape, radius, seed);
+          expect_all_candidates_match(lattice, fresh_residual(lattice),
+                                      context + " lattice");
+        }
+      }
+    }
+  }
+}
+
+TEST(AllCandidates, TinyWeightsMatchBitwise) {
+  for (const RewardShape shape : {RewardShape::kLinear, RewardShape::kBinary}) {
+    const Problem base = random_problem(300, 2, geo::l2_metric(), shape, 311);
+    // Near the bottom of the normal range, and subnormal.
+    for (const double scale : {1e-300, 5e-324}) {
+      std::vector<double> weights;
+      for (std::size_t i = 0; i < base.size(); ++i) {
+        weights.push_back(scale * static_cast<double>(1 + i % 7));
+      }
+      const Problem p(base.points(), std::move(weights), base.radius(),
+                      base.metric(), shape);
+      expect_all_candidates_match(p, fresh_residual(p),
+                                  std::string(reward_shape_name(shape)) +
+                                      " scale " + std::to_string(scale));
+    }
+  }
+}
+
+// Rows at exactly 0 are masked out of the index: the sweep skips them as
+// rows, and as candidates they are scored by their own query.
+TEST(AllCandidates, ResidualWithExactZerosMatchesBitwise) {
+  for (const geo::Metric& metric : {geo::l1_metric(), geo::l2_metric()}) {
+    const Problem p =
+        random_problem(400, 2, metric, RewardShape::kLinear, 313);
+    for (const auto& y : residual_cases(p.size())) {
+      expect_all_candidates_match(p, y, metric.name() + " pattern");
+    }
+    std::vector<double> y = fresh_residual(p);
+    for (std::size_t round = 0; round < 5; ++round) {
+      (void)apply_center(p, p.point(round * 53), y);
+    }
+    ASSERT_GT(std::count(y.begin(), y.end(), 0.0), 0);
+    expect_all_candidates_match(p, y, metric.name() + " mid-solve");
+
+    // The same state reached by the evaluator's own commits, and a
+    // candidate set that is a copy of the rows (scored candidate by
+    // candidate), pooled.
+    const kernels::ScopedIndexMode grid(kernels::IndexMode::kGrid);
+    kernels::ActiveSet active(p);
+    for (std::size_t round = 0; round < 5; ++round) {
+      (void)active.apply_center(p.point(round * 53));
+    }
+    const geo::PointSet copy = p.points();
+    const std::vector<double> swept = active.coverage_rewards(p.points());
+    const std::vector<double> mapped =
+        active.coverage_rewards(copy, &par::ThreadPool::global());
+    for (std::size_t c = 0; c < p.size(); ++c) {
+      EXPECT_EQ(swept[c], coverage_reward(p, p.point(c), y)) << c;
+      EXPECT_EQ(mapped[c], swept[c]) << c;
+    }
   }
 }
 

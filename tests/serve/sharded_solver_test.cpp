@@ -1,13 +1,16 @@
 // ShardedSolver: sharding geometry, single-shard exactness against
-// core::LazyGreedySolver, and multi-shard quality on realistic workloads.
+// core::LazyGreedySolver, multi-shard quality on realistic workloads, and
+// the shard indexes (on when the whole problem would index, bit-invisible).
 
 #include "mmph/serve/sharded_solver.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
+#include "mmph/core/kernels.hpp"
 #include "mmph/core/lazy_greedy.hpp"
 #include "mmph/core/objective.hpp"
 #include "mmph/core/problem.hpp"
@@ -24,6 +27,16 @@ core::Problem uniform_problem(std::size_t n, std::uint64_t seed,
   rnd::Rng rng(seed);
   return core::Problem::from_workload(rnd::generate_workload(spec, rng),
                                       radius, geo::l2_metric());
+}
+
+/// ~10 users per unit², the serving density: sparse enough for kAuto.
+core::Problem sparse_problem(std::size_t n, std::uint64_t seed) {
+  rnd::WorkloadSpec spec;
+  spec.n = n;
+  spec.box_side = std::sqrt(static_cast<double>(n) / 10.0);
+  rnd::Rng rng(seed);
+  return core::Problem::from_workload(rnd::generate_workload(spec, rng), 1.0,
+                                      geo::l2_metric());
 }
 
 TEST(ShardIndices, CoversEveryPointExactlyOnce) {
@@ -120,6 +133,48 @@ TEST(ShardedSolver, MultiShardTracksLazyGreedyQuality) {
   EXPECT_GT(stats.shards, 1u);
   EXPECT_EQ(stats.candidate_pool, solver.last_candidates().size());
   EXPECT_GE(stats.candidate_pool, k);
+}
+
+// Under kAuto a problem that would index gives every shard a grid of its
+// own rows (each first-round row walks it once, so the shard queries reach
+// n); under kNone no shard indexes. The centers and total are the same
+// bits either way.
+TEST(ShardedSolver, ShardsIndexWhenTheProblemWouldAndMatchTheScanBitwise) {
+  using core::kernels::IndexMode;
+  using core::kernels::ScopedIndexMode;
+  const core::Problem problem = sparse_problem(20000, 41);
+  ShardedSolver solver(par::ThreadPool::global());
+  const std::size_t k = 8;
+  core::Solution indexed, scanned;
+  ShardStats indexed_stats, scanned_stats;
+  {
+    const ScopedIndexMode mode(IndexMode::kAuto);
+    indexed = solver.solve(problem, k);
+    indexed_stats = solver.last_stats();
+  }
+  {
+    const ScopedIndexMode mode(IndexMode::kNone);
+    scanned = solver.solve(problem, k);
+    scanned_stats = solver.last_stats();
+  }
+  EXPECT_GT(indexed_stats.shards, 1u);
+  EXPECT_GE(indexed_stats.index.queries, problem.size());
+  EXPECT_EQ(indexed_stats.index.rebuilds, indexed_stats.shards);
+  EXPECT_EQ(scanned_stats.index.queries, 0u);
+  EXPECT_EQ(scanned_stats.index.rebuilds, 0u);
+
+  EXPECT_EQ(indexed.total_reward, scanned.total_reward);  // bitwise
+  ASSERT_EQ(indexed.centers.size(), scanned.centers.size());
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t d = 0; d < problem.dim(); ++d) {
+      EXPECT_EQ(indexed.centers[j][d], scanned.centers[j][d]) << j;
+    }
+  }
+
+  // Below kAutoIndexMinPoints, with no lent index, the shards scan.
+  const ScopedIndexMode mode(IndexMode::kAuto);
+  (void)solver.solve(sparse_problem(2500, 43), k);
+  EXPECT_EQ(solver.last_stats().index.queries, 0u);
 }
 
 TEST(ShardedSolver, TinyPopulationAndLargeK) {

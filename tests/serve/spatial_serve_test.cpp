@@ -342,5 +342,31 @@ TEST(SpatialServe, SpatialCountersAreRegisteredAndAdvance) {
             std::string::npos);
 }
 
+/// A full solve at the serving density indexes every shard, and the shard
+/// grids' queries reach mmph_spatial_*: each row walks its shard's grid in
+/// the first round, so the scrape reads at least n queries. Building the
+/// shard grids is not a rebuild of the carried one.
+TEST(SpatialServe, FullSolveCountsTheShardGrids) {
+  constexpr std::size_t kUsers = 20000;
+  const double side = std::sqrt(static_cast<double>(kUsers) / 10.0);
+  const core::kernels::ScopedIndexMode mode(core::kernels::IndexMode::kAuto);
+  PlacementService service{ServiceConfig{}};
+  service.apply_add(make_users(kUsers, 2021, side));
+  (void)service.placement();
+  const MetricsSnapshot snap = service.metrics();
+  EXPECT_EQ(snap.full_solves, 1u);
+  EXPECT_GE(snap.spatial_queries, kUsers);
+  EXPECT_EQ(snap.spatial_rebuilds, 1u) << "only the carried grid's build";
+
+  obs::Registry registry;
+  service.describe_metrics(registry);
+  const std::string text = registry.exposition_text();
+  const std::string series = "\nmmph_spatial_queries_total ";
+  const std::size_t at = text.find(series);
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_EQ(std::stoull(text.substr(at + series.size())),
+            snap.spatial_queries);
+}
+
 }  // namespace
 }  // namespace mmph::serve

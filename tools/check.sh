@@ -8,7 +8,9 @@
 #                               # kernel-speedup sanity; self-checks the
 #                               # blocked kernels' and the evaluator's
 #                               # sums against the per-point reference
-#                               # loop), then
+#                               # loop, and the indexed first-round sweep
+#                               # against one query per candidate,
+#                               # bitwise, at spatial n=20000), then
 #                               # perf_ls --max-n 2500 (self-checks ls >=
 #                               # lazy, ls <= bound, and warm polishes with
 #                               # carried gains bitwise equal to cache-less
@@ -41,7 +43,11 @@
 #                               # indexed-vs-unindexed solver differential
 #                               # corpus, the coverage evaluator's own
 #                               # suites (kernels_test, solver_base_test),
-#                               # the serve-path warm-index test).
+#                               # the sharded solver's suites, whose shards
+#                               # build grids and sweep them
+#                               # (sharded_solver_test,
+#                               # sharded_determinism_test), the serve-path
+#                               # warm-index test).
 #                               # MMPH_SANITIZE=ON tools/check.sh index
 #                               # runs the same gate under ASan/UBSan —
 #                               # the pre-merge gate for index changes
