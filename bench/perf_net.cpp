@@ -88,14 +88,6 @@ struct RunResult {
   std::vector<net::NetLoopSnapshot> per_loop;
 };
 
-const char* accept_name(net::AcceptMode mode) {
-  switch (mode) {
-    case net::AcceptMode::kReusePort: return "reuseport";
-    case net::AcceptMode::kHandoff: return "handoff";
-    default: return "auto";
-  }
-}
-
 /// Pipelined query worker: keeps `window` query_placement frames in
 /// flight, draining the oldest reply before sending the next, and
 /// drains the tail after stop so every sent request is accounted for.
@@ -151,7 +143,7 @@ RunResult run_scenario(const Scenario& sc) {
   net_config.request_deadline = sc.request_deadline;
   net::NetServer server(service_config, net_config);
   server.start();
-  out.accept = accept_name(server.accept_mode());
+  out.accept = server.loop_count() == 1 ? "single" : "reuseport";
 
   net::NetClientConfig client_config;
   client_config.port = server.port();

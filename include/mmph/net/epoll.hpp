@@ -4,11 +4,10 @@
 /// \brief RAII wrappers over epoll(7) and eventfd(2) for the event loops.
 ///
 /// Each NetServer event loop owns one EpollSet (its readiness source) and
-/// one Wakeup (how other threads interrupt its epoll_wait: stop(), or a
-/// handoff of a freshly accepted connection). Both throw NetError on
-/// construction failure; operations on a constructed object never throw —
-/// a failed EPOLL_CTL_DEL on an already-closed fd is not an event-loop
-/// error.
+/// one Wakeup (how stop() interrupts its epoll_wait from another thread).
+/// Both throw NetError on construction failure; operations on a
+/// constructed object never throw — a failed EPOLL_CTL_DEL on an
+/// already-closed fd is not an event-loop error.
 ///
 /// The wrappers are deliberately thin: readiness is *only* used to decide
 /// which connections to visit this iteration. Ordering — who is read

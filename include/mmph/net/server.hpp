@@ -20,15 +20,10 @@
 /// and the global open-connection count. Ownership is asserted (and
 /// counted, mmph_net_ownership_checks_total) on every touch.
 ///
-/// Accept distribution (NetServerConfig::accept_mode):
-///   - kReusePort: every loop binds its own SO_REUSEPORT listener on the
-///     shared port; the kernel spreads incoming connections. Zero accept
-///     coordination — the default for loops > 1.
-///   - kHandoff: loop 0 owns the single listener and hands accepted fds
-///     to loops round-robin via a mailbox + eventfd wakeup. Deterministic
-///     distribution, and the portable fallback where SO_REUSEPORT load
-///     balancing is unavailable.
-///   - kAuto: kReusePort when loops > 1, single listener otherwise.
+/// Accepts: every loop binds its own listener on the shared port, with
+/// SO_REUSEPORT when there is more than one, so the kernel spreads
+/// incoming connections and no loop hands a socket to another. One loop
+/// binds one plain listener.
 ///
 /// With loops == 1 the schedule is exactly the historical single-threaded
 /// loop — wait, accept, read + decode + submit in connection order, one
@@ -69,21 +64,12 @@
 
 namespace mmph::net {
 
-/// How accepted connections are distributed across event loops.
-enum class AcceptMode {
-  kAuto,       ///< kReusePort when loops > 1, plain single listener else
-  kReusePort,  ///< one SO_REUSEPORT listener per loop, kernel-balanced
-  kHandoff,    ///< loop 0 accepts, hands fds round-robin (deterministic)
-};
-
 struct NetServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = kernel-assigned ephemeral port
   /// Event loops (epoll shards). 1 reproduces the historical
   /// single-threaded deterministic schedule exactly.
   std::size_t loops = 1;
-  /// Accept distribution policy; see AcceptMode.
-  AcceptMode accept_mode = AcceptMode::kAuto;
   /// Connections beyond this (across all loops) are shed with
   /// kOverloaded.
   std::size_t max_connections = 64;
@@ -133,11 +119,6 @@ class NetServer {
   [[nodiscard]] std::size_t loop_count() const noexcept {
     return loops_.size();
   }
-  /// Accept mode resolved at start() (kAuto is replaced by the choice).
-  [[nodiscard]] AcceptMode accept_mode() const noexcept {
-    return resolved_mode_;
-  }
-
   /// The owned service — for tests and in-process callers that want to
   /// compare against the direct API. Synchronous calls are safe while
   /// the server runs (the service serializes internally).
@@ -169,7 +150,6 @@ class NetServer {
 
   void run_loop(Loop& loop);
   void accept_pending(Loop& loop);
-  void adopt_mailbox(Loop& loop);
   void adopt_connection(Loop& loop, Socket sock);
   /// Reads and decodes every complete frame, staging decoded requests on
   /// the connection; returns false when the connection must be dropped.
@@ -178,8 +158,9 @@ class NetServer {
   void submit_staged(Loop& loop, Connection& conn);
   void collect_replies(Loop& loop, Connection& conn);
   /// Advances a kReplSubscribe subscriber: streams snapshot chunks while
-  /// it is behind the WAL's retained window, then kReplOps batches from
-  /// the in-memory tail, bounded by a write-buffer watermark.
+  /// it is behind the log's retained window, then kReplOps batches from
+  /// the in-memory tail, bounded by a write-buffer watermark. Only a
+  /// one-shard log streams (ServiceConfig::wal, or a one-shard shard_wal).
   void pump_replication(Loop& loop, Connection& conn);
   [[nodiscard]] bool flush(Loop& loop, Connection& conn);
   void close_connection(Loop& loop, std::size_t index);
@@ -191,7 +172,6 @@ class NetServer {
 
   std::vector<std::unique_ptr<Loop>> loops_;
   std::uint16_t port_ = 0;
-  AcceptMode resolved_mode_ = AcceptMode::kAuto;
   /// Open connections across all loops (shed policy is global).
   std::atomic<std::size_t> open_total_{0};
 

@@ -101,8 +101,8 @@ struct IoResult {
 /// Returns the listening socket (nonblocking, SO_REUSEADDR) and the bound
 /// port. With \p reuse_port, SO_REUSEPORT is set before bind so several
 /// listeners can share one port and the kernel spreads accepts across
-/// them (the multi-loop server's primary accept mode). \throws NetError
-/// on failure.
+/// them (how the multi-loop server spreads connections). \throws
+/// NetError on failure.
 [[nodiscard]] std::pair<Socket, std::uint16_t> tcp_listen(
     const std::string& host, std::uint16_t port, int backlog = 64,
     bool reuse_port = false);

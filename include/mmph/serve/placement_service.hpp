@@ -38,7 +38,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mmph/core/gain_cache.hpp"
@@ -110,12 +112,11 @@ struct ServiceConfig {
   /// serve.solver_throw / serve.alloc_fail (batch processing).
   FaultHook fault_hook{};
 
-  /// Optional write-ahead log. When set, every mutation is appended to
-  /// the log *before* it touches the store and committed before the
-  /// batch's replies go out, so a kOk ack implies the op is logged as
-  /// durably as the writer's fsync policy promises. Must outlive the
-  /// service. Null: no durability (the pre-WAL behavior). Only valid
-  /// with store_shards == 1; sharded stores attach shard_wal instead.
+  /// One-shard write-ahead log input (store_shards == 1 only; mutually
+  /// exclusive with shard_wal; must outlive the service). The service
+  /// wraps it in a one-shard wal::ShardedWal and logs through that, the
+  /// same path and the same bytes as a one-shard shard_wal. Null: see
+  /// shard_wal.
   wal::WalWriter* wal = nullptr;
 
   /// Region shards the InstanceStore is split into (>= 1). 1 is the
@@ -123,15 +124,16 @@ struct ServiceConfig {
   /// call sequence (the --store-shards 1 golden-digest discipline, like
   /// --loops 1). > 1 partitions users by interest-space region
   /// (spatial::RegionMap over grid cells of edge `radius`): mutations
-  /// route to their region's shard, full solves run per shard and merge
-  /// globally, and durability goes through the per-shard shard_wal.
-  /// Replication endpoints are rejected while sharded (follow-on).
+  /// route to their region's shard, and full solves run per shard and
+  /// merge globally. Replication streams only a one-shard log.
   std::size_t store_shards = 1;
 
-  /// Per-shard WAL coordinator for sharded stores (mutually exclusive
-  /// with `wal`; shard_count must equal store_shards; must outlive the
-  /// service). Appends stay append-before-apply per shard; the batch
-  /// ack barrier is ShardedWal::commit_all. Null: no durability.
+  /// The write-ahead log, one WalWriter per store shard (shard_count must
+  /// equal store_shards; must outlive the service). Every mutation is
+  /// appended to its shard's log *before* it touches the store, and the
+  /// batch's replies wait for ShardedWal::commit_all, so a kOk ack implies
+  /// the op is logged as durably as the fsync policy promises. Null with
+  /// `wal` also null: no durability.
   wal::ShardedWal* shard_wal = nullptr;
 };
 
@@ -179,7 +181,7 @@ class PlacementService {
   void restore_from(const wal::WalSnapshot& snapshot);
 
   /// Boot-time install of a sharded recovery result: shard s's rows and
-  /// epoch land in store shard s, and (with shard_wal attached) each
+  /// epoch land in store shard s, and (with a log attached) each
   /// non-empty shard is re-checkpointed so its log chains from the
   /// installed state. \throws InvalidArgument on a shard-count or
   /// dimension mismatch.
@@ -200,17 +202,10 @@ class PlacementService {
   /// InvalidArgument when \p s >= store_shards().
   [[nodiscard]] wal::WalSnapshot shard_wal_snapshot(std::size_t s);
 
-  /// Attached single log writer; null when running without durability
-  /// *and* when the store is sharded (replication streams off this
-  /// writer, and sharded replication is a follow-on — the server rejects
-  /// kReplSubscribe whenever this is null).
-  [[nodiscard]] wal::WalWriter* wal() const noexcept { return config_.wal; }
-
-  /// Attached per-shard WAL coordinator; null unless store_shards > 1
-  /// ran with durability.
-  [[nodiscard]] wal::ShardedWal* shard_wal() const noexcept {
-    return config_.shard_wal;
-  }
+  /// The log the service writes through: config().shard_wal, or the
+  /// one-shard wrap of config().wal; null without durability. The server
+  /// streams replication from it when it has one shard.
+  [[nodiscard]] wal::ShardedWal* shard_wal() const noexcept { return wal_; }
 
   /// Region shards the store runs with (config().store_shards).
   [[nodiscard]] std::size_t store_shards() const noexcept {
@@ -267,13 +262,14 @@ class PlacementService {
   void bound_gains_locked();
   void ensure_index_locked(const core::Problem& problem);
   void publish_spatial_locked();
+  /// Appends (shard, record) pairs in order, before any of them is
+  /// applied. A failure after the first append poisons every writer.
+  void append_wal_locked(
+      std::vector<std::pair<std::size_t, wal::WalRecord>>& records,
+      const char* caller);
   void commit_wal_locked();
   void maybe_snapshot_locked();
   void poison_wal_locked(const std::string& reason);
-  /// Single writer serving shard 0 in unsharded mode (config_.wal, or
-  /// the coordinator's writer 0 when shard_wal drives one shard); null
-  /// without durability.
-  [[nodiscard]] wal::WalWriter* single_writer_locked() const;
   [[nodiscard]] wal::WalSnapshot wal_snapshot_locked() const;
   [[nodiscard]] wal::WalSnapshot shard_wal_snapshot_locked(
       std::size_t s) const;
@@ -288,6 +284,10 @@ class PlacementService {
   [[nodiscard]] core::Problem problem_locked();
 
   ServiceConfig config_;
+  /// The one-shard wrap of config_.wal, when that input is set.
+  std::unique_ptr<wal::ShardedWal> owned_wal_;
+  /// The log every durability site uses (see shard_wal()).
+  wal::ShardedWal* wal_ = nullptr;
   par::ThreadPool& pool_;
   ServeMetrics metrics_;
   RequestBatcher batcher_;

@@ -21,6 +21,10 @@
 ///     strictly monotone per applied element, exactly like the unsharded
 ///     epoch (cross-region moves count two elements, matching their two
 ///     log records).
+///   - An id lives in at most one shard, and the shards' own id maps are
+///     the only ones: shard_of_id, contains, find and restore_shard's
+///     foreign-id check ask the shards (at most S lookups at S shards),
+///     and size() sums them. A mutation writes one map, not two.
 ///   - shards == 1 is the bit-identity mode: one InstanceStore receives
 ///     the same calls in the same order as the unsharded service, and
 ///     global_snapshot() is that store's snapshot verbatim.
@@ -32,7 +36,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mmph/serve/instance_store.hpp"
@@ -68,7 +72,8 @@ class ShardedInstanceStore {
   [[nodiscard]] std::size_t shard_of_point(geo::ConstVec p) const {
     return regions_.shard_of(p);
   }
-  /// Shard currently holding the id, or nullopt for unknown ids.
+  /// Shard currently holding the id, or nullopt for unknown ids. Asks
+  /// the shards in order: at most shard_count() lookups, one at one shard.
   [[nodiscard]] std::optional<std::size_t> shard_of_id(
       std::uint64_t id) const;
 
@@ -100,13 +105,13 @@ class ShardedInstanceStore {
   std::optional<std::size_t> remove(std::uint64_t id);
 
   [[nodiscard]] bool contains(std::uint64_t id) const {
-    return owner_.find(id) != owner_.end();
+    return shard_of_id(id).has_value();
   }
   [[nodiscard]] std::optional<UserRecord> find(std::uint64_t id) const;
 
   /// Replaces one shard's population (WAL recovery; shards recover
-  /// independently). Rebuilds the id->shard map entries for that shard.
-  /// \throws InvalidArgument when an id is already resident elsewhere.
+  /// independently). Strong guarantee. \throws InvalidArgument when an id
+  /// is already resident in another shard.
   void restore_shard(std::size_t s, std::uint64_t epoch,
                      std::vector<std::uint64_t> ids,
                      std::vector<double> weights,
@@ -134,9 +139,8 @@ class ShardedInstanceStore {
  private:
   std::size_t dim_;
   spatial::RegionMap regions_;
+  /// The only id map is each shard's own: an id lives in one shard.
   std::vector<InstanceStore> shards_;
-  /// id -> owning shard; mirrors every mutation.
-  std::unordered_map<std::uint64_t, std::size_t> owner_;
   /// Per-shard snapshot cache (epoch-checked; epoch 0 + empty = unset).
   std::vector<StoreSnapshot> cache_;
   std::vector<bool> cache_valid_;

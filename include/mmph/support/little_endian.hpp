@@ -1,18 +1,17 @@
 #pragma once
 
-/// \file codec_detail.hpp
-/// \brief Little-endian primitives shared by the WAL record and snapshot
-/// codecs. Byte-by-byte shifts, not memcpy of host integers, so the disk
-/// format reads the same bytes on every host byte order (same discipline
-/// as net/wire.cpp, which keeps its copy private to one translation unit;
-/// wal has two codec files, hence this small shared header).
+/// \file little_endian.hpp
+/// \brief Little-endian primitives of every binary format in the tree: the
+/// wire protocol (net/wire.cpp) and the WAL's record and snapshot codecs.
+/// Byte-by-byte shifts, not memcpy of host integers, so each format reads
+/// the same bytes on every host byte order.
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-namespace mmph::wal::detail {
+namespace mmph::le {
 
 inline void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -35,9 +34,9 @@ inline void put_f64(std::vector<std::uint8_t>& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-/// Bounds-checked reader (mirror of the wire decoder's Cursor): every
-/// read checks remaining() first, so a lying length field can never walk
-/// past the buffer; ok_ latches false on the first short read.
+/// Bounds-checked reader over one encoded buffer: every read checks
+/// remaining() first, so a lying length field can never walk past the
+/// buffer; ok_ latches false on the first short read.
 class Cursor {
  public:
   Cursor(const std::uint8_t* data, std::size_t size)
@@ -89,4 +88,4 @@ class Cursor {
   bool ok_ = true;
 };
 
-}  // namespace mmph::wal::detail
+}  // namespace mmph::le

@@ -23,9 +23,15 @@
 /// will stamp streamed batches with.
 ///
 /// Layout on disk:
-///   shards == 1:  <dir>/wal-*.mmpl              (the legacy layout —
-///                                                bit-identical mode)
+///   shards == 1:  <dir>/wal-*.mmpl              (the root layout, which
+///                                                one WalWriter writes)
 ///   shards  > 1:  <dir>/shard-<s>/wal-*.mmpl    one subdir per shard
+///
+/// A ShardedWal can also lend one WalWriter that its caller owns: one
+/// shard, that writer's own directory, no barrier hook. PlacementService
+/// wraps a ServiceConfig::wal this way, so this class is the only log a
+/// service writes through, at every store-shard count, and a one-shard
+/// log is the same bytes whichever input it came from.
 ///
 /// Recovery (recover_sharded) replays every shard directory independently
 /// with the existing single-log recovery and re-derives the global epoch
@@ -95,6 +101,12 @@ class ShardedWal {
              const ShardedRecovery& recovered,
              BarrierFaultHook barrier_hook = {});
 
+  /// One shard over \p writer, which the caller owns and which must
+  /// outlive this object: the root layout (its own dir), no barrier hook.
+  /// This is how a service given one WalWriter logs through the same
+  /// path as a service given a ShardedWal.
+  explicit ShardedWal(WalWriter& writer);
+
   ShardedWal(const ShardedWal&) = delete;
   ShardedWal& operator=(const ShardedWal&) = delete;
 
@@ -139,7 +151,10 @@ class ShardedWal {
       std::size_t max_bytes = 1u << 20) const;
 
  private:
-  std::vector<std::unique_ptr<WalWriter>> writers_;
+  /// The writers by shard; they point into owned_, or at the one writer
+  /// the caller lent.
+  std::vector<WalWriter*> writers_;
+  std::vector<std::unique_ptr<WalWriter>> owned_;
   BarrierFaultHook barrier_hook_;
   /// Serializes barriers: two concurrent commit_all calls must not
   /// interleave their per-shard fsyncs (each would see a half-barrier).

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <deque>
 #include <future>
-#include <mutex>
 #include <utility>
 
 #include "mmph/support/assert.hpp"
@@ -30,6 +29,13 @@ constexpr int kMaxEpollEvents = 128;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// The log a replica can follow: the service's, when it has one shard
+/// (either input). A multi-shard log has no single epoch chain to stream.
+wal::ShardedWal* replication_log(const serve::PlacementService& service) {
+  wal::ShardedWal* log = service.shard_wal();
+  return log != nullptr && log->shard_count() == 1 ? log : nullptr;
 }
 
 }  // namespace
@@ -110,24 +116,17 @@ struct NetServer::Connection {
   }
 };
 
-/// One event loop: epoll + wakeup eventfd, an optional listener, and the
-/// connections it exclusively owns. The mailbox is the only cross-loop
-/// entry point (handoff mode): another loop deposits an accepted socket
-/// under mail_mutex and signals the wakeup; everything else on this
-/// struct is touched by the owning thread only.
+/// One event loop: epoll + wakeup eventfd, its own listener, and the
+/// connections it exclusively owns. Everything on this struct is touched
+/// by the owning thread only (the wakeup is signalled by stop()).
 struct NetServer::Loop {
   std::size_t index = 0;
   SocketOps* ops = nullptr;
   NetMetrics::Loop* met = nullptr;
   EpollSet epoll;
   Wakeup wakeup;
-  Socket listener;  ///< valid when this loop owns a listener
+  Socket listener;
   std::vector<std::unique_ptr<Connection>> conns;
-
-  std::mutex mail_mutex;
-  std::vector<Socket> mailbox;
-
-  std::size_t next_handoff = 0;  ///< loop 0 only, handoff mode
   std::thread thread;
 };
 
@@ -158,11 +157,6 @@ void NetServer::start() {
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true)) return;
   try {
-    resolved_mode_ = config_.accept_mode;
-    if (resolved_mode_ == AcceptMode::kAuto) {
-      resolved_mode_ =
-          config_.loops > 1 ? AcceptMode::kReusePort : AcceptMode::kHandoff;
-    }
     SocketOps& shared_ops = config_.socket_ops != nullptr
                                 ? *config_.socket_ops
                                 : SocketOps::system();
@@ -176,23 +170,17 @@ void NetServer::start() {
       loop->met = &metrics_.loop(i);
       loops_.push_back(std::move(loop));
     }
-    if (resolved_mode_ == AcceptMode::kReusePort) {
-      // Every loop binds its own listener on the shared port. The first
-      // bind resolves an ephemeral request (port 0) to a concrete port
-      // the remaining listeners then join.
-      std::uint16_t port = config_.port;
-      for (auto& loop : loops_) {
-        auto [sock, bound] = tcp_listen(config_.host, port, 64,
-                                        /*reuse_port=*/true);
-        loop->listener = std::move(sock);
-        port = bound;
-      }
-      port_ = port;
-    } else {
-      auto [sock, bound] = tcp_listen(config_.host, config_.port);
-      loops_.front()->listener = std::move(sock);
-      port_ = bound;
+    // Every loop binds its own listener on the shared port (one loop: one
+    // plain listener). The first bind resolves an ephemeral request
+    // (port 0) to a concrete port the remaining listeners then join.
+    const bool reuse_port = loops_.size() > 1;
+    std::uint16_t port = config_.port;
+    for (auto& loop : loops_) {
+      auto [sock, bound] = tcp_listen(config_.host, port, 64, reuse_port);
+      loop->listener = std::move(sock);
+      port = bound;
     }
+    port_ = port;
   } catch (...) {
     loops_.clear();
     running_.store(false);
@@ -236,9 +224,7 @@ void NetServer::stop() {
 
 void NetServer::run_loop(Loop& loop) {
   loop.epoll.add(loop.wakeup.fd(), EPOLLIN, &loop.wakeup);
-  if (loop.listener.valid()) {
-    loop.epoll.add(loop.listener.fd(), EPOLLIN, &loop);
-  }
+  loop.epoll.add(loop.listener.fd(), EPOLLIN, &loop);
   epoll_event events[kMaxEpollEvents];
   while (running_.load(std::memory_order_relaxed)) {
     const int n =
@@ -256,7 +242,6 @@ void NetServer::run_loop(Loop& loop) {
       }
     }
     if (listener_ready) accept_pending(loop);
-    adopt_mailbox(loop);
 
     // Read + decode + submit, in fixed (reverse) connection order —
     // epoll readiness only selects *which* connections are visited, never
@@ -360,30 +345,8 @@ void NetServer::accept_pending(Loop& loop) {
       continue;
     }
     open_total_.fetch_add(1, std::memory_order_relaxed);
-    if (resolved_mode_ == AcceptMode::kHandoff && loops_.size() > 1) {
-      const std::size_t target = loop.next_handoff++ % loops_.size();
-      if (target != loop.index) {
-        Loop& dest = *loops_[target];
-        {
-          std::lock_guard<std::mutex> lock(dest.mail_mutex);
-          dest.mailbox.push_back(std::move(sock));
-        }
-        dest.wakeup.signal();
-        continue;
-      }
-    }
     adopt_connection(loop, std::move(sock));
   }
-}
-
-void NetServer::adopt_mailbox(Loop& loop) {
-  if (resolved_mode_ != AcceptMode::kHandoff || loops_.size() == 1) return;
-  std::vector<Socket> adopted;
-  {
-    std::lock_guard<std::mutex> lock(loop.mail_mutex);
-    adopted.swap(loop.mailbox);
-  }
-  for (Socket& sock : adopted) adopt_connection(loop, std::move(sock));
 }
 
 void NetServer::adopt_connection(Loop& loop, Socket sock) {
@@ -460,10 +423,10 @@ bool NetServer::read_and_stage(Loop& loop, Connection& conn) {
 
     // A replica announcing itself. Answered inline like kStats; from the
     // next pump_replication pass this connection receives the stream.
-    // Servers running without a WAL have no log to stream: kBadRequest.
+    // Servers without a one-shard log have no chain to stream: kBadRequest.
     if (frame.type == FrameType::kReplSubscribe) {
       loop.met->requests.add();
-      if (service_->wal() == nullptr) {
+      if (replication_log(*service_) == nullptr) {
         ResponseFrame reply;
         reply.request_id = frame.request_id;
         reply.status = WireStatus::kBadRequest;
@@ -579,8 +542,8 @@ void NetServer::collect_replies(Loop& loop, Connection& conn) {
 
 void NetServer::pump_replication(Loop& loop, Connection& conn) {
   if (!conn.repl_subscriber) return;
-  wal::WalWriter* wal = service_->wal();
-  if (wal == nullptr) return;
+  const wal::ShardedWal* log = replication_log(*service_);
+  if (log == nullptr) return;
   while (conn.unsent() < kReplWatermark) {
     if (!conn.repl_snapshot.empty()) {
       // A full-store image is mid-stream: next chunk.
@@ -607,7 +570,7 @@ void NetServer::pump_replication(Loop& loop, Connection& conn) {
       continue;
     }
     wal::WalWriter::TailResult tail =
-        wal->tail_since(conn.repl_epoch, kReplChunkBytes);
+        log->tail_since(0, conn.repl_epoch, kReplChunkBytes);
     if (!tail.covered) {
       // The subscriber is behind the retained log window; restart it
       // from a full snapshot of the live store.

@@ -1,102 +1,23 @@
 #include "mmph/net/wire.hpp"
 
-#include <bit>
 #include <cmath>
 #include <utility>
 
 #include "mmph/support/assert.hpp"
 #include "mmph/support/error.hpp"
+#include "mmph/support/little_endian.hpp"
 
 namespace mmph::net {
 namespace {
 
-// --- primitive little-endian encoding -------------------------------------
-// Byte-by-byte shifts, not memcpy of host integers: the format must read
-// the same bytes on every host byte order.
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-/// Bounds-checked big-to-small reader over one frame's payload. Every
-/// read checks remaining() first, so a lying payload_len can never walk
-/// past the buffer; ok_ latches false on the first short read.
-class Cursor {
- public:
-  Cursor(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-
-  std::uint8_t u8() { return ok_ && take(1) ? data_[pos_ - 1] : 0; }
-
-  std::uint16_t u16() {
-    if (!ok_ || !take(2)) return 0;
-    const std::uint8_t* p = data_ + pos_ - 2;
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-  }
-
-  std::uint32_t u32() {
-    if (!ok_ || !take(4)) return 0;
-    const std::uint8_t* p = data_ + pos_ - 4;
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-  }
-
-  std::uint64_t u64() {
-    if (!ok_ || !take(8)) return 0;
-    const std::uint8_t* p = data_ + pos_ - 8;
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-    return v;
-  }
-
-  double f64() { return std::bit_cast<double>(u64()); }
-
- private:
-  bool take(std::size_t n) {
-    if (remaining() < n) {
-      ok_ = false;
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
 void put_header(std::vector<std::uint8_t>& out, FrameType type,
                 std::uint64_t request_id, std::uint32_t payload_len) {
-  put_u32(out, kMagic);
+  le::put_u32(out, kMagic);
   out.push_back(kWireVersion);
   out.push_back(static_cast<std::uint8_t>(type));
-  put_u16(out, 0);  // reserved
-  put_u64(out, request_id);
-  put_u32(out, payload_len);
+  le::put_u16(out, 0);  // reserved
+  le::put_u64(out, request_id);
+  le::put_u32(out, payload_len);
 }
 
 /// Patches the payload_len field once the payload has been appended (the
@@ -185,28 +106,28 @@ void encode_request(const RequestFrame& frame,
       MMPH_REQUIRE(!frame.users.empty(), "wire: empty add batch");
       const std::size_t dim = frame.users.front().interest.size();
       MMPH_REQUIRE(dim >= 1 && dim <= kMaxDim, "wire: bad user dimension");
-      put_u32(out, static_cast<std::uint32_t>(frame.users.size()));
-      put_u16(out, static_cast<std::uint16_t>(dim));
+      le::put_u32(out, static_cast<std::uint32_t>(frame.users.size()));
+      le::put_u16(out, static_cast<std::uint16_t>(dim));
       for (const serve::UserRecord& user : frame.users) {
         MMPH_REQUIRE(user.interest.size() == dim,
                      "wire: ragged user dimensions in one frame");
-        put_u64(out, user.id);
-        put_f64(out, user.weight);
-        for (const double c : user.interest) put_f64(out, c);
+        le::put_u64(out, user.id);
+        le::put_f64(out, user.weight);
+        for (const double c : user.interest) le::put_f64(out, c);
       }
       break;
     }
     case FrameType::kRemoveUsers:
       MMPH_REQUIRE(frame.ids.size() <= kMaxBatchCount,
                    "wire: remove batch exceeds kMaxBatchCount");
-      put_u32(out, static_cast<std::uint32_t>(frame.ids.size()));
-      for (const std::uint64_t id : frame.ids) put_u64(out, id);
+      le::put_u32(out, static_cast<std::uint32_t>(frame.ids.size()));
+      for (const std::uint64_t id : frame.ids) le::put_u64(out, id);
       break;
     case FrameType::kQueryPlacement:
     case FrameType::kStats:
       break;  // empty payload
     case FrameType::kReplSubscribe:
-      put_u64(out, frame.have_epoch);
+      le::put_u64(out, frame.have_epoch);
       break;
     case FrameType::kEvaluate: {
       MMPH_REQUIRE(frame.centers.has_value(), "wire: evaluate needs centers");
@@ -215,9 +136,9 @@ void encode_request(const RequestFrame& frame,
                    "wire: center batch exceeds kMaxBatchCount");
       MMPH_REQUIRE(centers.dim() >= 1 && centers.dim() <= kMaxDim,
                    "wire: bad center dimension");
-      put_u32(out, static_cast<std::uint32_t>(centers.size()));
-      put_u16(out, static_cast<std::uint16_t>(centers.dim()));
-      for (const double c : centers.raw()) put_f64(out, c);
+      le::put_u32(out, static_cast<std::uint32_t>(centers.size()));
+      le::put_u16(out, static_cast<std::uint16_t>(centers.dim()));
+      for (const double c : centers.raw()) le::put_f64(out, c);
       break;
     }
     case FrameType::kResponse:
@@ -236,17 +157,17 @@ void encode_repl(const ReplFrame& frame, std::vector<std::uint8_t>& out) {
                    "wire: bad snapshot chunk flags");
       MMPH_REQUIRE(frame.count == 0, "wire: snapshot chunk carries no count");
       put_header(out, frame.type, frame.request_id, 0);
-      put_u64(out, frame.epoch);
+      le::put_u64(out, frame.epoch);
       out.push_back(frame.flags);
-      put_u32(out, static_cast<std::uint32_t>(frame.blob.size()));
+      le::put_u32(out, static_cast<std::uint32_t>(frame.blob.size()));
       break;
     case FrameType::kReplOps:
       MMPH_REQUIRE(frame.flags == 0, "wire: ops frame carries no flags");
       MMPH_REQUIRE(frame.count >= 1, "wire: empty ops frame");
       put_header(out, frame.type, frame.request_id, 0);
-      put_u64(out, frame.epoch);
-      put_u32(out, frame.count);
-      put_u32(out, static_cast<std::uint32_t>(frame.blob.size()));
+      le::put_u64(out, frame.epoch);
+      le::put_u32(out, frame.count);
+      le::put_u32(out, static_cast<std::uint32_t>(frame.blob.size()));
       break;
     default:
       throw InvalidArgument("wire: encode_repl given a non-repl type");
@@ -280,19 +201,19 @@ void encode_response(const ResponseFrame& frame,
       static_cast<std::uint8_t>((centers != nullptr ? 1 : 0) |
                                 (stats != nullptr ? 2 : 0));
   out.push_back(flags);
-  put_u16(out, centers != nullptr
+  le::put_u16(out, centers != nullptr
                    ? static_cast<std::uint16_t>(centers->dim())
                    : 0);
-  put_u32(out, centers != nullptr
+  le::put_u32(out, centers != nullptr
                    ? static_cast<std::uint32_t>(centers->size())
                    : 0);
-  put_u64(out, frame.epoch);
-  put_f64(out, frame.objective);
+  le::put_u64(out, frame.epoch);
+  le::put_f64(out, frame.objective);
   if (centers != nullptr) {
-    for (const double c : centers->raw()) put_f64(out, c);
+    for (const double c : centers->raw()) le::put_f64(out, c);
   }
   if (stats != nullptr) {
-    put_u32(out, static_cast<std::uint32_t>(stats->size()));
+    le::put_u32(out, static_cast<std::uint32_t>(stats->size()));
     out.insert(out.end(), stats->begin(), stats->end());
   }
   patch_payload_len(out, header_start);
@@ -322,7 +243,7 @@ FrameDecoder::Result FrameDecoder::next() {
 
   if (buffered() < kHeaderBytes) return result;  // kNeedMoreData
   const std::uint8_t* head = buffer_.data() + offset_;
-  Cursor header(head, kHeaderBytes);
+  le::Cursor header(head, kHeaderBytes);
   const std::uint32_t magic = header.u32();
   const std::uint8_t version = header.u8();
   const std::uint8_t type_byte = header.u8();
@@ -344,7 +265,7 @@ FrameDecoder::Result FrameDecoder::next() {
   if (buffered() < kHeaderBytes + payload_len) return result;  // incomplete
 
   const auto type = static_cast<FrameType>(type_byte);
-  Cursor body(head + kHeaderBytes, payload_len);
+  le::Cursor body(head + kHeaderBytes, payload_len);
   switch (type) {
     case FrameType::kAddUsers: {
       const std::uint32_t count = body.u32();

@@ -81,11 +81,14 @@ PlacementService::PlacementService(ServiceConfig config, par::ThreadPool* pool)
                "PlacementService: churn fraction must be >= 0");
   MMPH_REQUIRE(config_.wal == nullptr || config_.shard_wal == nullptr,
                "PlacementService: wal and shard_wal are mutually exclusive");
-  MMPH_REQUIRE(config_.wal == nullptr || config_.store_shards == 1,
-               "PlacementService: store_shards > 1 logs through shard_wal");
-  MMPH_REQUIRE(config_.shard_wal == nullptr ||
-                   config_.shard_wal->shard_count() == config_.store_shards,
-               "PlacementService: shard_wal shard count != store_shards");
+  // One log path: a lone WalWriter is a one-shard ShardedWal.
+  if (config_.wal != nullptr) {
+    owned_wal_ = std::make_unique<wal::ShardedWal>(*config_.wal);
+  }
+  wal_ = config_.shard_wal != nullptr ? config_.shard_wal : owned_wal_.get();
+  MMPH_REQUIRE(wal_ == nullptr || wal_->shard_count() == config_.store_shards,
+               "PlacementService: log shard count != store_shards (wal "
+               "is one shard)");
   sharded_ = std::make_unique<ShardedSolver>(pool_, config_.shard);
 }
 
@@ -130,9 +133,7 @@ void PlacementService::restore_from(const wal::WalSnapshot& snapshot) {
   // Checkpoint the installed state so the local log chains from it (for
   // a boot-time restore this re-checkpoints what recovery read; for a
   // replica install it jumps the writer to the primary's epoch).
-  if (wal::WalWriter* writer = single_writer_locked()) {
-    writer->write_snapshot(snapshot);
-  }
+  if (wal_ != nullptr) wal_->writer(0).write_snapshot(snapshot);
 }
 
 void PlacementService::restore_sharded(const wal::ShardedRecovery& recovered) {
@@ -153,10 +154,10 @@ void PlacementService::restore_sharded(const wal::ShardedRecovery& recovered) {
   index_.reset();
   index_dirty_ = false;
   gains_.clear();
-  if (config_.shard_wal != nullptr) {
+  if (wal_ != nullptr) {
     for (std::size_t s = 0; s < recovered.shards.size(); ++s) {
       if (recovered.shards[s].store.epoch == 0) continue;
-      config_.shard_wal->writer(s).write_snapshot(recovered.shards[s].store);
+      wal_->writer(s).write_snapshot(recovered.shards[s].store);
     }
   }
 }
@@ -303,106 +304,76 @@ void PlacementService::apply_add_locked(const std::vector<UserRecord>& users) {
   }
   if (users.empty()) return;
   const std::size_t nshards = store_.shard_count();
+  if (nshards > 1 && config_.fault_hook &&
+      config_.fault_hook(kFaultStoreShardAllocFail)) {
+    throw std::bad_alloc();  // before any append or mutation
+  }
 
-  if (nshards == 1) {
-    // Bit-identity mode: exactly the unsharded sequence — one reserve,
-    // one record, one upsert per user against store shard 0.
-    store_.shard(0).reserve_rows(users.size());
-    wal::WalWriter* writer = single_writer_locked();
-    if (writer != nullptr) {
-      wal::WalRecord record;
-      record.type = wal::RecordType::kUpsert;
-      record.dim = static_cast<std::uint16_t>(config_.dim);
-      record.ids.reserve(users.size());
-      record.weights.reserve(users.size());
-      record.coords.reserve(users.size() * config_.dim);
-      for (const UserRecord& user : users) {
-        record.ids.push_back(user.id);
-        record.weights.push_back(user.weight);
-        record.coords.insert(record.coords.end(), user.interest.begin(),
-                             user.interest.end());
-      }
-      writer->append(record);  // WalError here: store untouched
-    }
-  } else {
-    // Route the batch. The overlay tracks ids this batch already touched,
-    // so a second occurrence of an id plans against its post-first-
-    // occurrence shard — the plan must equal what sequential application
-    // will do, record for record, or replay diverges.
-    if (config_.fault_hook && config_.fault_hook(kFaultStoreShardAllocFail)) {
-      throw std::bad_alloc();  // before any append or mutation
-    }
-    std::vector<std::vector<PlannedOp>> plan(nshards);
-    std::unordered_map<std::uint64_t, std::size_t> overlay;
-    overlay.reserve(users.size());
-    for (std::size_t i = 0; i < users.size(); ++i) {
-      const UserRecord& user = users[i];
-      const std::size_t to = store_.shard_of_point(
-          geo::ConstVec(user.interest.data(), user.interest.size()));
-      std::optional<std::size_t> from;
+  // Route the batch: each store shard's ops in batch order. The plan must
+  // equal what sequential application will do, record for record, or
+  // replay diverges. Above one shard an upsert can move a user across
+  // regions (out of its old shard, into its new one), and the overlay
+  // tracks ids this batch already touched, so a second occurrence plans
+  // against its post-first-occurrence shard. One shard has no moves, so
+  // it needs neither the id lookup nor the overlay.
+  std::vector<std::vector<PlannedOp>> plan(nshards);
+  std::unordered_map<std::uint64_t, std::size_t> overlay;
+  if (nshards > 1) overlay.reserve(users.size());
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    const UserRecord& user = users[i];
+    const std::size_t to = store_.shard_of_point(
+        geo::ConstVec(user.interest.data(), user.interest.size()));
+    if (nshards > 1) {
       const auto seen = overlay.find(user.id);
-      if (seen != overlay.end()) {
-        from = seen->second;
-      } else {
-        from = store_.shard_of_id(user.id);
-      }
+      const std::optional<std::size_t> from =
+          seen != overlay.end() ? std::optional<std::size_t>(seen->second)
+                                : store_.shard_of_id(user.id);
       if (from.has_value() && *from != to) {
         plan[*from].push_back(PlannedOp{false, i});  // region move: out...
       }
-      plan[to].push_back(PlannedOp{true, i});  // ...and in (or plain upsert)
       overlay[user.id] = to;
     }
+    plan[to].push_back(PlannedOp{true, i});  // ...and in (or plain upsert)
+  }
+  for (std::size_t s = 0; s < nshards; ++s) {
+    store_.shard(s).reserve_rows(plan[s].size());
+  }
+  if (wal_ != nullptr) {
+    // Each shard's ops become records, contiguous same-type runs
+    // coalesced: at one shard, one kUpsert holding every user in order.
+    std::vector<std::pair<std::size_t, wal::WalRecord>> records;
     for (std::size_t s = 0; s < nshards; ++s) {
-      store_.shard(s).reserve_rows(plan[s].size());
-    }
-    if (config_.shard_wal != nullptr) {
-      // Append-before-apply per shard: each shard gets its ops (in batch
-      // order) as records, contiguous same-type runs coalesced. A failure
-      // after the first successful append leaves some shard's log ahead
-      // of every store — poison-all, nothing applied, batch answers
-      // kInternalError (the ops were never acked, so recovery replaying
-      // the stray records is the unacked-may-survive case, not a lie).
-      bool any_appended = false;
-      try {
-        for (std::size_t s = 0; s < nshards; ++s) {
-          std::size_t at = 0;
-          while (at < plan[s].size()) {
-            std::size_t end = at + 1;
-            while (end < plan[s].size() &&
-                   plan[s][end].upsert == plan[s][at].upsert) {
-              ++end;
-            }
-            wal::WalRecord record;
-            if (plan[s][at].upsert) {
-              record.type = wal::RecordType::kUpsert;
-              record.dim = static_cast<std::uint16_t>(config_.dim);
-              for (std::size_t j = at; j < end; ++j) {
-                const UserRecord& user = users[plan[s][j].user];
-                record.ids.push_back(user.id);
-                record.weights.push_back(user.weight);
-                record.coords.insert(record.coords.end(),
-                                     user.interest.begin(),
-                                     user.interest.end());
-              }
-            } else {
-              record.type = wal::RecordType::kRemove;
-              for (std::size_t j = at; j < end; ++j) {
-                record.ids.push_back(users[plan[s][j].user].id);
-              }
-            }
-            config_.shard_wal->append(s, record);
-            any_appended = true;
-            at = end;
+      for (std::size_t at = 0; at < plan[s].size();) {
+        std::size_t end = at + 1;
+        while (end < plan[s].size() &&
+               plan[s][end].upsert == plan[s][at].upsert) {
+          ++end;
+        }
+        records.emplace_back(s, wal::WalRecord{});
+        wal::WalRecord& record = records.back().second;
+        record.ids.reserve(end - at);
+        if (plan[s][at].upsert) {
+          record.type = wal::RecordType::kUpsert;
+          record.dim = static_cast<std::uint16_t>(config_.dim);
+          record.weights.reserve(end - at);
+          record.coords.reserve((end - at) * config_.dim);
+          for (std::size_t j = at; j < end; ++j) {
+            const UserRecord& user = users[plan[s][j].user];
+            record.ids.push_back(user.id);
+            record.weights.push_back(user.weight);
+            record.coords.insert(record.coords.end(), user.interest.begin(),
+                                 user.interest.end());
+          }
+        } else {
+          record.type = wal::RecordType::kRemove;
+          for (std::size_t j = at; j < end; ++j) {
+            record.ids.push_back(users[plan[s][j].user].id);
           }
         }
-      } catch (const wal::WalError&) {
-        if (any_appended) {
-          config_.shard_wal->poison_all(
-              "apply_add: partial multi-shard append");
-        }
-        throw;  // store untouched either way
+        at = end;
       }
     }
+    append_wal_locked(records, "apply_add");
   }
 
   try {
@@ -483,43 +454,27 @@ void PlacementService::apply_remove_locked(
   }
   if (effective.empty()) return;
   const std::size_t nshards = store_.shard_count();
-  if (nshards == 1) {
-    if (wal::WalWriter* writer = single_writer_locked()) {
-      wal::WalRecord record;
-      record.type = wal::RecordType::kRemove;
-      record.ids = effective;
-      writer->append(record);  // WalError here: store untouched
-    }
-  } else {
-    if (config_.fault_hook && config_.fault_hook(kFaultStoreShardAllocFail)) {
-      throw std::bad_alloc();  // before any append or mutation
-    }
+  if (nshards > 1 && config_.fault_hook &&
+      config_.fault_hook(kFaultStoreShardAllocFail)) {
+    throw std::bad_alloc();  // before any append or mutation
   }
-  if (nshards > 1 && config_.shard_wal != nullptr) {
+  if (wal_ != nullptr) {
     // One kRemove record per touched shard, ids in batch order (removes
     // in different shards are independent, so per-shard order is the
-    // only order replay needs).
+    // only order replay needs). One shard takes every id unlooked-up.
     std::vector<std::vector<std::uint64_t>> per_shard(nshards);
     for (const std::uint64_t id : effective) {
-      per_shard[*store_.shard_of_id(id)].push_back(id);
+      per_shard[nshards == 1 ? 0 : *store_.shard_of_id(id)].push_back(id);
     }
-    bool any_appended = false;
-    try {
-      for (std::size_t s = 0; s < nshards; ++s) {
-        if (per_shard[s].empty()) continue;
-        wal::WalRecord record;
-        record.type = wal::RecordType::kRemove;
-        record.ids = std::move(per_shard[s]);
-        config_.shard_wal->append(s, record);
-        any_appended = true;
-      }
-    } catch (const wal::WalError&) {
-      if (any_appended) {
-        config_.shard_wal->poison_all(
-            "apply_remove: partial multi-shard append");
-      }
-      throw;  // store untouched either way
+    std::vector<std::pair<std::size_t, wal::WalRecord>> records;
+    for (std::size_t s = 0; s < nshards; ++s) {
+      if (per_shard[s].empty()) continue;
+      records.emplace_back(s, wal::WalRecord{});
+      wal::WalRecord& record = records.back().second;
+      record.type = wal::RecordType::kRemove;
+      record.ids = std::move(per_shard[s]);
     }
+    append_wal_locked(records, "apply_remove");
   }
   for (const std::uint64_t id : effective) {
     if (nshards == 1) {
@@ -564,54 +519,53 @@ void PlacementService::bound_gains_locked() {
   if (churn_fraction > config_.full_solve_churn_fraction) gains_.clear();
 }
 
-void PlacementService::commit_wal_locked() {
-  if (config_.shard_wal != nullptr) {
-    config_.shard_wal->commit_all();  // cross-shard group-commit barrier
-  } else if (config_.wal != nullptr) {
-    config_.wal->commit();
+void PlacementService::append_wal_locked(
+    std::vector<std::pair<std::size_t, wal::WalRecord>>& records,
+    const char* caller) {
+  // Append-before-apply per shard. A failure after the first successful
+  // append leaves some shard's log ahead of every store: poison-all,
+  // nothing applied, the batch answers kInternalError (the ops were never
+  // acked, so recovery replaying the stray records is the
+  // unacked-may-survive case, not a lie).
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    try {
+      wal_->append(records[i].first, records[i].second);
+    } catch (const wal::WalError&) {
+      if (i > 0) {
+        wal_->poison_all(std::string(caller) +
+                         ": partial multi-shard append");
+      }
+      throw;  // store untouched either way
+    }
   }
+}
+
+void PlacementService::commit_wal_locked() {
+  if (wal_ != nullptr) wal_->commit_all();  // cross-shard group commit
 }
 
 void PlacementService::describe_metrics(obs::Registry& registry) const {
   metrics_.describe(registry);
-  if (config_.wal != nullptr) config_.wal->describe(registry);
-  if (config_.shard_wal != nullptr) config_.shard_wal->describe(registry);
+  if (wal_ != nullptr) wal_->describe(registry);
 }
 
 void PlacementService::poison_wal_locked(const std::string& reason) {
-  if (config_.shard_wal != nullptr) config_.shard_wal->poison_all(reason);
-  if (config_.wal != nullptr) config_.wal->poison(reason);
-}
-
-wal::WalWriter* PlacementService::single_writer_locked() const {
-  if (config_.wal != nullptr) return config_.wal;
-  if (config_.shard_wal != nullptr && config_.shard_wal->shard_count() == 1) {
-    return &config_.shard_wal->writer(0);
-  }
-  return nullptr;
+  if (wal_ != nullptr) wal_->poison_all(reason);
 }
 
 void PlacementService::maybe_snapshot_locked() {
   // A failed checkpoint poisons the writer but must not retro-fail the
   // mutations that were already logged and acked; the next append
   // surfaces the poison as kInternalError.
-  if (config_.shard_wal != nullptr) {
-    if (!config_.shard_wal->wants_snapshot()) return;
-    try {
-      // Shards checkpoint independently: only the writers whose own op
-      // budget tripped roll; quiet shards keep their cheap short logs.
-      for (std::size_t s = 0; s < store_.shard_count(); ++s) {
-        wal::WalWriter& writer = config_.shard_wal->writer(s);
-        if (!writer.wants_snapshot()) continue;
-        writer.write_snapshot(shard_wal_snapshot_locked(s));
-      }
-    } catch (const wal::WalError&) {
-    }
-    return;
-  }
-  if (config_.wal == nullptr || !config_.wal->wants_snapshot()) return;
+  if (wal_ == nullptr || !wal_->wants_snapshot()) return;
   try {
-    config_.wal->write_snapshot(wal_snapshot_locked());
+    // Shards checkpoint independently: only the writers whose own op
+    // budget tripped roll; quiet shards keep their cheap short logs.
+    for (std::size_t s = 0; s < wal_->shard_count(); ++s) {
+      wal::WalWriter& writer = wal_->writer(s);
+      if (!writer.wants_snapshot()) continue;
+      writer.write_snapshot(shard_wal_snapshot_locked(s));
+    }
   } catch (const wal::WalError&) {
   }
 }
@@ -949,7 +903,7 @@ void PlacementService::process_batch(std::vector<Request> batch) {
       mutated = true;
     }
   }
-  if ((config_.wal != nullptr || config_.shard_wal != nullptr) && mutated) {
+  if (wal_ != nullptr && mutated) {
     try {
       commit_wal_locked();
       maybe_snapshot_locked();

@@ -20,7 +20,9 @@ ShardedInstanceStore::ShardedInstanceStore(std::size_t dim,
 }
 
 std::size_t ShardedInstanceStore::size() const noexcept {
-  return owner_.size();
+  std::size_t sum = 0;
+  for (const auto& s : shards_) sum += s.size();
+  return sum;
 }
 
 std::uint64_t ShardedInstanceStore::epoch() const noexcept {
@@ -31,9 +33,10 @@ std::uint64_t ShardedInstanceStore::epoch() const noexcept {
 
 std::optional<std::size_t> ShardedInstanceStore::shard_of_id(
     std::uint64_t id) const {
-  auto it = owner_.find(id);
-  if (it == owner_.end()) return std::nullopt;
-  return it->second;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (shards_[s].contains(id)) return s;
+  }
+  return std::nullopt;
 }
 
 ShardedInstanceStore::UpsertRoute ShardedInstanceStore::route_upsert(
@@ -61,31 +64,25 @@ ShardedInstanceStore::UpsertRoute ShardedInstanceStore::upsert(
       throw InvalidArgument("ShardedInstanceStore: weight must be positive");
     }
     shards_[*route.from].remove(user.id);
-    owner_.erase(user.id);
     shards_[route.to].upsert(user);
-    owner_.emplace(user.id, route.to);
     route.inserted = true;  // the target shard gained a row
   } else {
     route.inserted = shards_[route.to].upsert(user);
-    owner_[user.id] = route.to;
   }
   return route;
 }
 
 std::optional<std::size_t> ShardedInstanceStore::remove(std::uint64_t id) {
-  auto it = owner_.find(id);
-  if (it == owner_.end()) return std::nullopt;
-  const std::size_t s = it->second;
-  const bool removed = shards_[s].remove(id);
-  MMPH_ASSERT(removed, "ShardedInstanceStore: owner map out of sync");
-  owner_.erase(it);
-  return s;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (shards_[s].remove(id)) return s;
+  }
+  return std::nullopt;
 }
 
 std::optional<UserRecord> ShardedInstanceStore::find(std::uint64_t id) const {
-  auto it = owner_.find(id);
-  if (it == owner_.end()) return std::nullopt;
-  return shards_[it->second].find(id);
+  const std::optional<std::size_t> s = shard_of_id(id);
+  if (!s.has_value()) return std::nullopt;
+  return shards_[*s].find(id);
 }
 
 void ShardedInstanceStore::restore_shard(std::size_t s, std::uint64_t epoch,
@@ -94,23 +91,16 @@ void ShardedInstanceStore::restore_shard(std::size_t s, std::uint64_t epoch,
                                          std::vector<double> coords) {
   MMPH_REQUIRE(s < shards_.size(), "ShardedInstanceStore: shard out of range");
   for (std::uint64_t id : ids) {
-    auto it = owner_.find(id);
-    if (it != owner_.end() && it->second != s) {
-      throw InvalidArgument(
-          "ShardedInstanceStore: restore_shard id " + std::to_string(id) +
-          " already resident in shard " + std::to_string(it->second));
+    for (std::size_t other = 0; other < shards_.size(); ++other) {
+      if (other != s && shards_[other].contains(id)) {
+        throw InvalidArgument(
+            "ShardedInstanceStore: restore_shard id " + std::to_string(id) +
+            " already resident in shard " + std::to_string(other));
+      }
     }
   }
-  // Drop the shard's old ids from the owner map, install the new set.
-  for (auto it = owner_.begin(); it != owner_.end();) {
-    if (it->second == s) {
-      it = owner_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  shards_[s].restore(epoch, ids, std::move(weights), std::move(coords));
-  for (std::uint64_t id : ids) owner_.emplace(id, s);
+  shards_[s].restore(epoch, std::move(ids), std::move(weights),
+                     std::move(coords));
   cache_valid_[s] = false;
 }
 

@@ -1,11 +1,10 @@
 #include "mmph/wal/record.hpp"
 
 #include <array>
-#include <bit>
 #include <cmath>
 
 #include "mmph/support/assert.hpp"
-#include "mmph/wal/codec_detail.hpp"
+#include "mmph/support/little_endian.hpp"
 
 namespace mmph::wal {
 namespace {
@@ -63,25 +62,25 @@ void encode_record(const WalRecord& record, std::vector<std::uint8_t>& out) {
                "wal: record payload exceeds kMaxRecordPayloadBytes");
 
   const std::size_t header_start = out.size();
-  detail::put_u32(out, kRecordMagic);
+  le::put_u32(out, kRecordMagic);
   out.push_back(kWalVersion);
   out.push_back(static_cast<std::uint8_t>(record.type));
-  detail::put_u16(out, record.dim);
-  detail::put_u64(out, record.lsn);
-  detail::put_u64(out, record.epoch);
-  detail::put_u32(out, static_cast<std::uint32_t>(count));
-  detail::put_u32(out, static_cast<std::uint32_t>(payload));
-  detail::put_u32(out, 0);  // crc placeholder
+  le::put_u16(out, record.dim);
+  le::put_u64(out, record.lsn);
+  le::put_u64(out, record.epoch);
+  le::put_u32(out, static_cast<std::uint32_t>(count));
+  le::put_u32(out, static_cast<std::uint32_t>(payload));
+  le::put_u32(out, 0);  // crc placeholder
   if (record.type == RecordType::kUpsert) {
     for (std::size_t i = 0; i < count; ++i) {
-      detail::put_u64(out, record.ids[i]);
-      detail::put_f64(out, record.weights[i]);
+      le::put_u64(out, record.ids[i]);
+      le::put_f64(out, record.weights[i]);
       for (std::uint16_t d = 0; d < record.dim; ++d) {
-        detail::put_f64(out, record.coords[i * record.dim + d]);
+        le::put_f64(out, record.coords[i * record.dim + d]);
       }
     }
   } else {
-    for (const std::uint64_t id : record.ids) detail::put_u64(out, id);
+    for (const std::uint64_t id : record.ids) le::put_u64(out, id);
   }
 
   // CRC over everything except the crc field itself: the first 32 header
@@ -117,7 +116,7 @@ RecordDecodeResult decode_record(const std::uint8_t* data, std::size_t size) {
   };
   if (size < kRecordHeaderBytes) return result;  // kNeedMoreData
 
-  detail::Cursor header(data, kRecordHeaderBytes);
+  le::Cursor header(data, kRecordHeaderBytes);
   const std::uint32_t magic = header.u32();
   const std::uint8_t version = header.u8();
   const std::uint8_t type_byte = header.u8();
@@ -168,7 +167,7 @@ RecordDecodeResult decode_record(const std::uint8_t* data, std::size_t size) {
   record.epoch = epoch;
   record.dim = type == RecordType::kUpsert ? dim : 0;
   record.ids.reserve(count);
-  detail::Cursor body(data + kRecordHeaderBytes, payload_len);
+  le::Cursor body(data + kRecordHeaderBytes, payload_len);
   if (type == RecordType::kUpsert) {
     record.weights.reserve(count);
     record.coords.reserve(static_cast<std::size_t>(count) * dim);

@@ -52,6 +52,7 @@ ShardedWal::ShardedWal(WalConfig base, std::size_t shards,
       throw WalError("sharded wal: mkdir " + base.dir + " failed");
     }
   }
+  owned_.reserve(shards);
   writers_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     WalConfig config = base;
@@ -60,10 +61,13 @@ ShardedWal::ShardedWal(WalConfig base, std::size_t shards,
         recovered.shards.empty() ? 0 : recovered.shards[s].store.epoch;
     const std::uint64_t base_lsn =
         recovered.shards.empty() ? 0 : recovered.shards[s].last_lsn;
-    writers_.push_back(
+    owned_.push_back(
         std::make_unique<WalWriter>(std::move(config), base_epoch, base_lsn));
+    writers_.push_back(owned_.back().get());
   }
 }
+
+ShardedWal::ShardedWal(WalWriter& writer) : writers_{&writer} {}
 
 void ShardedWal::append(std::size_t s, WalRecord& record) {
   MMPH_REQUIRE(s < writers_.size(), "ShardedWal: shard out of range");
@@ -91,21 +95,21 @@ void ShardedWal::commit_all() {
 }
 
 bool ShardedWal::wants_snapshot() const {
-  for (const auto& w : writers_) {
+  for (const WalWriter* w : writers_) {
     if (w->wants_snapshot()) return true;
   }
   return false;
 }
 
 bool ShardedWal::failed() const {
-  for (const auto& w : writers_) {
+  for (const WalWriter* w : writers_) {
     if (w->failed()) return true;
   }
   return false;
 }
 
 void ShardedWal::poison_all(const std::string& reason) {
-  for (auto& w : writers_) w->poison(reason);
+  for (WalWriter* w : writers_) w->poison(reason);
 }
 
 void ShardedWal::describe(obs::Registry& registry) const {

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "mmph/support/assert.hpp"
-#include "mmph/wal/codec_detail.hpp"
+#include "mmph/support/little_endian.hpp"
 
 namespace mmph::wal {
 namespace {
@@ -34,17 +34,17 @@ void encode_snapshot(const WalSnapshot& snapshot,
                "wal: snapshot coords/ids size mismatch");
 
   const std::size_t start = out.size();
-  detail::put_u32(out, kSnapshotMagic);
+  le::put_u32(out, kSnapshotMagic);
   out.push_back(kWalVersion);
   out.push_back(0);  // reserved
-  detail::put_u16(out, snapshot.dim);
-  detail::put_u64(out, snapshot.epoch);
-  detail::put_u64(out, static_cast<std::uint64_t>(count));
-  for (const std::uint64_t id : snapshot.ids) detail::put_u64(out, id);
-  for (const double w : snapshot.weights) detail::put_f64(out, w);
-  for (const double c : snapshot.coords) detail::put_f64(out, c);
+  le::put_u16(out, snapshot.dim);
+  le::put_u64(out, snapshot.epoch);
+  le::put_u64(out, static_cast<std::uint64_t>(count));
+  for (const std::uint64_t id : snapshot.ids) le::put_u64(out, id);
+  for (const double w : snapshot.weights) le::put_f64(out, w);
+  for (const double c : snapshot.coords) le::put_f64(out, c);
   const std::uint32_t crc = crc32c(out.data() + start, out.size() - start);
-  detail::put_u32(out, crc);
+  le::put_u32(out, crc);
 }
 
 RecordDecodeStatus decode_snapshot(const std::uint8_t* data, std::size_t size,
@@ -52,7 +52,7 @@ RecordDecodeStatus decode_snapshot(const std::uint8_t* data, std::size_t size,
   if (size < kSnapshotHeaderBytes + 4) {
     return RecordDecodeStatus::kNeedMoreData;
   }
-  detail::Cursor header(data, kSnapshotHeaderBytes);
+  le::Cursor header(data, kSnapshotHeaderBytes);
   const std::uint32_t magic = header.u32();
   const std::uint8_t version = header.u8();
   const std::uint8_t reserved = header.u8();
@@ -76,7 +76,7 @@ RecordDecodeStatus decode_snapshot(const std::uint8_t* data, std::size_t size,
   if (epoch < count) return RecordDecodeStatus::kMalformed;
 
   const std::uint32_t crc = crc32c(data, size - 4);
-  detail::Cursor tail(data + size - 4, 4);
+  le::Cursor tail(data + size - 4, 4);
   if (crc != tail.u32()) return RecordDecodeStatus::kBadCrc;
 
   WalSnapshot snapshot;
@@ -85,7 +85,7 @@ RecordDecodeStatus decode_snapshot(const std::uint8_t* data, std::size_t size,
   snapshot.ids.reserve(count);
   snapshot.weights.reserve(count);
   snapshot.coords.reserve(count * dim);
-  detail::Cursor cursor(data + kSnapshotHeaderBytes, need);
+  le::Cursor cursor(data + kSnapshotHeaderBytes, need);
   for (std::uint64_t i = 0; i < count; ++i) {
     snapshot.ids.push_back(cursor.u64());
   }

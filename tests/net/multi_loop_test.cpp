@@ -1,9 +1,9 @@
 // Multi-loop NetServer tests: the --loops 1 golden replay digest (pinned
 // against the pre-refactor single-threaded poll(2) server), multi-loop
-// equivalence to the direct service, accept distribution in both modes,
-// connection-ownership coverage, per-loop metric conservation (also in
-// scrapes taken while the loops record), and the client's bounded
-// pipelining.
+// equivalence to the direct service, accept distribution over the
+// SO_REUSEPORT listeners, connection-ownership coverage, per-loop metric
+// conservation (also in scrapes taken while the loops record), and the
+// client's bounded pipelining.
 
 #include <cstdint>
 #include <cstring>
@@ -123,7 +123,6 @@ TEST(MultiLoop, GoldenReplayDigestAtOneLoop) {
   net::NetServer server(golden_service_config(), fast_net_config(1));
   server.start();
   EXPECT_EQ(server.loop_count(), 1u);
-  EXPECT_EQ(server.accept_mode(), net::AcceptMode::kHandoff);
 
   net::NetClientConfig client_config;
   client_config.port = server.port();
@@ -141,7 +140,6 @@ TEST(MultiLoop, GoldenReplayDigestAtFourLoops) {
   net::NetServer server(golden_service_config(), fast_net_config(4));
   server.start();
   EXPECT_EQ(server.loop_count(), 4u);
-  EXPECT_EQ(server.accept_mode(), net::AcceptMode::kReusePort);
 
   net::NetClientConfig client_config;
   client_config.port = server.port();
@@ -196,41 +194,11 @@ TEST(MultiLoop, ShardedStoreReplayDigestIsStableAtFourShards) {
   EXPECT_NE(digests[0], 0u);
 }
 
-TEST(MultiLoop, HandoffDistributesConnectionsRoundRobin) {
-  net::NetServerConfig net_config = fast_net_config(4);
-  net_config.accept_mode = net::AcceptMode::kHandoff;
-  net::NetServer server(golden_service_config(), net_config);
-  server.start();
-  EXPECT_EQ(server.accept_mode(), net::AcceptMode::kHandoff);
-
-  // Connections are held open so each stays counted on its owner loop.
-  std::vector<std::unique_ptr<net::NetClient>> clients;
-  for (int i = 0; i < 8; ++i) {
-    net::NetClientConfig client_config;
-    client_config.port = server.port();
-    clients.push_back(std::make_unique<net::NetClient>(client_config));
-    const net::ResponseFrame reply = clients.back()->query_placement();
-    EXPECT_EQ(reply.status, net::WireStatus::kOk);
-  }
-
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < server.loop_count(); ++i) {
-    const net::NetLoopSnapshot slice = server.loop_metrics(i);
-    // Round-robin over 8 connections and 4 loops: exactly 2 each.
-    EXPECT_EQ(slice.accepted, 2u) << "loop " << i;
-    total += slice.accepted;
-  }
-  EXPECT_EQ(total, server.metrics().accepted);
-  server.stop();
-}
-
 TEST(MultiLoop, ReusePortServesEveryConnection) {
   // The kernel decides SO_REUSEPORT placement, so the per-loop split is
   // not asserted — only that every connection lands somewhere, is owned
   // by exactly one loop, and the slices sum to the aggregate.
-  net::NetServerConfig net_config = fast_net_config(4);
-  net_config.accept_mode = net::AcceptMode::kReusePort;
-  net::NetServer server(golden_service_config(), net_config);
+  net::NetServer server(golden_service_config(), fast_net_config(4));
   server.start();
 
   constexpr int kClients = 12;

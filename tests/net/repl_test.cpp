@@ -1,8 +1,8 @@
 // Primary -> replica streaming over a real loopback socket pair: live
-// tail following, snapshot install for a subscriber behind the retained
-// window, read-only enforcement on the replica, lag reaching zero at
-// convergence, and failover (a promoted replica answers the placement
-// the primary would have).
+// tail following (from either one-shard log input), snapshot install for
+// a subscriber behind the retained window, read-only enforcement on the
+// replica, lag reaching zero at convergence, and failover (a promoted
+// replica answers the placement the primary would have).
 
 #include <chrono>
 #include <cstdint>
@@ -20,6 +20,7 @@
 #include "mmph/serve/placement_service.hpp"
 #include "mmph/support/error.hpp"
 #include "mmph/wal/file_ops.hpp"
+#include "mmph/wal/sharded_wal.hpp"
 #include "mmph/wal/snapshot.hpp"
 #include "mmph/wal/writer.hpp"
 
@@ -55,16 +56,26 @@ serve::ServiceConfig base_config() {
   return config;
 }
 
+/// Which log input the primary is given; both are one shard.
+enum class LogInput { kWriter, kShardWal };
+
 struct Primary {
-  explicit Primary(std::size_t tail_retain_bytes = 4u << 20) {
+  explicit Primary(std::size_t tail_retain_bytes = 4u << 20,
+                   LogInput input = LogInput::kWriter) {
     wal_config.dir = "wal";
     wal_config.fsync = wal::FsyncPolicy::kGroupCommit;
     wal_config.tail_retain_bytes = tail_retain_bytes;
     wal_config.file_ops = &mem;
-    writer = std::make_unique<wal::WalWriter>(wal_config);
 
     serve::ServiceConfig service_config = base_config();
-    service_config.wal = writer.get();
+    if (input == LogInput::kWriter) {
+      writer = std::make_unique<wal::WalWriter>(wal_config);
+      service_config.wal = writer.get();
+    } else {
+      shard_wal = std::make_unique<wal::ShardedWal>(wal_config, 1,
+                                                    wal::ShardedRecovery{});
+      service_config.shard_wal = shard_wal.get();
+    }
 
     NetServerConfig net_config;
     net_config.poll_interval = milliseconds(2);
@@ -77,6 +88,7 @@ struct Primary {
   wal::MemFileOps mem;
   wal::WalConfig wal_config;
   std::unique_ptr<wal::WalWriter> writer;
+  std::unique_ptr<wal::ShardedWal> shard_wal;
   std::unique_ptr<NetServer> server;
 };
 
@@ -127,6 +139,40 @@ TEST(ReplTest, ReplicaFollowsLiveStreamBitwise) {
   // Read-only is enforced on both mutation paths.
   EXPECT_THROW(replica.apply_remove({1}), StateError);
 
+  agent.stop();
+}
+
+TEST(ReplTest, ReplicaFollowsOneShardShardWalPrimaryBitwise) {
+  // A one-shard shard_wal is the same log as ServiceConfig::wal, so the
+  // primary streams it the same way: history, live adds and removes.
+  Primary primary(4u << 20, LogInput::kShardWal);
+  NetClientConfig client_config;
+  client_config.port = primary.server->port();
+  NetClient client(client_config);
+
+  rnd::Pcg64 rng(5);
+  add_users(client, 1, 8, rng);
+
+  serve::PlacementService replica(base_config());
+  ReplicaAgentConfig agent_config;
+  agent_config.port = primary.server->port();
+  ReplicaAgent agent(replica, agent_config);
+  agent.start();
+  ASSERT_TRUE(wait_until([&] {
+    return replica.epoch() == primary.server->service().epoch();
+  }));
+  add_users(client, 100, 6, rng);
+  ASSERT_EQ(client.remove_users({3, 5, 999}).status, WireStatus::kOk);
+  add_users(client, 3, 2, rng);  // a removed id comes back
+  ASSERT_TRUE(wait_until([&] {
+    return replica.epoch() == primary.server->service().epoch();
+  }));
+
+  EXPECT_EQ(wal::snapshot_digest(replica.wal_snapshot()),
+            wal::snapshot_digest(primary.server->service().wal_snapshot()));
+  EXPECT_GT(agent.records_applied(), 0u);
+  EXPECT_EQ(agent.snapshots_installed(), 0u);
+  EXPECT_EQ(agent.lag_ops(), 0u);
   agent.stop();
 }
 

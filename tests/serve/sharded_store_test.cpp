@@ -1,15 +1,18 @@
 // ShardedInstanceStore contract tests: region routing is a pure function
 // of the interest point, cross-region moves are remove+insert (two epoch
 // ticks), the global epoch is the sum of shard epochs, shards == 1 is
-// bit-identical to a plain InstanceStore fed the same call sequence, and
-// per-shard snapshots are cached by epoch.
+// bit-identical to a plain InstanceStore fed the same call sequence,
+// per-shard snapshots are cached by epoch, and the ownership queries
+// (which ask the shards) agree with a scan of them.
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mmph/random/pcg64.hpp"
 #include "mmph/serve/instance_store.hpp"
 #include "mmph/serve/sharded_store.hpp"
 #include "mmph/spatial/region_map.hpp"
@@ -274,6 +277,59 @@ TEST(ShardedStore, RestoreShardRebuildsOwnershipAndRejectsForeignIds) {
   // Old shard-0 residents are gone from the owner map; shard 1 is intact.
   EXPECT_EQ(store.size(), 2u + store.shard(1).size());
   EXPECT_EQ(store.shard_of_id(foreign), std::optional<std::size_t>(1));
+}
+
+TEST(ShardedStore, OwnershipQueriesAgreeWithAScanOfTheShards) {
+  ShardedInstanceStore store(2, 4, 0.2);
+  rnd::Pcg64 rng(42);
+  // Inserts, then upserts at fresh points (many cross a region, so they
+  // move shards), then removes, including unknown ids.
+  for (std::uint64_t id = 1; id <= 60; ++id) {
+    store.upsert(user(id, 1.0, 2.0 * rng.next_double(),
+                      2.0 * rng.next_double()));
+  }
+  std::size_t moves = 0;
+  for (std::uint64_t id = 1; id <= 60; id += 2) {
+    moves += store.upsert(user(id, 2.0, 2.0 * rng.next_double(),
+                               2.0 * rng.next_double()))
+                 .is_move()
+                 ? 1
+                 : 0;
+  }
+  EXPECT_GT(moves, 0u);
+  for (const std::uint64_t id : {5u, 6u, 500u, 5u}) (void)store.remove(id);
+
+  // Replace shard 2 wholesale with ids of its own and one fresh id.
+  const StoreSnapshot& old_rows = store.shard_snapshot(2);
+  std::vector<std::uint64_t> ids(old_rows.ids.begin(), old_rows.ids.end());
+  ASSERT_FALSE(ids.empty());
+  ids.pop_back();
+  ids.push_back(1000);
+  std::vector<double> weights(ids.size(), 1.5);
+  std::vector<double> coords(ids.size() * 2, 0.05);
+  store.restore_shard(2, store.shard(2).epoch() + 1, ids, weights, coords);
+
+  const auto check = [&](std::uint64_t id) {
+    std::optional<std::size_t> scanned;
+    for (std::size_t s = 0; s < store.shard_count(); ++s) {
+      if (store.shard(s).contains(id)) {
+        EXPECT_FALSE(scanned.has_value()) << "id " << id << " in two shards";
+        scanned = s;
+      }
+    }
+    EXPECT_EQ(store.shard_of_id(id), scanned) << "id " << id;
+    EXPECT_EQ(store.contains(id), scanned.has_value()) << "id " << id;
+    EXPECT_EQ(store.find(id).has_value(), scanned.has_value()) << "id " << id;
+  };
+  for (std::uint64_t id = 1; id <= 60; ++id) check(id);
+  check(500);
+  check(1000);
+  std::size_t rows = 0;
+  for (std::size_t s = 0; s < store.shard_count(); ++s) {
+    rows += store.shard(s).size();
+  }
+  EXPECT_EQ(store.size(), rows);
+  EXPECT_TRUE(store.contains(1000));
 }
 
 TEST(ShardedStore, ChurnSumsAcrossShards) {

@@ -3,13 +3,16 @@
 // content equivalence across shard counts, per-shard WAL crash recovery
 // (restore_sharded round-trip, direct and batched), the
 // store.shard.alloc_fail and wal.barrier.fsync_fail fault sites (direct and
-// batched), replication rejection while sharded, the loop->shard affinity
-// counters and the per-shard series' exposition.
+// batched), replication rejection while sharded (at the server), the
+// byte-identical one-shard log of either log input, the loop->shard
+// affinity counters and the per-shard series' exposition.
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -22,6 +25,9 @@
 
 #include "mmph/core/exhaustive.hpp"
 #include "mmph/core/objective.hpp"
+#include "mmph/net/server.hpp"
+#include "mmph/net/socket.hpp"
+#include "mmph/net/wire.hpp"
 #include "mmph/random/pcg64.hpp"
 #include "mmph/random/workload.hpp"
 #include "mmph/serve/placement_service.hpp"
@@ -167,6 +173,118 @@ TEST(ShardService, OneShardIsBitIdenticalToUnsharded) {
   EXPECT_EQ(s1.ids, s2.ids);
   EXPECT_EQ(s1.weights, s2.weights);
   EXPECT_EQ(s1.coords, s2.coords);
+}
+
+/// One-shard log script: add batches that repeat an id, removes with
+/// unknown and repeated ids, checkpoint rolls (the caller's
+/// snapshot_every_ops is small), batched mutations, and a restore_from that
+/// jumps the epoch the way a replica's snapshot install does.
+void run_log_script(PlacementService& service) {
+  service.apply_add({user(1, 1.0, 0.1, 0.2), user(2, 2.0, 0.8, 0.7),
+                     user(1, 1.5, 0.3, 0.4), user(3, 0.5, 0.5, 0.5)});
+  service.apply_remove({2, 99, 2, 3, 3});
+  rnd::Pcg64 rng(20261019);
+  std::uint64_t next_id = 10;
+  for (int round = 0; round < 5; ++round) {
+    std::vector<UserRecord> batch;
+    for (int j = 0; j < 4; ++j) {
+      const std::uint64_t id = next_id++;
+      batch.push_back(user(id, 0.5 + rng.next_double(), rng.next_double(),
+                           rng.next_double()));
+      if (j == 1) {  // the same id again, moved
+        batch.push_back(user(id, 1.0, rng.next_double(), rng.next_double()));
+      }
+    }
+    service.apply_add(batch);
+    service.apply_remove({next_id - 4, 12345, next_id - 4, next_id - 2});
+  }
+  std::future<Response> add = service.submit(Request::add_users(
+      {user(500, 1.0, 0.6, 0.6), user(501, 1.0, 0.2, 0.9),
+       user(500, 2.0, 0.1, 0.1)}));
+  std::future<Response> remove =
+      service.submit(Request::remove_users({501, 777, 501}));
+  (void)service.pump();
+  ASSERT_EQ(add.get().status, ResponseStatus::kOk);
+  ASSERT_EQ(remove.get().status, ResponseStatus::kOk);
+
+  wal::WalSnapshot installed = service.wal_snapshot();
+  installed.epoch += 5;
+  installed.ids.pop_back();
+  installed.weights.pop_back();
+  installed.coords.resize(installed.coords.size() - 2);
+  service.restore_from(installed);
+  service.apply_add({user(600, 1.0, 0.4, 0.4), user(10, 3.0, 0.9, 0.1)});
+  service.apply_remove({600, 600, 4242});
+}
+
+/// Every file of an in-memory filesystem, by path.
+std::map<std::string, std::vector<std::uint8_t>> log_image(
+    const wal::MemFileOps& fs) {
+  std::map<std::string, std::vector<std::uint8_t>> image;
+  for (const std::string& path : fs.all_paths()) {
+    image[path] = *fs.file_bytes(path);
+  }
+  return image;
+}
+
+/// FNV-1a over each path and its bytes, in path order.
+std::uint64_t image_digest(
+    const std::map<std::string, std::vector<std::uint8_t>>& image) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&](std::uint8_t byte) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  };
+  for (const auto& [path, bytes] : image) {
+    for (const char c : path) mix(static_cast<std::uint8_t>(c));
+    mix(0);
+    for (const std::uint8_t byte : bytes) mix(byte);
+    mix(0xff);
+  }
+  return h;
+}
+
+// The two one-shard inputs, ServiceConfig::wal and a one-shard shard_wal,
+// write the same log bytes through the same path. The pin was taken from
+// the same script at a build where the two inputs still had separate write
+// paths, so it also fixes the on-disk format older logs were written in.
+TEST(ShardService, OneShardLogInputsWriteByteIdenticalLogs) {
+  constexpr std::uint64_t kPinnedImage = 0x2c2322b508f137d8;
+  wal::WalConfig base;
+  base.dir = "wal";
+  base.snapshot_every_ops = 8;
+
+  wal::MemFileOps writer_fs;
+  wal::WalConfig writer_config = base;
+  writer_config.file_ops = &writer_fs;
+  wal::WalWriter writer(writer_config);
+  ServiceConfig writer_service_config = sharded_config(1);
+  writer_service_config.wal = &writer;
+  PlacementService via_writer(writer_service_config);
+  run_log_script(via_writer);
+
+  wal::MemFileOps sharded_fs;
+  wal::WalConfig sharded_config_1 = base;
+  sharded_config_1.file_ops = &sharded_fs;
+  wal::ShardedWal logs(sharded_config_1, 1, wal::ShardedRecovery{});
+  ServiceConfig sharded_service_config = sharded_config(1);
+  sharded_service_config.shard_wal = &logs;
+  PlacementService via_sharded(sharded_service_config);
+  run_log_script(via_sharded);
+
+  const auto image = log_image(writer_fs);
+  EXPECT_EQ(image, log_image(sharded_fs));
+  EXPECT_EQ(image_digest(image), kPinnedImage);
+  EXPECT_TRUE(std::any_of(image.begin(), image.end(), [](const auto& file) {
+    return file.first.find("snap-") != std::string::npos &&
+           file.first.find("snap-00000000000000000000") == std::string::npos;
+  })) << "the script never rolled a checkpoint";
+
+  const std::unique_ptr<wal::MemFileOps> crashed = writer_fs.clone();
+  const wal::RecoveryResult recovered = wal::recover("wal", 2, *crashed);
+  EXPECT_TRUE(recovered.clean);
+  EXPECT_EQ(wal::snapshot_digest(recovered.store),
+            wal::snapshot_digest(via_writer.wal_snapshot()));
 }
 
 TEST(ShardService, ShardCountsAgreeOnContent) {
@@ -397,13 +515,59 @@ TEST(ShardService, BarrierFaultPoisonsTheWholeLogSet) {
   }
 }
 
+/// Sends one kReplSubscribe to a server on \p port and decodes the first
+/// frame it answers with.
+net::FrameDecoder::Result subscribe_once(std::uint16_t port) {
+  using Clock = std::chrono::steady_clock;
+  const net::Socket sock =
+      net::tcp_connect("127.0.0.1", port, std::chrono::seconds(5));
+  net::RequestFrame subscribe;
+  subscribe.type = net::FrameType::kReplSubscribe;
+  subscribe.request_id = 7;
+  std::vector<std::uint8_t> bytes;
+  net::encode_request(subscribe, bytes);
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  EXPECT_TRUE(net::send_all(sock, bytes.data(), bytes.size(), deadline));
+  net::FrameDecoder decoder;
+  std::uint8_t chunk[4096];
+  while (Clock::now() < deadline) {
+    const net::IoResult r =
+        net::recv_some(sock, chunk, sizeof(chunk), deadline);
+    if (r.status == net::IoStatus::kClosed ||
+        r.status == net::IoStatus::kError) {
+      break;
+    }
+    decoder.feed(chunk, r.bytes);
+    net::FrameDecoder::Result decoded = decoder.next();
+    if (decoded.status != net::DecodeStatus::kNeedMoreData) return decoded;
+  }
+  ADD_FAILURE() << "no answer to kReplSubscribe";
+  return {};
+}
+
 TEST(ShardService, ReplicationEndpointsRejectedWhileSharded) {
+  // A 2-shard log has no single epoch chain to stream: the server answers
+  // kReplSubscribe with kBadRequest even though the primary is durable.
+  wal::MemFileOps mem;
+  wal::WalConfig base;
+  base.dir = "wal";
+  base.file_ops = &mem;
+  wal::ShardedWal logs(base, 2, wal::ShardedRecovery{});
+  ServiceConfig primary_config = sharded_config(2);
+  primary_config.shard_wal = &logs;
+  net::NetServer primary(primary_config, net::NetServerConfig{});
+  primary.start();
+  primary.service().apply_add({user(1, 1.0, 0.1, 0.2)});
+  const net::FrameDecoder::Result answer = subscribe_once(primary.port());
+  ASSERT_EQ(answer.status, net::DecodeStatus::kOk);
+  ASSERT_TRUE(answer.is_response);
+  EXPECT_EQ(answer.response.request_id, 7u);
+  EXPECT_EQ(answer.response.status, net::WireStatus::kBadRequest);
+  EXPECT_EQ(answer.response.epoch, primary.service().epoch());
+  primary.stop();
+
   PlacementService service(sharded_config(2));
   service.apply_add({user(1, 1.0, 0.1, 0.2)});
-
-  // wal() is what the server streams replication from: null while
-  // sharded, so kReplSubscribe is rejected at the server layer.
-  EXPECT_EQ(service.wal(), nullptr);
 
   wal::WalSnapshot snapshot;
   snapshot.epoch = 1;

@@ -35,9 +35,11 @@
 #                               # changes (same sweep under ASan/UBSan;
 #                               # CI job sanitize-chaos).
 #   tools/check.sh wal          # build + every wal-labeled test (codec,
-#                               # crash-point matrix, replication,
-#                               # atomicity) — the fast WAL gate; the
-#                               # chaos sweep above is the thorough one.
+#                               # crash-point matrix, replication from
+#                               # either one-shard log input, atomicity,
+#                               # the byte-identical one-shard log pin)
+#                               # — the fast WAL gate; the chaos sweep
+#                               # above is the thorough one.
 #   tools/check.sh index        # build + every spatial-labeled test (the
 #                               # mmph::spatial query/churn contracts, the
 #                               # indexed-vs-unindexed solver differential
@@ -53,7 +55,10 @@
 #                               # the pre-merge gate for index changes
 #                               # (CI job sanitize-index).
 #   tools/check.sh shards       # region-sharded store gate: the shard
-#                               # unit/wal suites, the golden replay
+#                               # unit/wal suites (ownership queries
+#                               # against a shard scan, the one write
+#                               # path's log pin, replication refused
+#                               # at two shards), the golden replay
 #                               # digests (--store-shards 1 bit-identity
 #                               # and the 4-shard stability pins), a
 #                               # chaos_runner --mode shards sweep at

@@ -874,80 +874,56 @@ int cmd_serve_net(io::Args& args) {
   }
 
   if (listen) {
-    // Durability bootstrap: recover whatever a previous process left in
-    // --wal-dir, continue the log from the recovered epoch/lsn, and seed
-    // the service with the recovered store before the socket opens.
-    // --store-shards 1 keeps the historical single-log path verbatim;
-    // > 1 recovers each shard directory independently and re-derives the
-    // global epoch as the sum of shard epochs.
-    std::optional<wal::WalWriter> writer;
+    // Durability bootstrap, one path at every --store-shards: recover
+    // whatever a previous process left in --wal-dir (each shard directory
+    // independently; one shard is the root layout), continue every log
+    // from its recovered epoch/lsn, and seed the service with the
+    // recovered store before the socket opens.
     std::optional<wal::ShardedWal> shard_wal;
-    wal::RecoveryResult recovered;
-    wal::ShardedRecovery sharded_recovered;
+    wal::ShardedRecovery recovered;
     if (!wal_dir.empty()) {
       const auto policy = wal::fsync_policy_from_string(fsync_text);
       if (!policy.has_value()) {
         throw ParseError("serve-net: --fsync must be always|group|never");
       }
-      if (service_config.store_shards == 1) {
-        recovered = wal::recover(
-            wal_dir, static_cast<std::uint16_t>(service_config.dim));
-        if (!recovered.clean) {
-          std::cerr << "warning: recovery stopped early: " << recovered.detail
-                    << "\n";
-        }
-        wal::WalConfig wal_config;
-        wal_config.dir = wal_dir;
-        wal_config.fsync = *policy;
-        wal_config.snapshot_every_ops = snapshot_every;
-        writer.emplace(wal_config, recovered.store.epoch, recovered.last_lsn);
-        service_config.wal = &*writer;
-      } else {
-        sharded_recovered = wal::recover_sharded(
-            wal_dir, service_config.store_shards,
-            static_cast<std::uint16_t>(service_config.dim));
-        if (!sharded_recovered.clean) {
-          for (std::size_t s = 0; s < sharded_recovered.shards.size(); ++s) {
-            const wal::RecoveryResult& part = sharded_recovered.shards[s];
-            if (!part.clean) {
-              std::cerr << "warning: shard " << s
-                        << " recovery stopped early: " << part.detail << "\n";
-            }
-          }
-        }
-        wal::WalConfig wal_config;
-        wal_config.dir = wal_dir;
-        wal_config.fsync = *policy;
-        wal_config.snapshot_every_ops = snapshot_every;
-        shard_wal.emplace(wal_config, service_config.store_shards,
-                          sharded_recovered);
-        service_config.shard_wal = &*shard_wal;
+      recovered = wal::recover_sharded(
+          wal_dir, service_config.store_shards,
+          static_cast<std::uint16_t>(service_config.dim));
+      for (std::size_t s = 0; s < recovered.shards.size(); ++s) {
+        const wal::RecoveryResult& part = recovered.shards[s];
+        if (part.clean) continue;
+        std::cerr << "warning: ";
+        if (recovered.shards.size() > 1) std::cerr << "shard " << s << " ";
+        std::cerr << "recovery stopped early: " << part.detail << "\n";
       }
+      wal::WalConfig wal_config;
+      wal_config.dir = wal_dir;
+      wal_config.fsync = *policy;
+      wal_config.snapshot_every_ops = snapshot_every;
+      shard_wal.emplace(wal_config, service_config.store_shards, recovered);
+      service_config.shard_wal = &*shard_wal;
     }
     net::NetServerConfig net_config;
     net_config.port = port;
     net_config.loops = loops;
     net::NetServer server(service_config, net_config);
-    if (writer.has_value()) {
-      if (recovered.store.epoch > 0) {
-        server.service().restore_from(recovered.store);
-      }
-      std::cout << "wal: recovered epoch " << recovered.store.epoch << " ("
-                << recovered.store.size() << " rows, "
-                << recovered.records_applied << " records replayed, digest "
-                << hex_digest(wal::snapshot_digest(recovered.store))
-                << "), fsync=" << to_string(writer->config().fsync)
-                << std::endl;
-    }
     if (shard_wal.has_value()) {
-      if (sharded_recovered.global_epoch > 0) {
-        server.service().restore_sharded(sharded_recovered);
+      if (recovered.global_epoch > 0) {
+        server.service().restore_sharded(recovered);
       }
-      std::cout << "wal: recovered " << sharded_recovered.shards.size()
-                << " shards, global epoch " << sharded_recovered.global_epoch
-                << " (" << sharded_recovered.rows << " rows, dir "
-                << (sharded_recovered.dir_found ? "found" : "missing")
-                << "), fsync=" << fsync_text << std::endl;
+      if (recovered.shards.size() == 1) {
+        const wal::RecoveryResult& root = recovered.shards.front();
+        std::cout << "wal: recovered epoch " << root.store.epoch << " ("
+                  << root.store.size() << " rows, " << root.records_applied
+                  << " records replayed, digest "
+                  << hex_digest(wal::snapshot_digest(root.store)) << ")";
+      } else {
+        std::cout << "wal: recovered " << recovered.shards.size()
+                  << " shards, global epoch " << recovered.global_epoch
+                  << " (" << recovered.rows << " rows, dir "
+                  << (recovered.dir_found ? "found" : "missing") << ")";
+      }
+      std::cout << ", fsync=" << fsync_text << std::endl;
     }
     server.start();
     // A replica subscribes after the server is up so a promoted-to-primary
@@ -970,10 +946,8 @@ int cmd_serve_net(io::Args& args) {
     std::cout << "listening on 127.0.0.1:" << server.port() << " ("
               << server.loop_count() << " loop"
               << (server.loop_count() == 1 ? "" : "s") << ", accept="
-              << (server.accept_mode() == net::AcceptMode::kReusePort
-                      ? "reuseport"
-                      : "handoff")
-              << ")" << std::endl;
+              << (server.loop_count() == 1 ? "single" : "reuseport") << ")"
+              << std::endl;
     std::signal(SIGINT, request_stop);
     std::signal(SIGTERM, request_stop);
     using Clock = std::chrono::steady_clock;
