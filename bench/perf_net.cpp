@@ -343,11 +343,10 @@ int main(int argc, char** argv) try {
       static_cast<std::size_t>(args.get_int("big-loops", 4));
   const std::size_t big_clients =
       static_cast<std::size_t>(args.get_int("big-clients", 2));
-  // The big run defaults to one store shard: region groups replace the
-  // solver's own fine-grained split, and at --big-users a handful of
-  // 250k-row groups is a much slower solve on one core — sweep shards
-  // on the small instance, keep the large instance comparable across
-  // bench history. --big-store-shards opts in on a multi-core box.
+  // The big run defaults to one store shard: above one shard every
+  // mutation dirties the carried grid, so each warm solve at --big-users
+  // rebuilds it — sweep shards on the small instance, keep the large
+  // instance comparable across bench history. --big-store-shards opts in.
   const std::size_t big_shards =
       static_cast<std::size_t>(args.get_int("big-store-shards", 1));
   const double big_seconds = args.get_double("big-seconds", 10.0);

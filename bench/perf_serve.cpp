@@ -7,8 +7,9 @@
 //
 // The incremental strategy is additionally swept over region-shard
 // counts {1, 2, 4} (`store_shards` in each result row): at >1 the store
-// is split by spatial region and a churn slot re-solves only the shards
-// it dirtied.
+// and its rows are split by spatial region, but a churn slot still
+// polishes the whole placement, so the sweep prices the routing and the
+// shard-ordered global rows, not a smaller re-solve.
 //
 // A plain timed repro (like perf_kernels): it emits BENCH_serve.json
 // (config + per-strategy slots/sec and per-slot latency percentiles) so

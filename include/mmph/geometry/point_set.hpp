@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mmph/geometry/vec.hpp"
@@ -71,6 +72,11 @@ class PointSet {
   /// Raw row-major coordinate block (size() * dim() doubles).
   [[nodiscard]] std::span<const double> raw() const noexcept {
     return coords_;
+  }
+
+  /// Moves the raw coordinate block out of an expiring set, uncopied.
+  [[nodiscard]] std::vector<double> release() && noexcept {
+    return std::move(coords_);
   }
 
   /// Tight axis-aligned bounding box; requires a nonempty set.

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -70,8 +71,7 @@ class InstanceStore {
   /// Replaces the whole population in one step (WAL recovery / replica
   /// snapshot install). \p coords is row-major, ids.size() * dim(). The
   /// epoch must be >= ids.size() (each resident row cost at least one
-  /// mutation) and must not move backwards. Strong guarantee. Resets the
-  /// churn counter — callers that need a re-solve should force one.
+  /// mutation) and must not move backwards. Strong guarantee.
   /// \throws InvalidArgument on size mismatch, duplicate or invalid rows,
   /// or an inconsistent epoch.
   void restore(std::uint64_t epoch, std::vector<std::uint64_t> ids,
@@ -93,24 +93,20 @@ class InstanceStore {
   /// Interest point of live row \p row; valid until the next mutation.
   [[nodiscard]] geo::ConstVec point(std::size_t row) const;
 
-  /// Mutations (inserts + updates + removes) since the last snapshot().
-  [[nodiscard]] std::uint64_t churn_since_snapshot() const noexcept {
-    return churn_since_snapshot_;
+  /// O(n) immutable copy stamped with the current epoch: one copy of each
+  /// row array. Epochs of successive snapshots are non-decreasing, and
+  /// strictly increasing whenever a mutation happened in between.
+  [[nodiscard]] StoreSnapshot snapshot() const {
+    return concatenate({this, 1}, epoch_);
   }
 
-  /// O(n) immutable copy stamped with the current epoch; resets the churn
-  /// counter. Epochs of successive snapshots are non-decreasing, and
-  /// strictly increasing whenever a mutation happened in between.
-  [[nodiscard]] StoreSnapshot snapshot();
-
-  /// Raw row arrays in live row order (ids / weights / row-major coords),
-  /// for WAL checkpointing. Unlike snapshot() this is a pure read: no
-  /// churn-counter reset, no PointSet construction. Row order is the
-  /// store's history-dependent order — the recovery invariant is bitwise
-  /// equality, so the order must round-trip exactly.
-  void export_rows(std::vector<std::uint64_t>& ids,
-                   std::vector<double>& weights,
-                   std::vector<double>& coords) const;
+  /// The rows of \p stores (one dim, non-empty span), store by store in
+  /// live row order, stamped with \p epoch: one copy of each row array.
+  /// snapshot() is the one-store case. Row order is the stores'
+  /// history-dependent order — WAL recovery's invariant is bitwise
+  /// equality, so an export must round-trip it exactly.
+  [[nodiscard]] static StoreSnapshot concatenate(
+      std::span<const InstanceStore> stores, std::uint64_t epoch);
 
  private:
   std::size_t dim_;
@@ -119,7 +115,6 @@ class InstanceStore {
   std::vector<double> coords_;  ///< row-major, ids_.size() * dim_
   std::unordered_map<std::uint64_t, std::size_t> index_;
   std::uint64_t epoch_ = 0;
-  std::uint64_t churn_since_snapshot_ = 0;
 };
 
 }  // namespace mmph::serve

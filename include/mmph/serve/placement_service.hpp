@@ -25,13 +25,12 @@
 /// search. Every stage reports trace:: spans and ServeMetrics.
 ///
 /// Threading: the synchronous API (apply_* / placement / evaluate) and
-/// pump() serialize on an internal mutex, so any thread may call them;
-/// submit() is safe from any thread. Batches are drained either by an
-/// owned worker thread (start()/stop()) or by explicit pump() calls —
-/// use one or the other, not both.
+/// pump() serialize on an internal mutex, and submit() is safe from any
+/// thread. The service owns no thread: its callers drain batches with
+/// pump() (the NetServer event loops, serve-replay, the chaos harness),
+/// any number of them concurrently — pump() keeps pop order = apply order.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -39,7 +38,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -94,6 +92,8 @@ struct ServiceConfig {
   geo::Metric metric{};
   core::RewardShape shape = core::RewardShape::kLinear;
 
+  /// The full solve's split of the global rows (CLI --shards), at every
+  /// store_shards count.
   ShardedSolverConfig shard{};
 
   /// Solver tier for placements (see SolverTier). On kLs the service's
@@ -119,13 +119,15 @@ struct ServiceConfig {
   /// shard_wal.
   wal::WalWriter* wal = nullptr;
 
-  /// Region shards the InstanceStore is split into (>= 1). 1 is the
-  /// bit-identity mode: one store shard receiving exactly the unsharded
-  /// call sequence (the --store-shards 1 golden-digest discipline, like
-  /// --loops 1). > 1 partitions users by interest-space region
-  /// (spatial::RegionMap over grid cells of edge `radius`): mutations
-  /// route to their region's shard, and full solves run per shard and
-  /// merge globally. Replication streams only a one-shard log.
+  /// Region shards the InstanceStore is split into (>= 1): a storage and
+  /// durability layout only. 1 is the bit-identity mode: one store shard
+  /// receiving exactly the unsharded call sequence (the --store-shards 1
+  /// golden-digest discipline, like --loops 1). > 1 partitions users by
+  /// interest-space region (spatial::RegionMap over grid cells of edge
+  /// `radius`): mutations route to their region's shard and its log.
+  /// Every full solve splits the global rows by `shard` at any store-shard
+  /// count, so it returns the one-shard centers. Replication streams only
+  /// a one-shard log.
   std::size_t store_shards = 1;
 
   /// The write-ahead log, one WalWriter per store shard (shard_count must
@@ -150,7 +152,6 @@ class PlacementService {
   /// \p pool runs shard solves; nullptr selects ThreadPool::global().
   explicit PlacementService(ServiceConfig config,
                             par::ThreadPool* pool = nullptr);
-  ~PlacementService();
 
   PlacementService(const PlacementService&) = delete;
   PlacementService& operator=(const PlacementService&) = delete;
@@ -228,7 +229,7 @@ class PlacementService {
 
   // --- batched asynchronous API ---
 
-  /// Enqueues; the future resolves when the worker processes the batch
+  /// Enqueues; the future resolves when a pump() processes the batch
   /// (immediately with kRejected when the queue is full).
   [[nodiscard]] std::future<Response> submit(Request request);
   /// Enqueues many requests under one queue lock, preserving order;
@@ -237,14 +238,12 @@ class PlacementService {
   /// event loops submit everything they decoded in one pass this way.
   [[nodiscard]] std::vector<std::future<Response>> submit_batch(
       std::vector<Request> requests);
-  /// Drains and processes at most one batch; waits up to \p wait for the
-  /// first request. Returns the number of requests handled.
-  std::size_t pump(std::chrono::milliseconds wait = std::chrono::milliseconds(0));
-  /// Starts the owned worker thread draining batches.
-  void start();
-  /// Stops the worker and closes the queue (terminal: later submits are
-  /// rejected). Idempotent; also run by the destructor.
-  void stop();
+  /// Drains and processes at most one batch without waiting. Returns the
+  /// number of requests handled (0 when the queue is empty).
+  std::size_t pump();
+  /// Closes the queue (terminal: queued and later submits are answered
+  /// kShutdown). Idempotent.
+  void stop() { batcher_.close(); }
 
   [[nodiscard]] std::size_t queue_depth() const { return batcher_.depth(); }
   [[nodiscard]] MetricsSnapshot metrics() const { return metrics_.snapshot(); }
@@ -281,7 +280,7 @@ class PlacementService {
                                              const core::Solution* full);
   [[nodiscard]] geo::PointSet incremental_pool_locked() const;
   void process_batch(std::vector<Request> batch);
-  [[nodiscard]] core::Problem problem_locked();
+  [[nodiscard]] core::Problem problem_locked() const;
 
   ServiceConfig config_;
   /// The one-shard wrap of config_.wal, when that input is set.
@@ -324,9 +323,7 @@ class PlacementService {
   /// stats() at the last metrics publication (counters are deltas).
   spatial::IndexStats index_published_{};
 
-  std::atomic<bool> running_{false};
   std::atomic<bool> read_only_{false};
-  std::thread worker_;
 };
 
 }  // namespace mmph::serve

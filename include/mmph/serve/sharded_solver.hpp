@@ -18,13 +18,14 @@
 /// this), and with many shards it tracks it closely.
 ///
 /// Shard boundaries are kd-style recursive median splits along the widest
-/// axis (balanced regardless of clustering), unless the caller dictates
-/// row ranges (set_row_groups). The merge pass is core::LazyGreedySolver's
+/// axis (balanced regardless of clustering), computed from the points
+/// alone: the split, and so the placement, does not depend on how the
+/// caller stored the rows (the serving layer's store shards are a storage
+/// layout, not solve groups). The merge pass is core::LazyGreedySolver's
 /// candidate-set overload over the pooled winners, so it evaluates through
 /// the same evaluator (the lent spatial index or the blocked scan).
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "mmph/core/solution.hpp"
@@ -91,22 +92,10 @@ class ShardedSolver final : public core::Solver {
     shared_index_ = index;
   }
 
-  /// Dictates the shard partition as explicit contiguous [begin, end) row
-  /// ranges over the next solve's problem rows (the region-sharded store
-  /// passes its per-shard ranges so each store shard solves as one unit).
-  /// The ranges must be ascending and cover [0, n) exactly; empty ranges
-  /// (empty store shards) are skipped. An empty vector reverts to the
-  /// computed split. Not thread-safe vs concurrent solves.
-  void set_row_groups(
-      std::vector<std::pair<std::size_t, std::size_t>> groups) noexcept {
-    row_groups_ = std::move(groups);
-  }
-
  private:
   par::ThreadPool& pool_;
   ShardedSolverConfig config_;
   spatial::SpatialIndex* shared_index_ = nullptr;
-  std::vector<std::pair<std::size_t, std::size_t>> row_groups_;
   mutable geo::PointSet last_candidates_{1};
   mutable ShardStats last_stats_;
 };

@@ -6,10 +6,10 @@
 /// The serve path's scaling ceiling (ROADMAP) is the single InstanceStore
 /// every loop funnels into. ShardedInstanceStore splits the population
 /// into `shards` disjoint InstanceStores, routing each user by the
-/// spatial::RegionMap of its interest point — the same grid cells the
-/// solver's UniformGridIndex buckets by — so a shard is a spatially
-/// coherent sub-population that can be solved on its own and merged
-/// globally (ShardedSolver's existing merge).
+/// spatial::RegionMap of its interest point. A shard keeps whole r-cells
+/// together, but it is a hashed scatter of cells across the whole space,
+/// not a region: it is a storage and durability unit (one log per
+/// shard), never a solve unit. Solvers see the global rows.
 ///
 /// Contracts:
 ///   - A user's shard is a pure function of its interest point. An upsert
@@ -25,18 +25,17 @@
 ///     the only ones: shard_of_id, contains, find and restore_shard's
 ///     foreign-id check ask the shards (at most S lookups at S shards),
 ///     and size() sums them. A mutation writes one map, not two.
-///   - shards == 1 is the bit-identity mode: one InstanceStore receives
-///     the same calls in the same order as the unsharded service, and
-///     global_snapshot() is that store's snapshot verbatim.
-///   - Per-shard snapshots are cached by epoch: a solve after localized
-///     churn re-copies only the shards that actually moved.
+///   - global_snapshot() is the one row export: the shards' rows
+///     concatenated in shard order, one copy of each array and no cache.
+///     At shards == 1 (the bit-identity mode: one InstanceStore receives
+///     the same calls in the same order as the unsharded service) it is
+///     that store's snapshot().
 ///
 /// Not thread-safe; the owner (PlacementService) serializes access, the
 /// same discipline as InstanceStore.
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "mmph/serve/instance_store.hpp"
@@ -77,21 +76,18 @@ class ShardedInstanceStore {
   [[nodiscard]] std::optional<std::size_t> shard_of_id(
       std::uint64_t id) const;
 
-  /// What upsert(\p user) would do, without doing it. Routing for the WAL:
-  /// the service logs the remove/upsert records this implies *before*
-  /// applying. `from == to` (or no `from`) is a plain one-shard op.
+  /// Where upsert() sent a user. `from == to` (or no `from`) is a plain
+  /// one-shard op.
   struct UpsertRoute {
     std::size_t to = 0;                     ///< shard the point hashes to
-    std::optional<std::size_t> from{};      ///< shard the id lives in now
-    /// Filled by upsert(): true when the target shard gained a row (fresh
-    /// id, or the insert half of a region move); false for an in-place
-    /// update. route_upsert() leaves it false.
+    std::optional<std::size_t> from{};      ///< shard the id lived in
+    /// True when the target shard gained a row (fresh id, or the insert
+    /// half of a region move); false for an in-place update.
     bool inserted = false;
     [[nodiscard]] bool is_move() const noexcept {
       return from.has_value() && *from != to;
     }
   };
-  [[nodiscard]] UpsertRoute route_upsert(const UserRecord& user) const;
 
   /// Inserts or overwrites, routing by region; cross-region moves
   /// remove-then-insert. Returns the route taken. Strong guarantee for
@@ -117,33 +113,17 @@ class ShardedInstanceStore {
                      std::vector<double> weights,
                      std::vector<double> coords);
 
-  /// Sum of shard churn counters (mutations since each last snapshot).
-  [[nodiscard]] std::uint64_t churn_since_snapshot() const noexcept;
-
-  /// Epoch-cached copy of one shard (re-copied only when the shard's
-  /// epoch moved since the last call).
-  [[nodiscard]] const StoreSnapshot& shard_snapshot(std::size_t s);
-
-  /// Concatenation of the shard snapshots in shard order, stamped with
-  /// the global epoch. Rows of shard s occupy one contiguous range (see
-  /// shard_row_ranges). For shard_count() == 1 this is shard 0's
-  /// snapshot verbatim (bit-identity mode).
-  [[nodiscard]] StoreSnapshot global_snapshot();
-
-  /// [begin, end) row range of each shard inside global_snapshot(), in
-  /// shard order (empty shards yield empty ranges). These are the
-  /// per-shard solve groups handed to ShardedSolver.
-  [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>>
-  shard_row_ranges() const;
+  /// The global rows: every shard's snapshot rows, in shard order, stamped
+  /// with the global epoch (see the file comment).
+  [[nodiscard]] StoreSnapshot global_snapshot() const {
+    return InstanceStore::concatenate(shards_, epoch());
+  }
 
  private:
   std::size_t dim_;
   spatial::RegionMap regions_;
   /// The only id map is each shard's own: an id lives in one shard.
   std::vector<InstanceStore> shards_;
-  /// Per-shard snapshot cache (epoch-checked; epoch 0 + empty = unset).
-  std::vector<StoreSnapshot> cache_;
-  std::vector<bool> cache_valid_;
 };
 
 }  // namespace mmph::serve

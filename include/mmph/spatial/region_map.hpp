@@ -3,20 +3,21 @@
 /// \file region_map.hpp
 /// \brief Deterministic interest-space region -> store-shard mapping.
 ///
-/// The serve tier shards its InstanceStore by *region* so that users who
-/// are close in interest space land in the same shard (the paper's greedy
-/// is partitionable by region, and a per-shard solve over a spatially
-/// coherent population produces good candidate centers). The region of a
-/// point is its uniform-grid cell — the same floor(v / cell) assignment
-/// UniformGridIndex buckets by — and a cell maps to a shard by FNV-1a
-/// hash of its integer coordinates, so the mapping:
+/// The serve tier shards its InstanceStore (and its write-ahead log) by
+/// *region*: the region of a point is its uniform-grid cell — the same
+/// floor(v / cell) assignment UniformGridIndex buckets by — and a cell
+/// maps to a shard by FNV-1a hash of its integer coordinates, so the
+/// mapping:
 ///
 ///   - is a pure function of the coordinates (arrival order, churn
 ///     history, and process lifetime never change a user's shard),
-///   - keeps whole cells together (every point of a cell shares a shard,
-///     which is what makes per-shard solves spatially meaningful),
+///   - keeps whole cells together (every point of a cell shares a shard),
 ///   - needs no fitted bounding box (works on an unbounded domain, like
 ///     the grid index).
+///
+/// A shard is therefore a hashed scatter of cells across the whole space,
+/// not a spatially coherent region: it is a storage unit, and solvers
+/// split the population themselves.
 ///
 /// shards == 1 collapses to the constant 0 without hashing, which is the
 /// bit-identity mode: a 1-shard store behaves exactly like the unsharded

@@ -227,11 +227,11 @@ ChaosResult run_serve_chaos(const ServeChaosOptions& options) {
     // Drain in bursts so the queue both fills (kRejected coverage) and
     // empties (deadline_skew coverage at dequeue).
     if (rng.next_below(4) == 0) {
-      while (service.pump(milliseconds(0)) > 0) {
+      while (service.pump() > 0) {
       }
     }
   }
-  while (service.pump(milliseconds(0)) > 0) {
+  while (service.pump() > 0) {
   }
   if (service.queue_depth() != 0) return fail("queue did not drain");
 
@@ -422,11 +422,11 @@ ChaosResult run_ls_chaos(const LsChaosOptions& options) {
       submit(serve::Request::evaluate(make_probe(rng)), {});
     }
     if (rng.next_below(3) == 0) {
-      while (service.pump(milliseconds(0)) > 0) {
+      while (service.pump() > 0) {
       }
     }
   }
-  while (service.pump(milliseconds(0)) > 0) {
+  while (service.pump() > 0) {
   }
   if (service.queue_depth() != 0) return fail("queue did not drain");
 
@@ -444,7 +444,7 @@ ChaosResult run_ls_chaos(const LsChaosOptions& options) {
     mutation.users = {make_user(next_id++, tail_rng)};
     std::vector<serve::UserRecord> batch = mutation.users;
     submit(serve::Request::add_users(std::move(batch)), std::move(mutation));
-    while (service.pump(milliseconds(0)) > 0) {
+    while (service.pump() > 0) {
     }
   }
 

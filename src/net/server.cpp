@@ -280,7 +280,7 @@ void NetServer::run_loop(Loop& loop) {
     // several loops the drain serializes on the service internally; each
     // loop's replies come back through the per-request futures no matter
     // which loop's drain processed them.
-    while (service_->pump(std::chrono::milliseconds(0)) > 0) {
+    while (service_->pump() > 0) {
     }
 
     const auto now = Clock::now();

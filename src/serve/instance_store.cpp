@@ -1,6 +1,7 @@
 #include "mmph/serve/instance_store.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "mmph/support/assert.hpp"
 
@@ -23,7 +24,6 @@ bool InstanceStore::upsert(const UserRecord& user) {
     std::copy(user.interest.begin(), user.interest.end(),
               coords_.begin() + static_cast<std::ptrdiff_t>(row * dim_));
     ++epoch_;
-    ++churn_since_snapshot_;
     return false;
   }
   // Insert path: every allocation happens before the first mutation, so a
@@ -36,7 +36,6 @@ bool InstanceStore::upsert(const UserRecord& user) {
   weights_.push_back(user.weight);
   coords_.insert(coords_.end(), user.interest.begin(), user.interest.end());
   ++epoch_;
-  ++churn_since_snapshot_;
   return true;
 }
 
@@ -77,7 +76,6 @@ void InstanceStore::restore(std::uint64_t epoch,
   coords_ = std::move(coords);
   index_ = std::move(index);
   epoch_ = epoch;
-  churn_since_snapshot_ = 0;
 }
 
 bool InstanceStore::remove(std::uint64_t id) {
@@ -98,7 +96,6 @@ bool InstanceStore::remove(std::uint64_t id) {
   coords_.resize(coords_.size() - dim_);
   index_.erase(it);
   ++epoch_;
-  ++churn_since_snapshot_;
   return true;
 }
 
@@ -130,22 +127,30 @@ geo::ConstVec InstanceStore::point(std::size_t row) const {
   return geo::ConstVec(coords_.data() + row * dim_, dim_);
 }
 
-void InstanceStore::export_rows(std::vector<std::uint64_t>& ids,
-                                std::vector<double>& weights,
-                                std::vector<double>& coords) const {
-  ids = ids_;
-  weights = weights_;
-  coords = coords_;
-}
-
-StoreSnapshot InstanceStore::snapshot() {
-  StoreSnapshot snap;
-  snap.epoch = epoch_;
-  snap.points = geo::PointSet(dim_, coords_);
-  snap.weights = weights_;
-  snap.ids = ids_;
-  churn_since_snapshot_ = 0;
-  return snap;
+StoreSnapshot InstanceStore::concatenate(std::span<const InstanceStore> stores,
+                                         std::uint64_t epoch) {
+  MMPH_REQUIRE(!stores.empty(), "InstanceStore::concatenate: no stores");
+  const std::size_t dim = stores.front().dim_;
+  std::size_t rows = 0;
+  for (const InstanceStore& store : stores) {
+    MMPH_REQUIRE(store.dim_ == dim,
+                 "InstanceStore::concatenate: dimension mismatch");
+    rows += store.size();
+  }
+  StoreSnapshot out;
+  out.epoch = epoch;
+  std::vector<double> coords;
+  coords.reserve(rows * dim);
+  out.weights.reserve(rows);
+  out.ids.reserve(rows);
+  for (const InstanceStore& store : stores) {
+    coords.insert(coords.end(), store.coords_.begin(), store.coords_.end());
+    out.weights.insert(out.weights.end(), store.weights_.begin(),
+                       store.weights_.end());
+    out.ids.insert(out.ids.end(), store.ids_.begin(), store.ids_.end());
+  }
+  out.points = geo::PointSet(dim, std::move(coords));
+  return out;
 }
 
 }  // namespace mmph::serve

@@ -1,6 +1,7 @@
 #include "mmph/serve/placement_service.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -32,6 +33,17 @@ double checked_radius(const ServiceConfig& config) {
   MMPH_REQUIRE(config.radius > 0.0,
                "PlacementService: radius must be positive");
   return config.radius;
+}
+
+/// \p rows as a WAL snapshot: every array moves, none is copied.
+wal::WalSnapshot to_wal_snapshot(StoreSnapshot rows) {
+  wal::WalSnapshot snap;
+  snap.epoch = rows.epoch;
+  snap.dim = static_cast<std::uint16_t>(rows.points.dim());
+  snap.ids = std::move(rows.ids);
+  snap.weights = std::move(rows.weights);
+  snap.coords = std::move(rows.points).release();
+  return snap;
 }
 
 /// Mirrors one row operation into the carried gains. A failure (an
@@ -91,8 +103,6 @@ PlacementService::PlacementService(ServiceConfig config, par::ThreadPool* pool)
                "is one shard)");
   sharded_ = std::make_unique<ShardedSolver>(pool_, config_.shard);
 }
-
-PlacementService::~PlacementService() { stop(); }
 
 void PlacementService::apply_add(const std::vector<UserRecord>& users) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -246,7 +256,7 @@ std::vector<std::future<Response>> PlacementService::submit_batch(
   return futures;
 }
 
-std::size_t PlacementService::pump(std::chrono::milliseconds wait) {
+std::size_t PlacementService::pump() {
   // One pump at a time, held across pop AND process. Each multi-loop
   // server loop rides its own pump; pop_batch and process_batch take
   // different locks, so without this guard loop B could pop batch N+1
@@ -255,30 +265,11 @@ std::size_t PlacementService::pump(std::chrono::milliseconds wait) {
   // commit then acks durability in that inverted order too. Serializing
   // the whole pass keeps pop order == apply order == log order.
   std::lock_guard<std::mutex> pump_lock(pump_mutex_);
-  std::vector<Request> batch = batcher_.pop_batch(config_.max_batch, wait);
+  std::vector<Request> batch = batcher_.pop_batch(config_.max_batch);
   if (batch.empty()) return 0;
   const std::size_t handled = batch.size();
   process_batch(std::move(batch));
   return handled;
-}
-
-void PlacementService::start() {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) return;
-  worker_ = std::thread([this] {
-    while (running_.load(std::memory_order_relaxed)) {
-      pump(std::chrono::milliseconds(20));
-    }
-    // Final drain so requests racing stop() still get answers.
-    while (pump(std::chrono::milliseconds(0)) > 0) {
-    }
-  });
-}
-
-void PlacementService::stop() {
-  running_.store(false);
-  batcher_.close();
-  if (worker_.joinable()) worker_.join();
 }
 
 namespace {
@@ -571,34 +562,12 @@ void PlacementService::maybe_snapshot_locked() {
 }
 
 wal::WalSnapshot PlacementService::wal_snapshot_locked() const {
-  wal::WalSnapshot snap;
-  snap.epoch = store_.epoch();
-  snap.dim = static_cast<std::uint16_t>(config_.dim);
-  if (store_.shard_count() == 1) {
-    store_.shard(0).export_rows(snap.ids, snap.weights, snap.coords);
-    return snap;
-  }
-  // Global image: shard rows concatenated in shard order (the same order
-  // global_snapshot() exposes).
-  for (std::size_t s = 0; s < store_.shard_count(); ++s) {
-    std::vector<std::uint64_t> ids;
-    std::vector<double> weights;
-    std::vector<double> coords;
-    store_.shard(s).export_rows(ids, weights, coords);
-    snap.ids.insert(snap.ids.end(), ids.begin(), ids.end());
-    snap.weights.insert(snap.weights.end(), weights.begin(), weights.end());
-    snap.coords.insert(snap.coords.end(), coords.begin(), coords.end());
-  }
-  return snap;
+  return to_wal_snapshot(store_.global_snapshot());
 }
 
 wal::WalSnapshot PlacementService::shard_wal_snapshot_locked(
     std::size_t s) const {
-  wal::WalSnapshot snap;
-  snap.epoch = store_.shard(s).epoch();
-  snap.dim = static_cast<std::uint16_t>(config_.dim);
-  store_.shard(s).export_rows(snap.ids, snap.weights, snap.coords);
-  return snap;
+  return to_wal_snapshot(store_.shard(s).snapshot());
 }
 
 void PlacementService::ensure_index_locked(const core::Problem& problem) {
@@ -641,11 +610,7 @@ void PlacementService::publish_spatial_locked() {
   index_published_ = now;
 }
 
-core::Problem PlacementService::problem_locked() {
-  // Per-shard epoch snapshots: only shards whose epoch moved since the
-  // last call are re-copied (the cache inside the sharded store), so a
-  // solve after localized churn pays O(churned shards), not O(n), for
-  // the snapshot assembly.
+core::Problem PlacementService::problem_locked() const {
   StoreSnapshot snap = store_.global_snapshot();
   return core::Problem(std::move(snap.points), std::move(snap.weights),
                        config_.radius, config_.metric, config_.shape);
@@ -686,16 +651,10 @@ const PlacementView& PlacementService::solve_locked() {
   // Carry the coverage index into the solve: rebuilt only when dirty or
   // out of step, otherwise the incremental mirror already brought it to
   // this epoch. The sharded solver evaluates (and grid-splits) through it,
-  // and the polish gathers its swap balls from it.
+  // and the polish gathers its swap balls from it. The full solve splits
+  // the global rows itself, whatever the store-shard count.
   ensure_index_locked(problem);
   sharded_->set_shared_index(index_.get());
-  // With a region-sharded store the full solve runs exactly one greedy
-  // per store shard (the snapshot's contiguous row ranges) and merges
-  // globally; warm re-solves don't consult the groups (they polish the
-  // served centers).
-  if (store_.shard_count() > 1) {
-    sharded_->set_row_groups(store_.shard_row_ranges());
-  }
 
   const auto start = Clock::now();
   core::Solution solution;
@@ -717,11 +676,8 @@ const PlacementView& PlacementService::solve_locked() {
   }
   const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
-  if (store_.shard_count() > 1) {
-    sharded_->set_row_groups({});
-    for (std::size_t s = 0; s < store_.shard_count(); ++s) {
-      metrics_.set_shard_rows(s, store_.shard(s).size());
-    }
+  for (std::size_t s = 0; s < store_.shard_count(); ++s) {
+    metrics_.set_shard_rows(s, store_.shard(s).size());
   }
   publish_spatial_locked();
   metrics_.record_solve(seconds, incremental);

@@ -1,5 +1,6 @@
 #include "mmph/serve/request_batcher.hpp"
 
+#include <chrono>
 #include <utility>
 
 #include "mmph/serve/metrics.hpp"
@@ -67,6 +68,16 @@ RequestBatcher::RequestBatcher(std::size_t capacity, ServeMetrics* metrics,
 RequestBatcher::~RequestBatcher() { close(); }
 
 bool RequestBatcher::push(Request&& request) {
+  return admit(std::span<Request>(&request, 1)) == 1;
+}
+
+void RequestBatcher::push_batch(std::vector<Request>&& requests) {
+  (void)admit(requests);
+}
+
+std::size_t RequestBatcher::admit(std::span<Request> requests) {
+  std::vector<Request*> full;  // answered outside the lock
+  std::size_t admitted = 0;
   bool was_closed = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -75,76 +86,41 @@ bool RequestBatcher::push(Request&& request) {
       // A push racing close() is a shutdown, not backpressure: it never
       // entered the queue, so it is not "submitted" and must not read as
       // queue-full to callers tuning capacity.
-      if (metrics_ != nullptr) metrics_->count_submitted();
-      const bool forced_full =
-          fault_hook_ && fault_hook_(kFaultQueueFull);
-      if (!forced_full && queue_.size() < capacity_) {
-        queue_.push_back(std::move(request));
-        if (metrics_ != nullptr) metrics_->set_queue_depth(queue_.size());
-        cv_.notify_one();
-        return true;
-      }
-    }
-  }
-  Response response;
-  if (was_closed) {
-    if (metrics_ != nullptr) metrics_->count_shutdown();
-    response.status = ResponseStatus::kShutdown;
-  } else {
-    if (metrics_ != nullptr) metrics_->count_rejected();
-    response.status = ResponseStatus::kRejected;
-  }
-  request.reply.set_value(std::move(response));
-  return false;
-}
-
-void RequestBatcher::push_batch(std::vector<Request>&& requests) {
-  if (requests.empty()) return;
-  std::vector<Request> overflow;  // answered outside the lock, like push()
-  bool was_closed = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    was_closed = closed_;
-    if (!was_closed) {
       for (Request& request : requests) {
         if (metrics_ != nullptr) metrics_->count_submitted();
-        const bool forced_full =
-            fault_hook_ && fault_hook_(kFaultQueueFull);
+        const bool forced_full = fault_hook_ && fault_hook_(kFaultQueueFull);
         if (!forced_full && queue_.size() < capacity_) {
           queue_.push_back(std::move(request));
+          ++admitted;
         } else {
-          overflow.push_back(std::move(request));
+          full.push_back(&request);
         }
       }
       if (metrics_ != nullptr) metrics_->set_queue_depth(queue_.size());
-      cv_.notify_one();
     }
   }
+  const auto answer = [](Request& request, ResponseStatus status) {
+    Response response;
+    response.status = status;
+    request.reply.set_value(std::move(response));
+  };
   if (was_closed) {
     for (Request& request : requests) {
       if (metrics_ != nullptr) metrics_->count_shutdown();
-      Response response;
-      response.status = ResponseStatus::kShutdown;
-      request.reply.set_value(std::move(response));
+      answer(request, ResponseStatus::kShutdown);
     }
-    return;
   }
-  for (Request& request : overflow) {
+  for (Request* request : full) {
     if (metrics_ != nullptr) metrics_->count_rejected();
-    Response response;
-    response.status = ResponseStatus::kRejected;
-    request.reply.set_value(std::move(response));
+    answer(*request, ResponseStatus::kRejected);
   }
+  return admitted;
 }
 
-std::vector<Request> RequestBatcher::pop_batch(std::size_t max_batch,
-                                               std::chrono::milliseconds wait) {
+std::vector<Request> RequestBatcher::pop_batch(std::size_t max_batch) {
   std::vector<Request> batch;
   if (max_batch == 0) return batch;
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (queue_.empty() && wait.count() > 0) {
-    cv_.wait_for(lock, wait, [&] { return !queue_.empty() || closed_; });
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
   const auto now = std::chrono::steady_clock::now();
   while (!queue_.empty() && batch.size() < max_batch) {
     Request request = std::move(queue_.front());
@@ -176,7 +152,6 @@ void RequestBatcher::close() {
     closed_ = true;
     drained.swap(queue_);
   }
-  cv_.notify_all();
   for (Request& request : drained) {
     if (metrics_ != nullptr) metrics_->count_shutdown();
     Response response;

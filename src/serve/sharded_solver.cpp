@@ -101,27 +101,12 @@ core::Solution ShardedSolver::solve(const core::Problem& problem,
   MMPH_REQUIRE(k >= 1, "solve: k must be >= 1");
   last_stats_ = ShardStats{};
 
-  std::vector<std::vector<std::size_t>> shards;
   geo::PointSet candidates(problem.dim());
   {
     trace::ScopedSpan span("serve.shard");
-    if (!row_groups_.empty()) {
-      // The caller dictated the partition (the region-sharded store's
-      // per-shard row ranges): solve exactly those groups, skip the
-      // split computation entirely.
-      MMPH_REQUIRE(row_groups_.back().second == problem.size(),
-                   "solve: row groups do not cover the problem");
-      shards.reserve(row_groups_.size());
-      for (const auto& [begin, end] : row_groups_) {
-        if (begin == end) continue;  // empty store shard
-        std::vector<std::size_t> rows;
-        rows.reserve(end - begin);
-        for (std::size_t row = begin; row < end; ++row) rows.push_back(row);
-        shards.push_back(std::move(rows));
-      }
-    } else {
-      shards = shard_indices(problem.points(), config_, pool_.thread_count());
-    }
+    const std::vector<std::vector<std::size_t>> shards =
+        shard_indices(problem.points(), config_, pool_.thread_count());
+    last_stats_.shards = shards.size();
 
     // Each shard solves its own sub-problem and reports up to k centers;
     // results land in per-shard slots so the merged pool order is
@@ -172,7 +157,6 @@ core::Solution ShardedSolver::solve(const core::Problem& problem,
       }
     }
   }
-  last_stats_.shards = shards.size();
   last_stats_.candidate_pool = candidates.size();
 
   core::Solution sol;

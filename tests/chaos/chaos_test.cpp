@@ -175,7 +175,7 @@ TEST(ServeFaultSites, AllocFailAnswersInternalErrorWithoutMutating) {
 
   auto future = service.submit(
       serve::Request::add_users({serve::UserRecord{1, {0.5, 0.5}, 1.0}}));
-  while (service.pump(std::chrono::milliseconds(0)) > 0) {
+  while (service.pump() > 0) {
   }
   EXPECT_EQ(future.get().status, serve::ResponseStatus::kInternalError);
   EXPECT_EQ(service.population(), 0u) << "store must stay untouched";
@@ -193,7 +193,7 @@ TEST(ServeFaultSites, SolverThrowFailsQueryButNotBatchmates) {
   auto add = service.submit(
       serve::Request::add_users({serve::UserRecord{1, {0.5, 0.5}, 1.0}}));
   auto query = service.submit(serve::Request::query_placement());
-  while (service.pump(std::chrono::milliseconds(0)) > 0) {
+  while (service.pump() > 0) {
   }
   EXPECT_EQ(add.get().status, serve::ResponseStatus::kOk);
   EXPECT_EQ(query.get().status, serve::ResponseStatus::kInternalError);
@@ -227,7 +227,7 @@ TEST(ServeFaultSites, DeadlineSkewAnswersTimeoutAndDropsMutation) {
 
   auto future = service.submit(
       serve::Request::add_users({serve::UserRecord{1, {0.5, 0.5}, 1.0}}));
-  while (service.pump(std::chrono::milliseconds(0)) > 0) {
+  while (service.pump() > 0) {
   }
   EXPECT_EQ(future.get().status, serve::ResponseStatus::kTimeout);
   EXPECT_EQ(service.population(), 0u) << "skewed mutation must not apply";

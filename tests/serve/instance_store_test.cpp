@@ -92,18 +92,6 @@ TEST(InstanceStore, EpochsAreMonotoneAcrossSnapshots) {
   EXPECT_GT(store.snapshot().epoch, last);
 }
 
-TEST(InstanceStore, ChurnCounterResetsOnSnapshot) {
-  InstanceStore store(2);
-  store.upsert(user(1, 0.0, 0.0));
-  store.upsert(user(1, 1.0, 1.0));  // update counts as churn
-  store.remove(1);
-  EXPECT_EQ(store.churn_since_snapshot(), 3u);
-  (void)store.snapshot();
-  EXPECT_EQ(store.churn_since_snapshot(), 0u);
-  store.remove(99);  // failed remove is not churn
-  EXPECT_EQ(store.churn_since_snapshot(), 0u);
-}
-
 TEST(InstanceStore, RejectsBadInput) {
   InstanceStore store(2);
   EXPECT_THROW(store.upsert(UserRecord{1, {1.0}, 1.0}), Error);

@@ -226,11 +226,12 @@ TEST(PlacementService, ExpiredDeadlineIsNotApplied) {
 TEST(PlacementService, WorkerThreadDrainsQueue) {
   Population pop = make_population(60, 9);
   PlacementService service(ServiceConfig{});
-  service.start();
   std::future<Response> add_reply =
       service.submit(Request::add_users(pop.users));
   std::future<Response> query_reply =
       service.submit(Request::query_placement());
+  EXPECT_EQ(service.pump(), 2u);
+  EXPECT_EQ(service.pump(), 0u);  // drained: an empty queue never waits
   EXPECT_EQ(add_reply.get().status, ResponseStatus::kOk);
   const Response query_response = query_reply.get();
   EXPECT_EQ(query_response.status, ResponseStatus::kOk);

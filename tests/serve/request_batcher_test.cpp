@@ -158,12 +158,5 @@ TEST(RequestBatcher, PushCloseRaceAlwaysFulfillsEveryPromise) {
   }
 }
 
-TEST(RequestBatcher, PopWithWaitReturnsEmptyOnTimeout) {
-  RequestBatcher batcher(8);
-  const auto start = steady_clock::now();
-  EXPECT_TRUE(batcher.pop_batch(8, milliseconds(30)).empty());
-  EXPECT_GE(steady_clock::now() - start, milliseconds(20));
-}
-
 }  // namespace
 }  // namespace mmph::serve

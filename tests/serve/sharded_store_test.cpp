@@ -1,9 +1,9 @@
 // ShardedInstanceStore contract tests: region routing is a pure function
 // of the interest point, cross-region moves are remove+insert (two epoch
 // ticks), the global epoch is the sum of shard epochs, shards == 1 is
-// bit-identical to a plain InstanceStore fed the same call sequence,
-// per-shard snapshots are cached by epoch, and the ownership queries
-// (which ask the shards) agree with a scan of them.
+// bit-identical to a plain InstanceStore fed the same call sequence, the
+// global snapshot is the shards' rows concatenated in shard order, and the
+// ownership queries (which ask the shards) agree with a scan of them.
 
 #include <cstdint>
 #include <optional>
@@ -188,63 +188,25 @@ TEST(ShardedStore, GlobalSnapshotConcatenatesShardRanges) {
     const double x = 0.11 * static_cast<double>(id);
     store.upsert(user(id, 1.0 + 0.1 * static_cast<double>(id), x, -x));
   }
+  ASSERT_TRUE(store.remove(4).has_value());  // a swap-remove reorders rows
   const StoreSnapshot snap = store.global_snapshot();
   EXPECT_EQ(snap.epoch, store.epoch());
-  ASSERT_EQ(snap.size(), 30u);
+  ASSERT_EQ(snap.size(), 29u);
+  EXPECT_EQ(snap.points.size(), 29u);
 
-  const auto ranges = store.shard_row_ranges();
-  ASSERT_EQ(ranges.size(), 3u);
-  EXPECT_EQ(ranges.front().first, 0u);
-  EXPECT_EQ(ranges.back().second, 30u);
+  // Shard s's rows, in its own row order, follow shards 0..s-1's.
+  std::size_t row = 0;
   for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(ranges[s].second - ranges[s].first, store.shard(s).size());
-    if (s > 0) {
-      EXPECT_EQ(ranges[s].first, ranges[s - 1].second);
-    }
-    // Rows in shard s's range are exactly shard s's snapshot rows.
-    const StoreSnapshot& part = store.shard_snapshot(s);
-    for (std::size_t i = 0; i < part.size(); ++i) {
-      EXPECT_EQ(snap.ids[ranges[s].first + i], part.ids[i]);
-      EXPECT_EQ(snap.weights[ranges[s].first + i], part.weights[i]);
+    const StoreSnapshot part = store.shard(s).snapshot();
+    EXPECT_EQ(part.epoch, store.shard(s).epoch());
+    for (std::size_t i = 0; i < part.size(); ++i, ++row) {
+      EXPECT_EQ(snap.ids[row], part.ids[i]) << "shard " << s << " row " << i;
+      EXPECT_EQ(snap.weights[row], part.weights[i]);
+      EXPECT_EQ(snap.points[row][0], part.points[i][0]);
+      EXPECT_EQ(snap.points[row][1], part.points[i][1]);
     }
   }
-}
-
-TEST(ShardedStore, ShardSnapshotIsCachedByEpoch) {
-  ShardedInstanceStore store(2, 2, 0.2);
-  // Find ids for both shards.
-  std::uint64_t id = 1;
-  while (store.shard(0).size() == 0 || store.shard(1).size() == 0) {
-    const double x = 0.13 * static_cast<double>(id);
-    store.upsert(user(id, 1.0, x, x * 0.7));
-    ++id;
-  }
-
-  const StoreSnapshot& snap0 = store.shard_snapshot(0);
-  const std::uint64_t epoch0 = snap0.epoch;
-  // Mutating shard 1 must not re-copy shard 0's snapshot: same object,
-  // same contents (the cache is epoch-keyed per shard).
-  std::uint64_t other = id;
-  for (int i = 0; i < 8; ++i, ++other) {
-    const double x = 0.13 * static_cast<double>(other);
-    const std::vector<double> p = {x, x * 0.7};
-    if (store.shard_of_point(geo::ConstVec(p.data(), 2)) == 1) {
-      store.upsert(user(other, 1.0, x, x * 0.7));
-    }
-  }
-  const StoreSnapshot& again = store.shard_snapshot(0);
-  EXPECT_EQ(&again, &snap0);
-  EXPECT_EQ(again.epoch, epoch0);
-
-  // Mutating shard 0 itself invalidates its cache: overwrite an id that
-  // lives there (id 1 may have routed to shard 1).
-  const StoreSnapshot& before = store.shard_snapshot(0);
-  ASSERT_FALSE(before.ids.empty());
-  const std::uint64_t resident = before.ids.front();
-  const UserRecord kept = *store.find(resident);
-  store.upsert(user(resident, kept.weight + 1.0, kept.interest[0],
-                    kept.interest[1]));
-  EXPECT_GT(store.shard_snapshot(0).epoch, epoch0);
+  EXPECT_EQ(row, snap.size());
 }
 
 TEST(ShardedStore, RestoreShardRebuildsOwnershipAndRejectsForeignIds) {
@@ -300,7 +262,7 @@ TEST(ShardedStore, OwnershipQueriesAgreeWithAScanOfTheShards) {
   for (const std::uint64_t id : {5u, 6u, 500u, 5u}) (void)store.remove(id);
 
   // Replace shard 2 wholesale with ids of its own and one fresh id.
-  const StoreSnapshot& old_rows = store.shard_snapshot(2);
+  const StoreSnapshot old_rows = store.shard(2).snapshot();
   std::vector<std::uint64_t> ids(old_rows.ids.begin(), old_rows.ids.end());
   ASSERT_FALSE(ids.empty());
   ids.pop_back();
@@ -330,17 +292,6 @@ TEST(ShardedStore, OwnershipQueriesAgreeWithAScanOfTheShards) {
   }
   EXPECT_EQ(store.size(), rows);
   EXPECT_TRUE(store.contains(1000));
-}
-
-TEST(ShardedStore, ChurnSumsAcrossShards) {
-  ShardedInstanceStore store(2, 4, 0.2);
-  for (std::uint64_t id = 1; id <= 10; ++id) {
-    const double x = 0.13 * static_cast<double>(id);
-    store.upsert(user(id, 1.0, x, -x));
-  }
-  EXPECT_EQ(store.churn_since_snapshot(), 10u);
-  (void)store.global_snapshot();  // snapshots every shard -> resets churn
-  EXPECT_EQ(store.churn_since_snapshot(), 0u);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // store.shard.alloc_fail and wal.barrier.fsync_fail fault sites (direct and
 // batched), replication rejection while sharded (at the server), the
 // byte-identical one-shard log of either log input, the loop->shard
-// affinity counters and the per-shard series' exposition.
+// affinity counters, the per-shard series' exposition, and full solves
+// that return the one-shard centers at every store-shard count.
 
 #include <algorithm>
 #include <chrono>
@@ -24,10 +25,12 @@
 #include <gtest/gtest.h>
 
 #include "mmph/core/exhaustive.hpp"
+#include "mmph/core/kernels.hpp"
 #include "mmph/core/objective.hpp"
 #include "mmph/net/server.hpp"
 #include "mmph/net/socket.hpp"
 #include "mmph/net/wire.hpp"
+#include "mmph/parallel/thread_pool.hpp"
 #include "mmph/random/pcg64.hpp"
 #include "mmph/random/workload.hpp"
 #include "mmph/serve/placement_service.hpp"
@@ -652,6 +655,62 @@ TEST(ShardService, ExpositionWritesEachFamilyHeaderOnce) {
   EXPECT_EQ(families.count("mmph_store_shard_mutations_total"), 1u);
   EXPECT_EQ(families.count("mmph_store_shard_rows"), 1u);
   EXPECT_EQ(type_lines, families.size());
+}
+
+/// A store shard is a storage layout, not a solve unit: every full solve
+/// splits the global rows by the sharded solver's own median split, so the
+/// same users solve to the same centers at any store-shard count. The rows
+/// arrive in a different order (shard by shard), which moves nothing but
+/// the objective's summation order. One instance scans, one indexes.
+TEST(ShardService, FullSolveIsIndependentOfStoreShardCount) {
+  const core::kernels::ScopedIndexMode mode(core::kernels::IndexMode::kAuto);
+  par::ThreadPool pool(2);
+  for (const std::size_t n : {std::size_t{2500}, std::size_t{20000}}) {
+    rnd::WorkloadSpec spec;
+    spec.n = n;
+    spec.box_side = std::sqrt(static_cast<double>(n) / 10.0);  // 10 / unit²
+    spec.weights = rnd::WeightScheme::kUniformInt;               // 1..5
+    rnd::Rng rng(1);
+    const rnd::Workload workload = rnd::generate_workload(spec, rng);
+    std::vector<UserRecord> users;
+    users.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      users.push_back(user(static_cast<std::uint64_t>(i + 1),
+                           workload.weights[i], workload.points[i][0],
+                           workload.points[i][1]));
+    }
+    const core::Problem problem =
+        core::Problem::from_workload(workload, 1.0, geo::l2_metric());
+    EXPECT_EQ(core::kernels::should_index(problem), n == 20000) << "n=" << n;
+
+    std::optional<PlacementView> one;
+    for (const std::size_t shards :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      ServiceConfig config;
+      config.dim = 2;
+      config.k = 8;
+      config.radius = 1.0;
+      config.store_shards = shards;
+      PlacementService service(config, &pool);
+      service.apply_add(users);
+      const PlacementView view = service.placement();
+      EXPECT_EQ(service.metrics().full_solves, 1u);
+      ASSERT_EQ(view.solution.centers.size(), 8u);
+      if (!one.has_value()) {
+        one = view;
+        continue;
+      }
+      const std::string context = "n=" + std::to_string(n) +
+                                  " shards=" + std::to_string(shards);
+      EXPECT_NEAR(view.objective, one->objective, 1e-12 * one->objective)
+          << context << " objective " << view.objective << " vs 1 shard "
+          << one->objective;
+      EXPECT_TRUE(std::equal(view.solution.centers.raw().begin(),
+                             view.solution.centers.raw().end(),
+                             one->solution.centers.raw().begin()))
+          << context;
+    }
+  }
 }
 
 /// The core differential corpus (same ~210 seeded paper-box instances as
