@@ -5,21 +5,30 @@
 //   sharded-full        PlacementService forced to a full sharded solve
 //   sharded-incremental PlacementService warm-refining from the last centers
 //
-// The incremental strategy is additionally swept over region-shard
-// counts {1, 2, 4} (`store_shards` in each result row): at >1 the store
-// and its rows are split by spatial region, but a churn slot still
-// polishes the whole placement, so the sweep prices the routing and the
-// shard-ordered global rows, not a smaller re-solve.
+// Two scenarios, each row tagged with its box side:
+//   - dense (--n): users uniform in the paper's 4×4 box, where a coverage
+//     ball holds ~20% of them and kAuto keeps no index. The incremental
+//     strategy is also swept over region-shard counts {1, 2, 4}
+//     (`store_shards` in each row): at >1 the store and its rows are split
+//     by spatial region, but a churn slot still polishes the whole
+//     placement, so the sweep prices the routing and the shard-ordered
+//     global rows, not a smaller re-solve.
+//   - constant density (--density-n): 10 users per unit² (box side
+//     √(n/10)), the regime perfbench gates, where the service carries its
+//     grid. Both service strategies run at store shards 1 and 4: at one
+//     shard a warm re-solve reads the carried rows, above one it gathers
+//     the shards' rows again.
 //
 // A plain timed repro (like perf_kernels): it emits BENCH_serve.json
 // (config + per-strategy slots/sec and per-slot latency percentiles) so
 // CI and the tutorial can diff numbers across machines. slots/sec is
 // churn slots absorbed per second, center-refresh included.
 //
-//   ./perf_serve --n 2048,8192 --slots 12 --out BENCH_serve.json
+//   ./perf_serve --n 2048,8192 --density-n 100000 --slots 12
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -41,10 +50,12 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kCenters = 8;
 constexpr double kRadius = 1.0;
-constexpr double kBoxSide = 4.0;
+constexpr double kDenseBoxSide = 4.0;
+constexpr double kUsersPerUnitArea = 10.0;
 
 struct Row {
   std::size_t n = 0;
+  double box_side = kDenseBoxSide;
   std::string strategy;
   std::size_t store_shards = 1;
   std::size_t slots = 0;
@@ -68,26 +79,28 @@ std::vector<std::size_t> parse_sizes(const std::string& csv) {
   return out;
 }
 
-serve::UserRecord fresh_user(std::uint64_t id, rnd::Rng& rng) {
+serve::UserRecord fresh_user(std::uint64_t id, double side, rnd::Rng& rng) {
   serve::UserRecord rec;
   rec.id = id;
   rec.weight = static_cast<double>(rng.uniform_int(1, 5));
-  rec.interest = {rng.uniform(0.0, kBoxSide), rng.uniform(0.0, kBoxSide)};
+  rec.interest = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
   return rec;
 }
 
-std::vector<serve::UserRecord> seed_users(std::size_t n, rnd::Rng& rng) {
+std::vector<serve::UserRecord> seed_users(std::size_t n, double side,
+                                          rnd::Rng& rng) {
   std::vector<serve::UserRecord> users;
   users.reserve(n);
   for (std::uint64_t id = 0; id < n; ++id) {
-    users.push_back(fresh_user(id, rng));
+    users.push_back(fresh_user(id, side, rng));
   }
   return users;
 }
 
 /// Replaces ~1% of the population; fills removed/added with the delta.
-void churn_slot(std::vector<serve::UserRecord>& users, std::uint64_t& next_id,
-                rnd::Rng& rng, std::vector<std::uint64_t>& removed,
+void churn_slot(std::vector<serve::UserRecord>& users, double side,
+                std::uint64_t& next_id, rnd::Rng& rng,
+                std::vector<std::uint64_t>& removed,
                 std::vector<serve::UserRecord>& added) {
   removed.clear();
   added.clear();
@@ -96,15 +109,16 @@ void churn_slot(std::vector<serve::UserRecord>& users, std::uint64_t& next_id,
     const auto slot = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(users.size()) - 1));
     removed.push_back(users[slot].id);
-    users[slot] = fresh_user(next_id++, rng);
+    users[slot] = fresh_user(next_id++, side, rng);
     added.push_back(users[slot]);
   }
 }
 
-Row summarize(std::size_t n, std::string strategy,
+Row summarize(std::size_t n, double side, std::string strategy,
               std::vector<double> slot_seconds) {
   Row row;
   row.n = n;
+  row.box_side = side;
   row.strategy = std::move(strategy);
   row.slots = slot_seconds.size();
   double total = 0.0;
@@ -129,10 +143,11 @@ serve::ServiceConfig service_config(double full_solve_churn_fraction,
 /// Times `slots` churn slots against a PlacementService configured with
 /// the given full-solve threshold (0 = always full, 0.05 = incremental)
 /// and region-shard count (1 = monolithic store, the pre-shard layout).
-Row run_service(std::size_t n, std::size_t slots, const char* name,
-                double threshold, std::size_t store_shards, double& sink) {
+Row run_service(std::size_t n, double side, std::size_t slots,
+                const char* name, double threshold, std::size_t store_shards,
+                double& sink) {
   rnd::Rng rng(7);
-  std::vector<serve::UserRecord> users = seed_users(n, rng);
+  std::vector<serve::UserRecord> users = seed_users(n, side, rng);
   std::uint64_t next_id = n;
   serve::PlacementService service(service_config(threshold, store_shards));
   service.apply_add(users);
@@ -143,7 +158,7 @@ Row run_service(std::size_t n, std::size_t slots, const char* name,
   std::vector<double> slot_seconds;
   slot_seconds.reserve(slots);
   for (std::size_t s = 0; s < slots; ++s) {
-    churn_slot(users, next_id, rng, removed, added);
+    churn_slot(users, side, next_id, rng, removed, added);
     const auto start = Clock::now();
     service.apply_remove(removed);
     service.apply_add(added);
@@ -151,14 +166,15 @@ Row run_service(std::size_t n, std::size_t slots, const char* name,
     slot_seconds.push_back(
         std::chrono::duration<double>(Clock::now() - start).count());
   }
-  Row row = summarize(n, name, std::move(slot_seconds));
+  Row row = summarize(n, side, name, std::move(slot_seconds));
   row.store_shards = store_shards;
   return row;
 }
 
-Row run_monolithic(std::size_t n, std::size_t slots, double& sink) {
+Row run_monolithic(std::size_t n, double side, std::size_t slots,
+                   double& sink) {
   rnd::Rng rng(7);
-  std::vector<serve::UserRecord> users = seed_users(n, rng);
+  std::vector<serve::UserRecord> users = seed_users(n, side, rng);
   std::uint64_t next_id = n;
   const core::LazyGreedySolver solver;
   std::vector<std::uint64_t> removed;
@@ -166,7 +182,7 @@ Row run_monolithic(std::size_t n, std::size_t slots, double& sink) {
   std::vector<double> slot_seconds;
   slot_seconds.reserve(slots);
   for (std::size_t s = 0; s < slots; ++s) {
-    churn_slot(users, next_id, rng, removed, added);
+    churn_slot(users, side, next_id, rng, removed, added);
     const auto start = Clock::now();
     geo::PointSet points(2);
     points.reserve(users.size());
@@ -182,7 +198,7 @@ Row run_monolithic(std::size_t n, std::size_t slots, double& sink) {
     slot_seconds.push_back(
         std::chrono::duration<double>(Clock::now() - start).count());
   }
-  return summarize(n, "monolithic", std::move(slot_seconds));
+  return summarize(n, side, "monolithic", std::move(slot_seconds));
 }
 
 }  // namespace
@@ -190,49 +206,62 @@ Row run_monolithic(std::size_t n, std::size_t slots, double& sink) {
 int main(int argc, char** argv) try {
   io::Args args(argc, argv);
   const std::string n_csv = args.get_string("n", "2048,8192");
+  const std::string density_csv = args.get_string("density-n", "100000");
   const std::size_t slots = static_cast<std::size_t>(args.get_int("slots", 12));
   const std::string out_path = args.get_string("out", "BENCH_serve.json");
   args.finish();
 
   double sink = 0.0;  // keeps every objective live
   std::vector<Row> rows;
+  // One service row per strategy and store-shard count, each against the
+  // monolithic re-solve at the same n and box.
+  const auto add_service_row = [&](std::size_t n, double side,
+                                   const char* name, double threshold,
+                                   std::size_t shards, const Row& mono) {
+    Row row = run_service(n, side, slots, name, threshold, shards, sink);
+    row.speedup = row.slots_per_sec / mono.slots_per_sec;
+    std::printf("n=%-7zu side=%-6.1f store-shards=%zu %-19s %8.2f slots/s "
+                "(%5.2fx vs monolithic)\n",
+                n, side, shards, name, row.slots_per_sec, row.speedup);
+    rows.push_back(std::move(row));
+  };
   for (const std::size_t n : parse_sizes(n_csv)) {
-    Row mono = run_monolithic(n, slots, sink);
-    Row full = run_service(n, slots, "sharded-full", 0.0, 1, sink);
-    Row incr = run_service(n, slots, "sharded-incremental", 0.05, 1, sink);
-    full.speedup = full.slots_per_sec / mono.slots_per_sec;
-    incr.speedup = incr.slots_per_sec / mono.slots_per_sec;
-    std::printf("n=%-7zu monolithic %8.2f slots/s | sharded-full %8.2f "
-                "(%4.2fx) | incremental %8.2f (%4.2fx)\n",
-                n, mono.slots_per_sec, full.slots_per_sec, full.speedup,
-                incr.slots_per_sec, incr.speedup);
-    rows.push_back(std::move(mono));
-    rows.push_back(std::move(full));
-    rows.push_back(std::move(incr));
+    const Row mono = run_monolithic(n, kDenseBoxSide, slots, sink);
+    std::printf("n=%-7zu side=%-6.1f monolithic %8.2f slots/s\n", n,
+                kDenseBoxSide, mono.slots_per_sec);
+    rows.push_back(mono);
+    add_service_row(n, kDenseBoxSide, "sharded-full", 0.0, 1, mono);
     // Region-sharded store sweep: the same incremental churn workload
-    // routed through 2 and 4 store shards (each churn slot dirties only
-    // the shards it touches, so the re-solve works a fraction of the
-    // population). store_shards=1 is the "sharded-incremental" row above.
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-      Row sharded = run_service(n, slots, "sharded-incremental", 0.05,
-                                shards, sink);
-      sharded.speedup = sharded.slots_per_sec / mono.slots_per_sec;
-      std::printf("n=%-7zu store-shards=%zu incremental %8.2f slots/s "
-                  "(%4.2fx vs monolithic)\n",
-                  n, shards, sharded.slots_per_sec, sharded.speedup);
-      rows.push_back(std::move(sharded));
+    // routed through 1, 2 and 4 store shards.
+    for (const std::size_t shards :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      add_service_row(n, kDenseBoxSide, "sharded-incremental", 0.05, shards,
+                      mono);
+    }
+  }
+  for (const std::size_t n : parse_sizes(density_csv)) {
+    const double side = std::sqrt(static_cast<double>(n) / kUsersPerUnitArea);
+    const Row mono = run_monolithic(n, side, slots, sink);
+    std::printf("n=%-7zu side=%-6.1f monolithic %8.2f slots/s\n", n, side,
+                mono.slots_per_sec);
+    rows.push_back(mono);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      add_service_row(n, side, "sharded-full", 0.0, shards, mono);
+      add_service_row(n, side, "sharded-incremental", 0.05, shards, mono);
     }
   }
   if (sink == -1.0) std::printf("unreachable\n");
 
   std::ofstream out(out_path);
   out << "{\n  \"bench\": \"serve\",\n  \"scenario\": "
-         "\"uniform 2-D L2 box 4.0, k 8, radius 1.0, 1% churn per slot\","
+         "\"uniform 2-D L2, k 8, radius 1.0, 1% churn per slot; box side 4.0 "
+         "(--n) or sqrt(n / 10), 10 users per unit^2 (--density-n)\","
          "\n  \"box\": " << bench::box_json()
       << ",\n  \"config\": {\"slots\": " << slots << "},\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    out << "    {\"n\": " << r.n << ", \"strategy\": \"" << r.strategy
+    out << "    {\"n\": " << r.n << ", \"box_side\": " << r.box_side
+        << ", \"strategy\": \"" << r.strategy
         << "\", \"store_shards\": " << r.store_shards
         << ", \"slots_per_sec\": " << r.slots_per_sec
         << ", \"p50_seconds\": " << r.p50_seconds

@@ -29,7 +29,14 @@ enum class RewardShape {
 
 [[nodiscard]] const char* reward_shape_name(RewardShape shape);
 
-/// Immutable-after-construction problem instance.
+/// A problem instance. Every solver sees it as immutable: nothing changes
+/// a Problem while a solve reads it. Between solves its owner may change
+/// rows through the three row operations below, which follow
+/// serve::InstanceStore's model (append, overwrite in place, swap-remove);
+/// serve::PlacementService mirrors each store mutation into the Problem
+/// its solves read, so a warm re-solve copies no rows. Every accessor then
+/// answers bit for bit what a Problem freshly built from the same rows, in
+/// the same order, would. A Problem is never empty.
 class Problem {
  public:
   /// Validates and takes ownership of the instance data.
@@ -56,8 +63,10 @@ class Problem {
   [[nodiscard]] std::size_t size() const noexcept { return weights_.size(); }
   [[nodiscard]] std::size_t dim() const noexcept { return points_.dim(); }
 
-  /// sum_i w_i — the ceiling on any objective value.
-  [[nodiscard]] double total_weight() const noexcept { return total_weight_; }
+  /// sum_i w_i — the ceiling on any objective value. O(n): summed in row
+  /// order on each call, so it is bitwise what a fresh Problem over the same
+  /// rows reports, however the rows changed.
+  [[nodiscard]] double total_weight() const noexcept;
 
   /// Point i's interest vector.
   [[nodiscard]] geo::ConstVec point(std::size_t i) const {
@@ -66,13 +75,25 @@ class Problem {
   /// Point i's maximum reward w_i.
   [[nodiscard]] double weight(std::size_t i) const { return weights_[i]; }
 
+  // --- row operations: between solves only (see the class comment) ---
+
+  /// Appends row size() at \p p with weight \p weight; storage grows by an
+  /// eighth when full (amortized O(1)). Strong guarantee.
+  /// \throws InvalidArgument on a dimension mismatch or a non-positive
+  ///         weight.
+  void append_row(geo::ConstVec p, double weight);
+  /// Overwrites row \p row in place: a move, a weight change, or both.
+  void overwrite_row(std::size_t row, geo::ConstVec p, double weight);
+  /// Removes row \p row; the last row takes its place (the row itself when
+  /// it is the last). \throws InvalidArgument when it is the only row.
+  void swap_remove_row(std::size_t row);
+
  private:
   geo::PointSet points_;
   std::vector<double> weights_;
   double radius_;
   geo::Metric metric_;
   RewardShape shape_;
-  double total_weight_;
 };
 
 }  // namespace mmph::core

@@ -11,8 +11,8 @@
 /// evaluator keeps, per slot j, the ascending ids with u_i(c_j) > 0 and
 /// their values (O(k·|ball|) memory, not k·n), plus the dense per-point
 /// totals, and answers a trial by merging slot j's ids with the ball around
-/// c'. With an index, construction is k ball queries plus one O(n) pass over
-/// the totals. Deltas accumulate term by term in ascending point-id order,
+/// c'. With an index, construction is k ball queries, zeroing the totals,
+/// and the starting value summed over the union of the slots' ids. Deltas accumulate term by term in ascending point-id order,
 /// so two runs of the same search are bit-identical.
 ///
 /// Gathering the ball around a point, chosen once at construction:
@@ -101,7 +101,8 @@ class SwapEvaluator {
   }
 
   /// Full O(n) recompute of f(C) from the cached totals (test hook for
-  /// pinning the accumulated current_value() against drift).
+  /// pinning the accumulated current_value() against drift; bitwise the
+  /// ball-local starting value right after construction).
   [[nodiscard]] double exact_value() const;
 
   /// Exact per-round accounting of centers() from a fresh residual

@@ -13,7 +13,8 @@
 ///      via service.apply_replicated();
 ///   3. publish lag: every stream frame carries the primary's epoch, so
 ///      `primary_epoch - local_epoch` is the exact op count the replica
-///      trails by — exported as the mmph_repl_lag_ops gauge;
+///      trails by — exported as the mmph_repl_lag_ops gauge, which
+///      apply_replicated() sets with each record it applies;
 ///   4. on any transport error, chain break, or decode failure: drop the
 ///      connection, back off, reconnect, and resubscribe from the current
 ///      local epoch (the primary answers with tail ops or a fresh

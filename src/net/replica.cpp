@@ -140,20 +140,19 @@ bool ReplicaAgent::ingest(const ReplFrame& frame) {
 
   // kReplOps: a run of encoded WAL records, each individually guarded.
   std::size_t offset = 0;
-  std::uint32_t applied = 0;
   while (offset < frame.blob.size()) {
     const wal::RecordDecodeResult decoded = wal::decode_record(
         frame.blob.data() + offset, frame.blob.size() - offset);
     if (decoded.status != wal::RecordDecodeStatus::kOk) return false;
     offset += decoded.consumed;
     if (decoded.record.epoch <= service_.epoch()) continue;  // replayed tail
-    service_.apply_replicated(decoded.record);  // StateError on chain break
+    // StateError on a chain break. The service publishes the lag itself,
+    // in the critical section that advances the epoch.
+    service_.apply_replicated(decoded.record, primary_epoch());
     records_applied_.fetch_add(1, std::memory_order_relaxed);
-    ++applied;
   }
   if (offset != frame.blob.size()) return false;
-  (void)applied;
-  publish_lag();
+  publish_lag();  // a frame of replayed records only applies nothing
   return true;
 }
 

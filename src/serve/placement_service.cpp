@@ -59,6 +59,21 @@ void mirror_gains(core::GainCache& gains, Op&& op) noexcept {
   }
 }
 
+/// Mirrors one row operation, which the store already applied, into a
+/// carried copy of its rows. A failure (an allocation, or \p hook firing
+/// at \p site) runs \p drop instead, and the next solve rebuilds from the
+/// store; the mutation itself never fails for it.
+template <typename Op, typename Drop>
+void mirror_rows(const FaultHook& hook, std::string_view site, Op&& op,
+                 Drop&& drop) noexcept {
+  try {
+    if (hook && hook(site)) throw std::bad_alloc();
+    op();
+  } catch (...) {
+    drop();
+  }
+}
+
 }  // namespace
 
 const char* solver_tier_name(SolverTier tier) noexcept {
@@ -130,16 +145,7 @@ void PlacementService::restore_from(const wal::WalSnapshot& snapshot) {
                "restore_from: snapshot dimension mismatch");
   store_.restore_shard(0, snapshot.epoch, snapshot.ids, snapshot.weights,
                        snapshot.coords);
-  // Placement history is about a population that no longer exists.
-  view_.reset();
-  churn_since_solve_ = 0;
-  recent_points_.clear();
-  // The carried index and gains mirrored the old rows; the next solve
-  // rebuilds.
-  publish_spatial_locked();
-  index_.reset();
-  index_dirty_ = false;
-  gains_.clear();
+  forget_population_locked();
   // Checkpoint the installed state so the local log chains from it (for
   // a boot-time restore this re-checkpoints what recovery read; for a
   // replica install it jumps the writer to the primary's epoch).
@@ -157,13 +163,7 @@ void PlacementService::restore_sharded(const wal::ShardedRecovery& recovered) {
                  "restore_sharded: snapshot dimension mismatch");
     store_.restore_shard(s, part.epoch, part.ids, part.weights, part.coords);
   }
-  view_.reset();
-  churn_since_solve_ = 0;
-  recent_points_.clear();
-  publish_spatial_locked();
-  index_.reset();
-  index_dirty_ = false;
-  gains_.clear();
+  forget_population_locked();
   if (wal_ != nullptr) {
     for (std::size_t s = 0; s < recovered.shards.size(); ++s) {
       if (recovered.shards[s].store.epoch == 0) continue;
@@ -172,7 +172,22 @@ void PlacementService::restore_sharded(const wal::ShardedRecovery& recovered) {
   }
 }
 
-void PlacementService::apply_replicated(const wal::WalRecord& record) {
+void PlacementService::forget_population_locked() {
+  // Placement history is about a population that no longer exists.
+  view_.reset();
+  churn_since_solve_ = 0;
+  recent_points_.clear();
+  // The carried rows, index and gains mirrored the old rows; the next
+  // solve rebuilds.
+  problem_.reset();
+  publish_spatial_locked();
+  index_.reset();
+  index_dirty_ = false;
+  gains_.clear();
+}
+
+void PlacementService::apply_replicated(const wal::WalRecord& record,
+                                        std::uint64_t primary_epoch) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (store_.shard_count() != 1) {
     // A replicated record carries the single-log epoch chain; a sharded
@@ -200,6 +215,11 @@ void PlacementService::apply_replicated(const wal::WalRecord& record) {
   } else {
     apply_remove_locked(record.ids);
   }
+  // In the critical section that advanced the epoch: a reader that sees
+  // the replica caught up also sees lag 0.
+  const std::uint64_t epoch = store_.epoch();
+  metrics_.set_repl_lag(
+      static_cast<double>(primary_epoch > epoch ? primary_epoch - epoch : 0));
   commit_wal_locked();
   maybe_snapshot_locked();
 }
@@ -226,7 +246,12 @@ double PlacementService::evaluate(const geo::PointSet& centers) {
   if (store_.empty() || centers.empty()) return 0.0;
   MMPH_REQUIRE(centers.dim() == config_.dim,
                "evaluate: centers dimension mismatch");
-  return core::objective_value(problem_locked(), centers);
+  return evaluate_locked(centers);
+}
+
+std::optional<core::Problem> PlacementService::carried_rows() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return problem_;
 }
 
 std::size_t PlacementService::population() const {
@@ -370,48 +395,29 @@ void PlacementService::apply_add_locked(const std::vector<UserRecord>& users) {
   try {
     for (const UserRecord& user : users) {
       const geo::ConstVec to(user.interest.data(), user.interest.size());
-      if (nshards == 1) {
-        // An update overwrites the row in place: record its old position
-        // while the store still holds it (the upsert itself cannot throw
-        // past the validation above).
-        mirror_gains(gains_, [&] {
-          const InstanceStore& rows = store_.shard(0);
-          if (const auto row = rows.row_of(user.id)) {
-            gains_.update(*row, rows.point(*row), to);
-          }
-        });
+      // One shard: one row lookup feeds every mirror (none while nothing
+      // is carried, as in a bulk load before the first solve). An update's
+      // gains need its old position, so they mirror while the store still
+      // holds it (the upsert itself cannot throw past the validation).
+      const bool mirrored = nshards == 1 && carries_rows_locked();
+      std::optional<std::size_t> row;
+      if (mirrored) {
+        const InstanceStore& rows = store_.shard(0);
+        row = rows.row_of(user.id);
+        if (row.has_value()) {
+          mirror_gains(gains_,
+                       [&] { gains_.update(*row, rows.point(*row), to); });
+        }
       }
       const auto route = store_.upsert(user);
-      if (nshards == 1 && route.inserted) {
-        mirror_gains(gains_, [&] { gains_.insert(to); });
+      if (mirrored) {
+        mirror_upsert_locked(row, to, user.weight);
+      } else if (nshards > 1) {
+        shift_rows_locked();
       }
       ++churn_since_solve_;
       bound_gains_locked();
       metrics_.count_shard_mutations(route.to, 1);
-      if (index_ != nullptr && !index_dirty_) {
-        if (nshards > 1) {
-          // Rows of the global concatenation shifted (any mutation moves
-          // every later shard's rows); the next solve rebuilds.
-          index_dirty_ = true;
-        } else {
-          // Mirror the mutation into the carried index. A failure here
-          // must not fail the mutation (the store and WAL already agree):
-          // the index just goes dirty and the next solve rebuilds it.
-          try {
-            if (config_.fault_hook &&
-                config_.fault_hook(kFaultSpatialAllocFail)) {
-              throw std::bad_alloc();
-            }
-            if (route.inserted) {
-              index_->add(to);
-            } else {
-              index_->update(*store_.shard(0).row_of(user.id), to);
-            }
-          } catch (...) {
-            index_dirty_ = true;
-          }
-        }
-      }
       recent_points_.push_back(user.interest);
     }
   } catch (...) {
@@ -468,38 +474,86 @@ void PlacementService::apply_remove_locked(
     append_wal_locked(records, "apply_remove");
   }
   for (const std::uint64_t id : effective) {
-    if (nshards == 1) {
+    // One shard: the row, captured before the store forgets the id, feeds
+    // every mirror; the gains also need the positions the swap-remove
+    // overwrites.
+    const bool mirrored = nshards == 1 && carries_rows_locked();
+    std::size_t row = 0;
+    if (mirrored) {
+      const InstanceStore& rows = store_.shard(0);
+      row = *rows.row_of(id);
       mirror_gains(gains_, [&] {
-        const InstanceStore& rows = store_.shard(0);
-        const std::size_t row = *rows.row_of(id);
         gains_.swap_remove(row, rows.point(row), rows.point(rows.size() - 1));
       });
     }
-    if (index_ != nullptr && !index_dirty_) {
-      if (nshards > 1) {
-        index_dirty_ = true;  // global rows shifted; rebuild at solve
-      } else {
-        // The index's swap_remove relocates the same last row the store's
-        // does, so rows keep corresponding; capture the row before the
-        // store forgets the id.
-        const std::size_t row = *store_.shard(0).row_of(id);
-        try {
-          if (config_.fault_hook &&
-              config_.fault_hook(kFaultSpatialAllocFail)) {
-            throw std::bad_alloc();
-          }
-          index_->swap_remove(row);
-        } catch (...) {
-          index_dirty_ = true;
-        }
-      }
-    }
     const auto from = store_.remove(id);  // present per the filter above
+    if (mirrored) {
+      mirror_remove_locked(row);
+    } else if (nshards > 1) {
+      shift_rows_locked();
+    }
     ++churn_since_solve_;
     bound_gains_locked();
     metrics_.count_shard_mutations(*from, 1);
   }
   metrics_.count_mutations(effective.size());
+}
+
+void PlacementService::mirror_upsert_locked(std::optional<std::size_t> row,
+                                            geo::ConstVec to, double weight) {
+  // Each carried copy relocates rows exactly as the store does, so the
+  // copies and the store keep corresponding row for row.
+  if (!row.has_value()) mirror_gains(gains_, [&] { gains_.insert(to); });
+  if (index_ != nullptr && !index_dirty_) {
+    mirror_rows(
+        config_.fault_hook, kFaultSpatialAllocFail,
+        [&] {
+          if (row.has_value()) {
+            index_->update(*row, to);
+          } else {
+            index_->add(to);
+          }
+        },
+        [&] { index_dirty_ = true; });
+  }
+  if (problem_.has_value()) {
+    mirror_rows(
+        config_.fault_hook, kFaultRowsAllocFail,
+        [&] {
+          if (row.has_value()) {
+            problem_->overwrite_row(*row, to, weight);
+          } else {
+            problem_->append_row(to, weight);
+          }
+        },
+        [&] { problem_.reset(); });
+  }
+}
+
+void PlacementService::mirror_remove_locked(std::size_t row) {
+  if (index_ != nullptr && !index_dirty_) {
+    mirror_rows(
+        config_.fault_hook, kFaultSpatialAllocFail,
+        [&] { index_->swap_remove(row); }, [&] { index_dirty_ = true; });
+  }
+  if (store_.empty()) {
+    problem_.reset();  // a Problem is never empty
+  } else if (problem_.has_value()) {
+    mirror_rows(
+        config_.fault_hook, kFaultRowsAllocFail,
+        [&] { problem_->swap_remove_row(row); }, [&] { problem_.reset(); });
+  }
+}
+
+bool PlacementService::carries_rows_locked() const noexcept {
+  return problem_.has_value() || index_ != nullptr || !gains_.empty();
+}
+
+void PlacementService::shift_rows_locked() {
+  // Above one store shard a mutation moves every later shard's rows in
+  // the global concatenation: the next solve rebuilds the rows and index.
+  problem_.reset();
+  if (index_ != nullptr) index_dirty_ = true;
 }
 
 void PlacementService::bound_gains_locked() {
@@ -570,10 +624,16 @@ wal::WalSnapshot PlacementService::shard_wal_snapshot_locked(
   return to_wal_snapshot(store_.shard(s).snapshot());
 }
 
-void PlacementService::ensure_index_locked(const core::Problem& problem) {
+void PlacementService::ensure_index_locked(const core::Problem& problem,
+                                           bool warm) {
   // The carried index is a UniformGridIndex, which stops at kGridMaxDim.
+  // A warm solve lends the clean carried grid, which answers kAuto without
+  // the O(n) bounding-box pass; a full solve is O(n) anyway and decides
+  // afresh.
+  const spatial::SpatialIndex* lent =
+      warm && !index_dirty_ ? index_.get() : nullptr;
   const bool want = !store_.empty() && config_.dim <= spatial::kGridMaxDim &&
-                    core::kernels::should_index(problem);
+                    core::kernels::should_index(problem, lent);
   if (!want) {
     publish_spatial_locked();
     index_.reset();
@@ -610,33 +670,53 @@ void PlacementService::publish_spatial_locked() {
   index_published_ = now;
 }
 
-core::Problem PlacementService::problem_locked() const {
-  StoreSnapshot snap = store_.global_snapshot();
-  return core::Problem(std::move(snap.points), std::move(snap.weights),
-                       config_.radius, config_.metric, config_.shape);
+const core::Problem& PlacementService::problem_locked() {
+  if (!problem_.has_value()) {
+    StoreSnapshot snap = store_.global_snapshot();
+    problem_.emplace(std::move(snap.points), std::move(snap.weights),
+                     config_.radius, config_.metric, config_.shape);
+  }
+  return *problem_;
+}
+
+double PlacementService::evaluate_locked(const geo::PointSet& centers) {
+  const core::Problem& problem = problem_locked();
+  if (index_ == nullptr || index_dirty_ || index_->size() != problem.size()) {
+    return core::objective_value(problem, centers);
+  }
+  // The clean carried grid gathers the centers' balls; every row outside
+  // their union is uncovered and would add exact +0.0. The last full
+  // solve's merge may have left masks set.
+  index_->unmask_all();
+  std::vector<std::size_t> rows;
+  std::vector<std::size_t> ball;
+  for (std::size_t j = 0; j < centers.size(); ++j) {
+    index_->query(centers[j], ball);
+    rows.insert(rows.end(), ball.begin(), ball.end());
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return core::objective_value_over(problem, centers, rows);
 }
 
 const PlacementView& PlacementService::solve_locked() {
   if (view_.has_value() && churn_since_solve_ == 0) return *view_;
 
   if (store_.empty()) {
+    forget_population_locked();
     PlacementView view;
     view.epoch = store_.epoch();
     view.solution.solver_name = "empty";
     view.solution.centers = geo::PointSet(config_.dim);
-    publish_spatial_locked();
-    index_.reset();
-    index_dirty_ = false;
-    gains_.clear();
     view_ = std::move(view);
-    churn_since_solve_ = 0;
-    recent_points_.clear();
     return *view_;
   }
 
   const std::uint64_t epoch = store_.epoch();
   const std::size_t population = store_.size();
-  const core::Problem problem = problem_locked();
+  // At one store shard, the carried rows: no copy unless a restore or a
+  // failed mirror dropped them.
+  const core::Problem& problem = problem_locked();
 
   // The served placement is the history: a warm re-solve starts from its
   // centers while it still has k of them (an empty-out serves none) and
@@ -653,7 +733,7 @@ const PlacementView& PlacementService::solve_locked() {
   // this epoch. The sharded solver evaluates (and grid-splits) through it,
   // and the polish gathers its swap balls from it. The full solve splits
   // the global rows itself, whatever the store-shard count.
-  ensure_index_locked(problem);
+  ensure_index_locked(problem, incremental);
   sharded_->set_shared_index(index_.get());
 
   const auto start = Clock::now();
@@ -910,8 +990,7 @@ void PlacementService::process_batch(std::vector<Request> batch) {
               throw std::runtime_error("injected solver failure");
             }
             if (!store_.empty()) {
-              response.objective =
-                  core::objective_value(problem_locked(), *request.centers);
+              response.objective = evaluate_locked(*request.centers);
             }
             break;
           }

@@ -47,6 +47,61 @@ TEST(SwapEvaluator, InitialValueMatchesObjective) {
   const geo::PointSet centers = random_centers(4, 2, rng);
   const SwapEvaluator eval(p, centers);
   EXPECT_NEAR(eval.current_value(), objective_value(p, centers), 1e-9);
+  EXPECT_EQ(eval.current_value(), eval.exact_value());  // bitwise
+}
+
+TEST(SwapEvaluator, StartingValueIsTheFullSumBitwise) {
+  // The starting value sums only the rows some slot covers; every other
+  // row adds exact +0.0 to exact_value()'s pass over [0, n). Across the
+  // 210-instance corpus (6..12 points in a dense box: the scan backend)
+  // and with a lent grid, then on sparse boxes where balls hold a few
+  // dozen of thousands of rows.
+  const geo::Metric metrics[] = {geo::l2_metric(), geo::l1_metric(),
+                                 geo::linf_metric()};
+  int instances = 0;
+  for (std::uint64_t seed = 1; seed <= 70; ++seed) {
+    rnd::WorkloadSpec spec;
+    spec.n = 6 + seed % 7;  // 6..12
+    spec.dim = 2 + seed % 2;
+    spec.weights = seed % 3 == 0 ? rnd::WeightScheme::kSame
+                                 : rnd::WeightScheme::kUniformInt;
+    rnd::Rng rng(seed);
+    const Problem p = Problem::from_workload(
+        rnd::generate_workload(spec, rng), 1.0, metrics[seed % 3]);
+    const auto grid =
+        spatial::make_index(spatial::IndexKind::kGrid, p.points(), p.radius(),
+                            p.metric());
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2},
+                                std::size_t{3}}) {
+      ++instances;
+      const geo::PointSet centers = random_centers(k, spec.dim, rng);
+      const SwapEvaluator scan(p, centers);
+      ASSERT_EQ(scan.index(), nullptr) << "seed " << seed;
+      EXPECT_EQ(scan.current_value(), scan.exact_value()) << "seed " << seed;
+      const SwapEvaluator lent(p, centers, grid.get());
+      EXPECT_EQ(lent.current_value(), lent.exact_value()) << "seed " << seed;
+      EXPECT_EQ(lent.current_value(), scan.current_value()) << "seed " << seed;
+    }
+  }
+  EXPECT_EQ(instances, 210);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    rnd::WorkloadSpec spec;
+    spec.n = 3000;
+    spec.box_side = 17.0;  // ~10 per unit²
+    spec.weights = rnd::WeightScheme::kUniformInt;
+    rnd::Rng rng(seed);
+    const Problem p = Problem::from_workload(
+        rnd::generate_workload(spec, rng), 1.0, metrics[seed % 3]);
+    geo::PointSet centers(2);
+    for (std::size_t j = 0; j < 8; ++j) centers.push_back(p.points()[7 * j]);
+    const auto grid =
+        spatial::make_index(spatial::IndexKind::kGrid, p.points(), p.radius(),
+                            p.metric());
+    const SwapEvaluator lent(p, centers, grid.get());
+    EXPECT_EQ(lent.current_value(), lent.exact_value()) << "seed " << seed;
+    EXPECT_EQ(lent.current_value(), objective_value(p, centers))
+        << "seed " << seed;
+  }
 }
 
 TEST(SwapEvaluator, TrialDoesNotMutate) {

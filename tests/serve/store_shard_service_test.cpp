@@ -587,7 +587,7 @@ TEST(ShardService, ReplicationEndpointsRejectedWhileSharded) {
   record.ids = {8};
   record.weights = {1.0};
   record.coords = {0.4, 0.4};
-  EXPECT_THROW(service.apply_replicated(record), StateError);
+  EXPECT_THROW(service.apply_replicated(record, record.epoch), StateError);
 }
 
 TEST(ShardService, AffinityCountersTrackTheHintShardMatch) {
