@@ -13,18 +13,18 @@
 //     by spatial region, but a churn slot still polishes the whole
 //     placement, so the sweep prices the routing and the shard-ordered
 //     global rows, not a smaller re-solve.
-//   - constant density (--density-n): 10 users per unit² (box side
-//     √(n/10)), the regime perfbench gates, where the service carries its
-//     grid. Both service strategies run at store shards 1 and 4: at one
-//     shard a warm re-solve reads the carried rows, above one it gathers
-//     the shards' rows again.
+//   - constant density: n = 100k users at 10 per unit² (box side 100),
+//     the regime perfbench gates, where the service carries its grid.
+//     Both service strategies run at store shards 1 and 4: at one shard a
+//     solve reads the store's own rows, above one it gathers the shards'
+//     rows into one copy.
 //
 // A plain timed repro (like perf_kernels): it emits BENCH_serve.json
 // (config + per-strategy slots/sec and per-slot latency percentiles) so
 // CI and the tutorial can diff numbers across machines. slots/sec is
 // churn slots absorbed per second, center-refresh included.
 //
-//   ./perf_serve --n 2048,8192 --density-n 100000 --slots 12
+//   ./perf_serve --n 2048,8192 --slots 12 --out BENCH_serve.json
 
 #include <algorithm>
 #include <chrono>
@@ -51,6 +51,7 @@ using Clock = std::chrono::steady_clock;
 constexpr std::size_t kCenters = 8;
 constexpr double kRadius = 1.0;
 constexpr double kDenseBoxSide = 4.0;
+constexpr std::size_t kDensityUsers = 100000;
 constexpr double kUsersPerUnitArea = 10.0;
 
 struct Row {
@@ -206,7 +207,6 @@ Row run_monolithic(std::size_t n, double side, std::size_t slots,
 int main(int argc, char** argv) try {
   io::Args args(argc, argv);
   const std::string n_csv = args.get_string("n", "2048,8192");
-  const std::string density_csv = args.get_string("density-n", "100000");
   const std::size_t slots = static_cast<std::size_t>(args.get_int("slots", 12));
   const std::string out_path = args.get_string("out", "BENCH_serve.json");
   args.finish();
@@ -239,7 +239,8 @@ int main(int argc, char** argv) try {
                       mono);
     }
   }
-  for (const std::size_t n : parse_sizes(density_csv)) {
+  {
+    const std::size_t n = kDensityUsers;
     const double side = std::sqrt(static_cast<double>(n) / kUsersPerUnitArea);
     const Row mono = run_monolithic(n, side, slots, sink);
     std::printf("n=%-7zu side=%-6.1f monolithic %8.2f slots/s\n", n, side,
@@ -255,7 +256,7 @@ int main(int argc, char** argv) try {
   std::ofstream out(out_path);
   out << "{\n  \"bench\": \"serve\",\n  \"scenario\": "
          "\"uniform 2-D L2, k 8, radius 1.0, 1% churn per slot; box side 4.0 "
-         "(--n) or sqrt(n / 10), 10 users per unit^2 (--density-n)\","
+         "(--n) or 100 at n 100000, 10 users per unit^2\","
          "\n  \"box\": " << bench::box_json()
       << ",\n  \"config\": {\"slots\": " << slots << "},\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -20,15 +20,6 @@ namespace mmph::core {
 [[nodiscard]] double objective_value(const Problem& problem,
                                      const geo::PointSet& centers);
 
-/// objective_value's sum over \p rows alone, strictly ascending row ids,
-/// with the same capped per-row sum. When no center covers a row outside
-/// \p rows (e.g. \p rows holds every center's ball), each such row would
-/// add exact +0.0, so the result is objective_value(problem, centers) bit
-/// for bit in O(|rows|·k).
-[[nodiscard]] double objective_value_over(const Problem& problem,
-                                          const geo::PointSet& centers,
-                                          std::span<const std::size_t> rows);
-
 /// As objective_value, but the center set is given as indices into a
 /// candidate PointSet — the exhaustive solver's hot path.
 [[nodiscard]] double objective_value(const Problem& problem,

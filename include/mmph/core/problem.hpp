@@ -8,6 +8,7 @@
 /// Solvers choose k centers c_j maximizing
 ///   f(C) = sum_i w_i * min( sum_j [1 - d(c_j, x_i)/r]_+ , 1 )        (Eq. 7)
 
+#include <utility>
 #include <vector>
 
 #include "mmph/geometry/norms.hpp"
@@ -29,14 +30,10 @@ enum class RewardShape {
 
 [[nodiscard]] const char* reward_shape_name(RewardShape shape);
 
-/// A problem instance. Every solver sees it as immutable: nothing changes
-/// a Problem while a solve reads it. Between solves its owner may change
-/// rows through the three row operations below, which follow
-/// serve::InstanceStore's model (append, overwrite in place, swap-remove);
-/// serve::PlacementService mirrors each store mutation into the Problem
-/// its solves read, so a warm re-solve copies no rows. Every accessor then
-/// answers bit for bit what a Problem freshly built from the same rows, in
-/// the same order, would. A Problem is never empty.
+/// Immutable-after-construction problem instance. It owns its rows, but
+/// trusted() and release() let an owner such as serve::PlacementService
+/// wrap rows it already holds valid for one solve and take them back
+/// after it, uncopied.
 class Problem {
  public:
   /// Validates and takes ownership of the instance data.
@@ -44,6 +41,14 @@ class Problem {
   ///         non-positive weights, or non-positive radius.
   Problem(geo::PointSet points, std::vector<double> weights, double radius,
           geo::Metric metric, RewardShape shape = RewardShape::kLinear);
+
+  /// Wraps rows its caller already holds valid (a serve::InstanceStore
+  /// checks every row it takes): \p points non-empty, one positive weight
+  /// per point, a positive radius. Nothing is checked, so it is O(1).
+  [[nodiscard]] static Problem trusted(geo::PointSet points,
+                                       std::vector<double> weights,
+                                       double radius, geo::Metric metric,
+                                       RewardShape shape) noexcept;
 
   /// Builds a problem from a generated workload.
   static Problem from_workload(rnd::Workload workload, double radius,
@@ -64,8 +69,7 @@ class Problem {
   [[nodiscard]] std::size_t dim() const noexcept { return points_.dim(); }
 
   /// sum_i w_i — the ceiling on any objective value. O(n): summed in row
-  /// order on each call, so it is bitwise what a fresh Problem over the same
-  /// rows reports, however the rows changed.
+  /// order on each call, which keeps trusted() O(1).
   [[nodiscard]] double total_weight() const noexcept;
 
   /// Point i's interest vector.
@@ -75,20 +79,21 @@ class Problem {
   /// Point i's maximum reward w_i.
   [[nodiscard]] double weight(std::size_t i) const { return weights_[i]; }
 
-  // --- row operations: between solves only (see the class comment) ---
-
-  /// Appends row size() at \p p with weight \p weight; storage grows by an
-  /// eighth when full (amortized O(1)). Strong guarantee.
-  /// \throws InvalidArgument on a dimension mismatch or a non-positive
-  ///         weight.
-  void append_row(geo::ConstVec p, double weight);
-  /// Overwrites row \p row in place: a move, a weight change, or both.
-  void overwrite_row(std::size_t row, geo::ConstVec p, double weight);
-  /// Removes row \p row; the last row takes its place (the row itself when
-  /// it is the last). \throws InvalidArgument when it is the only row.
-  void swap_remove_row(std::size_t row);
+  /// The rows, moved out of an expiring Problem uncopied (how rows wrapped
+  /// by trusted() go back to their owner).
+  struct Rows {
+    geo::PointSet points;
+    std::vector<double> weights;
+  };
+  [[nodiscard]] Rows release() && noexcept {
+    return Rows{std::move(points_), std::move(weights_)};
+  }
 
  private:
+  struct Trusted {};
+  Problem(Trusted, geo::PointSet points, std::vector<double> weights,
+          double radius, geo::Metric metric, RewardShape shape) noexcept;
+
   geo::PointSet points_;
   std::vector<double> weights_;
   double radius_;

@@ -12,8 +12,9 @@
 /// their values (O(k·|ball|) memory, not k·n), plus the dense per-point
 /// totals, and answers a trial by merging slot j's ids with the ball around
 /// c'. With an index, construction is k ball queries, zeroing the totals,
-/// and the starting value summed over the union of the slots' ids. Deltas accumulate term by term in ascending point-id order,
-/// so two runs of the same search are bit-identical.
+/// and the starting value summed over the union of the slots' ids. Deltas
+/// accumulate term by term in ascending point-id order, so two runs of the
+/// same search are bit-identical.
 ///
 /// Gathering the ball around a point, chosen once at construction:
 ///   - the index the caller lends (e.g. the service's carried grid);

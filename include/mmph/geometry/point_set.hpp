@@ -57,12 +57,6 @@ class PointSet {
   /// Appends a point; p.size() must equal dim().
   void push_back(ConstVec p);
 
-  /// Drops the last point; requires a nonempty set.
-  void pop_back() {
-    MMPH_ASSERT(!empty(), "PointSet: pop_back of an empty set");
-    coords_.resize(coords_.size() - dim_);
-  }
-
   /// Read-only view of point i.
   [[nodiscard]] ConstVec operator[](std::size_t i) const {
     MMPH_ASSERT(i < size(), "PointSet: index out of range");

@@ -41,11 +41,6 @@ inline constexpr std::string_view kFaultSolverThrow = "serve.solver_throw";
 /// PlacementService add-users processing throws std::bad_alloc *before*
 /// any store mutation -> kInternalError, store untouched.
 inline constexpr std::string_view kFaultAllocFail = "serve.alloc_fail";
-/// Mirroring a store mutation into the carried solve rows (one store
-/// shard) throws std::bad_alloc -> the mutation still succeeds; the rows
-/// are dropped and the next solve rebuilds them from the store, with
-/// responses and placements bit-identical to a fault-free run.
-inline constexpr std::string_view kFaultRowsAllocFail = "serve.rows_alloc_fail";
 
 // --- fault-site catalog (spatial index maintenance) -------------------------
 // The carried coverage index is an accelerator, never a source of truth:

@@ -100,6 +100,21 @@ class InstanceStore {
     return concatenate({this, 1}, epoch_);
   }
 
+  /// The row arrays a loan hands out: weights and row-major coordinates.
+  struct Rows {
+    std::vector<double> weights;
+    std::vector<double> coords;
+  };
+
+  /// Lends the row arrays out uncopied, e.g. for a solve to wrap in a
+  /// core::Problem. The store keeps its ids, id map and epoch, so size(),
+  /// empty() and epoch() still answer, but it holds no rows: nothing else
+  /// may touch it until return_rows() hands the same arrays back. O(1).
+  [[nodiscard]] Rows lend_rows() noexcept;
+  /// Ends the loan: takes back the arrays lend_rows() handed out, rows
+  /// unchanged. O(1).
+  void return_rows(Rows rows) noexcept;
+
   /// The rows of \p stores (one dim, non-empty span), store by store in
   /// live row order, stamped with \p epoch: one copy of each row array.
   /// snapshot() is the one-store case. Row order is the stores'

@@ -202,10 +202,6 @@ class PlacementService {
   /// and what kReplSnapshot streams).
   [[nodiscard]] wal::WalSnapshot wal_snapshot();
 
-  /// A copy of the rows the next solve reads, when the service carries
-  /// them (see problem_), else std::nullopt. Test hook; O(n).
-  [[nodiscard]] std::optional<core::Problem> carried_rows() const;
-
   /// One store shard's rows and epoch as a WAL snapshot — the unit the
   /// per-shard logs checkpoint and recovery restores. \throws
   /// InvalidArgument when \p s >= store_shards().
@@ -266,19 +262,15 @@ class PlacementService {
   void apply_remove_locked(const std::vector<std::uint64_t>& ids);
   /// One store shard: mirrors an upsert the store just applied into the
   /// carried gains (an insert; an update's gains mirror before the store
-  /// op, while the old position is still there), index and rows. \p row
-  /// is the user's row before the upsert, nullopt for an insert.
-  void mirror_upsert_locked(std::optional<std::size_t> row, geo::ConstVec to,
-                            double weight);
+  /// op, while the old position is still there) and index. \p row is the
+  /// user's row before the upsert, nullopt for an insert.
+  void mirror_upsert_locked(std::optional<std::size_t> row, geo::ConstVec to);
   /// One store shard: mirrors the swap-remove of \p row, which the store
-  /// just applied, into the carried index and rows (the gains mirror
-  /// before the store op).
+  /// just applied, into the carried index (the gains mirror before the
+  /// store op).
   void mirror_remove_locked(std::size_t row);
-  /// Whether problem_, index_ or gains_ holds rows a mutation mirrors.
+  /// Whether index_ or gains_ holds rows a mutation mirrors.
   [[nodiscard]] bool carries_rows_locked() const noexcept;
-  /// Above one store shard: a mutation shifted the global rows, so the
-  /// carried rows go and the index goes dirty.
-  void shift_rows_locked();
   /// Drops the placement history and everything carried across epochs
   /// (restores, an emptied store).
   void forget_population_locked();
@@ -309,13 +301,8 @@ class PlacementService {
                                              const core::Solution* full);
   [[nodiscard]] geo::PointSet incremental_pool_locked() const;
   void process_batch(std::vector<Request> batch);
-  /// The rows every solve and evaluation reads: problem_, rebuilt from
-  /// the store's global rows first when it is not carried. Requires a
-  /// non-empty store.
-  [[nodiscard]] const core::Problem& problem_locked();
-  /// f(\p centers) on problem_locked(), summed over the union of the
-  /// centers' balls when the clean carried grid gathers them (else every
-  /// row); bitwise core::objective_value either way.
+  /// f(\p centers) on the store's rows (lent uncopied at one store
+  /// shard): core::objective_value. Requires a non-empty store.
   [[nodiscard]] double evaluate_locked(const geo::PointSet& centers);
 
   ServiceConfig config_;
@@ -335,6 +322,9 @@ class PlacementService {
   std::mutex pump_mutex_;
 
   mutable std::mutex mutex_;
+  /// The population. At one store shard each solve and evaluation reads
+  /// the shard's own rows: lent uncopied into the core::Problem it reads
+  /// and handed back when it ends. Above one, it reads their concatenation.
   ShardedInstanceStore store_;
   std::unique_ptr<ShardedSolver> sharded_;
   /// The served placement; a warm re-solve's seed is its centers.
@@ -343,25 +333,13 @@ class PlacementService {
   /// Interest rows of recently churned-in users (swap candidates).
   std::deque<std::vector<double>> recent_points_;
 
-  /// The rows every solve and evaluation reads, in the store's global row
-  /// order. With one store shard they are carried across churn epochs:
-  /// every mutation applies the same append/overwrite/swap-remove to them
-  /// (core::Problem's row operations) right after the store op, from the
-  /// row lookup that also feeds index_ and gains_, so a warm re-solve
-  /// copies no rows. A failed mirror drops them, as do restores and an
-  /// emptied store; the next solve or evaluation rebuilds them from the
-  /// store (placements are bit-identical either way). Above one store
-  /// shard every mutation drops them (global rows shift), so each solve
-  /// after churn concatenates the shards again. Unset before the first
-  /// solve or evaluation.
-  std::optional<core::Problem> problem_;
-  /// Coverage index carried across churn epochs over problem_'s rows
-  /// (kernels::should_index() decides whether one is kept; a warm solve
-  /// lends it to that test). Each mutation mirrors into it like problem_,
-  /// so a re-solve skips the O(n) build; evaluations gather their balls
-  /// from it. The index is an accelerator, never truth — a failed mirror
-  /// marks it dirty and the next solve rebuilds it from the rows
-  /// (placements are bit-identical either way).
+  /// Coverage index carried across churn epochs (kernels::should_index()
+  /// decides whether one is kept; a warm solve lends it to that test).
+  /// Rows mirror the store's live rows: every mutation applies the same
+  /// add/update/swap-remove to both, so a re-solve skips the O(n) build.
+  /// The index is an accelerator, never truth — a failed mirror marks it
+  /// dirty and the next solve rebuilds it from the rows (placements are
+  /// bit-identical either way).
   std::unique_ptr<spatial::UniformGridIndex> index_;
   bool index_dirty_ = false;
   /// kLs with one store shard: the last polish's marginal gains, carried to

@@ -92,9 +92,6 @@ FaultPlan serve_plan_for_seed(std::uint64_t seed) {
   // carried grid at any point and the placement must not move a bit.
   plan.with(serve::kFaultSpatialAllocFail, 0.25 * rng.next_double());
   plan.with(serve::kFaultSpatialCorrupt, 0.25 * rng.next_double());
-  // So are the carried solve rows: a failed mirror drops them, and the
-  // next solve rebuilds them from the store.
-  plan.with(serve::kFaultRowsAllocFail, 0.25 * rng.next_double());
   return plan;
 }
 
@@ -338,7 +335,6 @@ FaultPlan ls_plan_for_seed(std::uint64_t seed) {
   // and dropping/corrupting it must remain output-invisible.
   plan.with(serve::kFaultSpatialAllocFail, 0.25 * rng.next_double());
   plan.with(serve::kFaultSpatialCorrupt, 0.25 * rng.next_double());
-  plan.with(serve::kFaultRowsAllocFail, 0.25 * rng.next_double());
   return plan;
 }
 

@@ -7,42 +7,18 @@
 
 namespace mmph::core {
 
-namespace {
-
-/// Point i's term w_i min(sum_j u_ij, 1).
-double capped_row(const Problem& problem, const geo::PointSet& centers,
-                  std::size_t i) {
-  double s = 0.0;
-  for (std::size_t j = 0; j < centers.size(); ++j) {
-    s += unit_coverage(problem, centers[j], i);
-    if (s >= 1.0) break;  // capped; remaining centers cannot add
-  }
-  return problem.weight(i) * std::min(s, 1.0);
-}
-
-}  // namespace
-
 double objective_value(const Problem& problem, const geo::PointSet& centers) {
   if (centers.empty()) return 0.0;
   MMPH_REQUIRE(centers.dim() == problem.dim(),
                "objective_value: center dimension mismatch");
   double f = 0.0;
   for (std::size_t i = 0; i < problem.size(); ++i) {
-    f += capped_row(problem, centers, i);
-  }
-  return f;
-}
-
-double objective_value_over(const Problem& problem,
-                            const geo::PointSet& centers,
-                            std::span<const std::size_t> rows) {
-  if (centers.empty()) return 0.0;
-  MMPH_REQUIRE(centers.dim() == problem.dim(),
-               "objective_value: center dimension mismatch");
-  double f = 0.0;
-  for (const std::size_t i : rows) {
-    MMPH_ASSERT(i < problem.size(), "objective_value_over: row out of range");
-    f += capped_row(problem, centers, i);
+    double s = 0.0;
+    for (std::size_t j = 0; j < centers.size(); ++j) {
+      s += unit_coverage(problem, centers[j], i);
+      if (s >= 1.0) break;  // capped; remaining centers cannot add
+    }
+    f += problem.weight(i) * std::min(s, 1.0);
   }
   return f;
 }

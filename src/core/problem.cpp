@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "mmph/geometry/vec.hpp"
 #include "mmph/support/assert.hpp"
 
 namespace mmph::core {
@@ -19,11 +18,8 @@ const char* reward_shape_name(RewardShape shape) {
 
 Problem::Problem(geo::PointSet points, std::vector<double> weights,
                  double radius, geo::Metric metric, RewardShape shape)
-    : points_(std::move(points)),
-      weights_(std::move(weights)),
-      radius_(radius),
-      metric_(metric),
-      shape_(shape) {
+    : Problem(Trusted{}, std::move(points), std::move(weights), radius,
+              metric, shape) {
   MMPH_REQUIRE(!points_.empty(), "Problem needs at least one point");
   MMPH_REQUIRE(points_.size() == weights_.size(),
                "Problem: one weight per point required");
@@ -33,48 +29,23 @@ Problem::Problem(geo::PointSet points, std::vector<double> weights,
   }
 }
 
+Problem::Problem(Trusted, geo::PointSet points, std::vector<double> weights,
+                 double radius, geo::Metric metric, RewardShape shape) noexcept
+    : points_(std::move(points)),
+      weights_(std::move(weights)),
+      radius_(radius),
+      metric_(metric),
+      shape_(shape) {}
+
+Problem Problem::trusted(geo::PointSet points, std::vector<double> weights,
+                         double radius, geo::Metric metric,
+                         RewardShape shape) noexcept {
+  return Problem(Trusted{}, std::move(points), std::move(weights), radius,
+                 metric, shape);
+}
+
 double Problem::total_weight() const noexcept {
   return std::accumulate(weights_.begin(), weights_.end(), 0.0);
-}
-
-void Problem::append_row(geo::ConstVec p, double weight) {
-  MMPH_REQUIRE(p.size() == dim(), "Problem: row dimension mismatch");
-  MMPH_REQUIRE(weight > 0.0, "Problem: weights must be positive");
-  if (weights_.size() == weights_.capacity()) {
-    // Grow by an eighth, not the vectors' usual doubling: a Problem that
-    // mirrors a churning population stays near its size, and doubling
-    // would keep up to twice its rows resident.
-    const std::size_t rows = size() + size() / 8 + 1;
-    points_.reserve(rows);
-    weights_.reserve(rows);
-  }
-  points_.push_back(p);
-  try {
-    weights_.push_back(weight);
-  } catch (...) {
-    points_.pop_back();
-    throw;
-  }
-}
-
-void Problem::overwrite_row(std::size_t row, geo::ConstVec p, double weight) {
-  MMPH_REQUIRE(row < size(), "Problem: row out of range");
-  MMPH_REQUIRE(p.size() == dim(), "Problem: row dimension mismatch");
-  MMPH_REQUIRE(weight > 0.0, "Problem: weights must be positive");
-  geo::assign(points_.mutable_point(row), p);
-  weights_[row] = weight;
-}
-
-void Problem::swap_remove_row(std::size_t row) {
-  MMPH_REQUIRE(row < size(), "Problem: row out of range");
-  MMPH_REQUIRE(size() > 1, "Problem needs at least one point");
-  const std::size_t last = size() - 1;
-  if (row != last) {
-    geo::assign(points_.mutable_point(row), points_[last]);
-    weights_[row] = weights_[last];
-  }
-  points_.pop_back();
-  weights_.pop_back();
 }
 
 Problem Problem::from_workload(rnd::Workload workload, double radius,

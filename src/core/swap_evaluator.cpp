@@ -64,9 +64,15 @@ SwapEvaluator::SwapEvaluator(const Problem& problem,
       for (const std::size_t i : ball_) cover(i);
     }
   }
-  // The starting value sums the covered rows in ascending order: every
-  // other row's total is exactly 0 and would add exact +0.0, so this is
-  // exact_value() bit for bit without its O(n) pass.
+  // The starting value. With an index it sums the covered rows in
+  // ascending order: every other row's total is exactly 0 and would add
+  // exact +0.0, so this is exact_value() bit for bit without its O(n)
+  // pass. A scan has made k O(n) passes already, and its slots may hold
+  // more ids than there are rows, so it sums every row.
+  if (index_ == nullptr) {
+    value_ = exact_value();
+    return;
+  }
   touched_.clear();
   for (const Slot& slot : slots_) {
     touched_.insert(touched_.end(), slot.ids.begin(), slot.ids.end());

@@ -127,6 +127,20 @@ geo::ConstVec InstanceStore::point(std::size_t row) const {
   return geo::ConstVec(coords_.data() + row * dim_, dim_);
 }
 
+InstanceStore::Rows InstanceStore::lend_rows() noexcept {
+  MMPH_ASSERT(weights_.size() == ids_.size(),
+              "InstanceStore::lend_rows: rows already lent");
+  return Rows{std::move(weights_), std::move(coords_)};
+}
+
+void InstanceStore::return_rows(Rows rows) noexcept {
+  MMPH_ASSERT(rows.weights.size() == ids_.size() &&
+                  rows.coords.size() == ids_.size() * dim_,
+              "InstanceStore::return_rows: not the lent rows");
+  weights_ = std::move(rows.weights);
+  coords_ = std::move(rows.coords);
+}
+
 StoreSnapshot InstanceStore::concatenate(std::span<const InstanceStore> stores,
                                          std::uint64_t epoch) {
   MMPH_REQUIRE(!stores.empty(), "InstanceStore::concatenate: no stores");

@@ -59,20 +59,65 @@ void mirror_gains(core::GainCache& gains, Op&& op) noexcept {
   }
 }
 
-/// Mirrors one row operation, which the store already applied, into a
-/// carried copy of its rows. A failure (an allocation, or \p hook firing
-/// at \p site) runs \p drop instead, and the next solve rebuilds from the
-/// store; the mutation itself never fails for it.
-template <typename Op, typename Drop>
-void mirror_rows(const FaultHook& hook, std::string_view site, Op&& op,
-                 Drop&& drop) noexcept {
+/// Mirrors one row operation, which the store already applied, into the
+/// carried grid. A failure (an allocation, or the fault hook firing at
+/// kFaultSpatialAllocFail) marks the grid \p dirty instead, and the next
+/// solve rebuilds it; the mutation itself never fails for it.
+template <typename Op>
+void mirror_index(const FaultHook& hook, bool& dirty, Op&& op) noexcept {
   try {
-    if (hook && hook(site)) throw std::bad_alloc();
+    if (hook && hook(kFaultSpatialAllocFail)) throw std::bad_alloc();
     op();
   } catch (...) {
-    drop();
+    dirty = true;
   }
 }
+
+/// The rows one solve or evaluation reads, as a core::Problem that lives
+/// as long as the guard. At one store shard they are the shard's own
+/// arrays, lent uncopied and handed back when the guard goes, a throw
+/// included; above one, the shards' concatenation (one copy). Requires a
+/// non-empty store, which nothing else may touch while the guard lives.
+class SolveRows {
+ public:
+  SolveRows(ShardedInstanceStore& store, const ServiceConfig& config)
+      : lender_(store.shard_count() == 1 ? &store.shard(0) : nullptr),
+        problem_(wrap(store, lender_, config)) {}
+  ~SolveRows() {
+    if (lender_ == nullptr) return;
+    core::Problem::Rows rows = std::move(problem_).release();
+    lender_->return_rows(
+        {std::move(rows.weights), std::move(rows.points).release()});
+  }
+  SolveRows(const SolveRows&) = delete;
+  SolveRows& operator=(const SolveRows&) = delete;
+
+  [[nodiscard]] const core::Problem& problem() const noexcept {
+    return problem_;
+  }
+
+ private:
+  /// The store checked every row it holds, so the Problem trusts them.
+  static core::Problem wrap(const ShardedInstanceStore& store,
+                            InstanceStore* lender,
+                            const ServiceConfig& config) {
+    if (lender != nullptr) {
+      InstanceStore::Rows rows = lender->lend_rows();
+      // Cannot throw: the store holds dim() coordinates per row.
+      return core::Problem::trusted(
+          geo::PointSet(store.dim(), std::move(rows.coords)),
+          std::move(rows.weights), config.radius, config.metric,
+          config.shape);
+    }
+    StoreSnapshot snap = store.global_snapshot();
+    return core::Problem::trusted(std::move(snap.points),
+                                  std::move(snap.weights), config.radius,
+                                  config.metric, config.shape);
+  }
+
+  InstanceStore* lender_;
+  core::Problem problem_;
+};
 
 }  // namespace
 
@@ -177,9 +222,8 @@ void PlacementService::forget_population_locked() {
   view_.reset();
   churn_since_solve_ = 0;
   recent_points_.clear();
-  // The carried rows, index and gains mirrored the old rows; the next
-  // solve rebuilds.
-  problem_.reset();
+  // The carried index and gains mirrored the old rows; the next solve
+  // rebuilds.
   publish_spatial_locked();
   index_.reset();
   index_dirty_ = false;
@@ -247,11 +291,6 @@ double PlacementService::evaluate(const geo::PointSet& centers) {
   MMPH_REQUIRE(centers.dim() == config_.dim,
                "evaluate: centers dimension mismatch");
   return evaluate_locked(centers);
-}
-
-std::optional<core::Problem> PlacementService::carried_rows() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return problem_;
 }
 
 std::size_t PlacementService::population() const {
@@ -411,9 +450,11 @@ void PlacementService::apply_add_locked(const std::vector<UserRecord>& users) {
       }
       const auto route = store_.upsert(user);
       if (mirrored) {
-        mirror_upsert_locked(row, to, user.weight);
-      } else if (nshards > 1) {
-        shift_rows_locked();
+        mirror_upsert_locked(row, to);
+      } else if (nshards > 1 && index_ != nullptr) {
+        // Rows of the global concatenation shifted (any mutation moves
+        // every later shard's rows); the next solve rebuilds.
+        index_dirty_ = true;
       }
       ++churn_since_solve_;
       bound_gains_locked();
@@ -489,8 +530,8 @@ void PlacementService::apply_remove_locked(
     const auto from = store_.remove(id);  // present per the filter above
     if (mirrored) {
       mirror_remove_locked(row);
-    } else if (nshards > 1) {
-      shift_rows_locked();
+    } else if (nshards > 1 && index_ != nullptr) {
+      index_dirty_ = true;  // global rows shifted; rebuild at solve
     }
     ++churn_since_solve_;
     bound_gains_locked();
@@ -500,60 +541,28 @@ void PlacementService::apply_remove_locked(
 }
 
 void PlacementService::mirror_upsert_locked(std::optional<std::size_t> row,
-                                            geo::ConstVec to, double weight) {
-  // Each carried copy relocates rows exactly as the store does, so the
-  // copies and the store keep corresponding row for row.
+                                            geo::ConstVec to) {
+  // The grid relocates rows exactly as the store does, so the two keep
+  // corresponding row for row.
   if (!row.has_value()) mirror_gains(gains_, [&] { gains_.insert(to); });
-  if (index_ != nullptr && !index_dirty_) {
-    mirror_rows(
-        config_.fault_hook, kFaultSpatialAllocFail,
-        [&] {
-          if (row.has_value()) {
-            index_->update(*row, to);
-          } else {
-            index_->add(to);
-          }
-        },
-        [&] { index_dirty_ = true; });
-  }
-  if (problem_.has_value()) {
-    mirror_rows(
-        config_.fault_hook, kFaultRowsAllocFail,
-        [&] {
-          if (row.has_value()) {
-            problem_->overwrite_row(*row, to, weight);
-          } else {
-            problem_->append_row(to, weight);
-          }
-        },
-        [&] { problem_.reset(); });
-  }
+  if (index_ == nullptr || index_dirty_) return;
+  mirror_index(config_.fault_hook, index_dirty_, [&] {
+    if (row.has_value()) {
+      index_->update(*row, to);
+    } else {
+      index_->add(to);
+    }
+  });
 }
 
 void PlacementService::mirror_remove_locked(std::size_t row) {
-  if (index_ != nullptr && !index_dirty_) {
-    mirror_rows(
-        config_.fault_hook, kFaultSpatialAllocFail,
-        [&] { index_->swap_remove(row); }, [&] { index_dirty_ = true; });
-  }
-  if (store_.empty()) {
-    problem_.reset();  // a Problem is never empty
-  } else if (problem_.has_value()) {
-    mirror_rows(
-        config_.fault_hook, kFaultRowsAllocFail,
-        [&] { problem_->swap_remove_row(row); }, [&] { problem_.reset(); });
-  }
+  if (index_ == nullptr || index_dirty_) return;
+  mirror_index(config_.fault_hook, index_dirty_,
+               [&] { index_->swap_remove(row); });
 }
 
 bool PlacementService::carries_rows_locked() const noexcept {
-  return problem_.has_value() || index_ != nullptr || !gains_.empty();
-}
-
-void PlacementService::shift_rows_locked() {
-  // Above one store shard a mutation moves every later shard's rows in
-  // the global concatenation: the next solve rebuilds the rows and index.
-  problem_.reset();
-  if (index_ != nullptr) index_dirty_ = true;
+  return index_ != nullptr || !gains_.empty();
 }
 
 void PlacementService::bound_gains_locked() {
@@ -670,33 +679,9 @@ void PlacementService::publish_spatial_locked() {
   index_published_ = now;
 }
 
-const core::Problem& PlacementService::problem_locked() {
-  if (!problem_.has_value()) {
-    StoreSnapshot snap = store_.global_snapshot();
-    problem_.emplace(std::move(snap.points), std::move(snap.weights),
-                     config_.radius, config_.metric, config_.shape);
-  }
-  return *problem_;
-}
-
 double PlacementService::evaluate_locked(const geo::PointSet& centers) {
-  const core::Problem& problem = problem_locked();
-  if (index_ == nullptr || index_dirty_ || index_->size() != problem.size()) {
-    return core::objective_value(problem, centers);
-  }
-  // The clean carried grid gathers the centers' balls; every row outside
-  // their union is uncovered and would add exact +0.0. The last full
-  // solve's merge may have left masks set.
-  index_->unmask_all();
-  std::vector<std::size_t> rows;
-  std::vector<std::size_t> ball;
-  for (std::size_t j = 0; j < centers.size(); ++j) {
-    index_->query(centers[j], ball);
-    rows.insert(rows.end(), ball.begin(), ball.end());
-  }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  return core::objective_value_over(problem, centers, rows);
+  const SolveRows rows(store_, config_);
+  return core::objective_value(rows.problem(), centers);
 }
 
 const PlacementView& PlacementService::solve_locked() {
@@ -714,10 +699,6 @@ const PlacementView& PlacementService::solve_locked() {
 
   const std::uint64_t epoch = store_.epoch();
   const std::size_t population = store_.size();
-  // At one store shard, the carried rows: no copy unless a restore or a
-  // failed mirror dropped them.
-  const core::Problem& problem = problem_locked();
-
   // The served placement is the history: a warm re-solve starts from its
   // centers while it still has k of them (an empty-out serves none) and
   // churn since it stayed small.
@@ -728,34 +709,41 @@ const PlacementView& PlacementService::solve_locked() {
       view_.has_value() && view_->solution.centers.size() == config_.k &&
       churn_fraction <= config_.full_solve_churn_fraction;
 
-  // Carry the coverage index into the solve: rebuilt only when dirty or
-  // out of step, otherwise the incremental mirror already brought it to
-  // this epoch. The sharded solver evaluates (and grid-splits) through it,
-  // and the polish gathers its swap balls from it. The full solve splits
-  // the global rows itself, whatever the store-shard count.
-  ensure_index_locked(problem, incremental);
-  sharded_->set_shared_index(index_.get());
-
-  const auto start = Clock::now();
   core::Solution solution;
-  if (incremental) {
-    solution = polish_locked(problem, nullptr);
-  } else {
-    // A full solve's polish sums every row and hands the gains on.
-    gains_.clear();
-    solution = sharded_->solve(problem, config_.k);
-    // The shard grids' queries count like the polish's own grid's. Their
-    // builds, one per shard per full solve, stay out of the rebuild
-    // counter, which keeps counting the carried and polish grids.
-    spatial::IndexStats shard_grids = sharded_->last_stats().index;
-    shard_grids.rebuilds = 0;
-    metrics_.add_spatial(shard_grids);
-    if (config_.solver == SolverTier::kLs && !solution.centers.empty()) {
-      solution = polish_locked(problem, &solution);
+  double seconds = 0.0;
+  {
+    // At one store shard the solve reads the store's own rows, lent to it
+    // until this block ends: a warm re-solve copies no rows.
+    const SolveRows rows(store_, config_);
+    const core::Problem& problem = rows.problem();
+
+    // Carry the coverage index into the solve: rebuilt only when dirty or
+    // out of step, otherwise the incremental mirror already brought it to
+    // this epoch. The sharded solver evaluates (and grid-splits) through it,
+    // and the polish gathers its swap balls from it. The full solve splits
+    // the global rows itself, whatever the store-shard count.
+    ensure_index_locked(problem, incremental);
+    sharded_->set_shared_index(index_.get());
+
+    const auto start = Clock::now();
+    if (incremental) {
+      solution = polish_locked(problem, nullptr);
+    } else {
+      // A full solve's polish sums every row and hands the gains on.
+      gains_.clear();
+      solution = sharded_->solve(problem, config_.k);
+      // The shard grids' queries count like the polish's own grid's. Their
+      // builds, one per shard per full solve, stay out of the rebuild
+      // counter, which keeps counting the carried and polish grids.
+      spatial::IndexStats shard_grids = sharded_->last_stats().index;
+      shard_grids.rebuilds = 0;
+      metrics_.add_spatial(shard_grids);
+      if (config_.solver == SolverTier::kLs && !solution.centers.empty()) {
+        solution = polish_locked(problem, &solution);
+      }
     }
+    seconds = std::chrono::duration<double>(Clock::now() - start).count();
   }
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
   for (std::size_t s = 0; s < store_.shard_count(); ++s) {
     metrics_.set_shard_rows(s, store_.shard(s).size());
   }

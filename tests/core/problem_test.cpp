@@ -1,4 +1,4 @@
-// Tests for Problem construction, validation and row operations.
+// Tests for Problem construction and validation.
 
 #include <gtest/gtest.h>
 
@@ -59,62 +59,38 @@ TEST(Problem, FromWorkload) {
   EXPECT_EQ(p.metric().norm(), geo::Norm::kL1);
 }
 
-/// Points, weights and total weight equal \p want's bit for bit.
-void expect_same_rows(const Problem& got, const Problem& want) {
-  ASSERT_EQ(got.size(), want.size());
-  EXPECT_EQ(std::vector<double>(got.points().raw().begin(),
-                                got.points().raw().end()),
-            std::vector<double>(want.points().raw().begin(),
-                                want.points().raw().end()));
-  EXPECT_EQ(got.weights(), want.weights());
-  EXPECT_EQ(got.total_weight(), want.total_weight());  // bitwise
-}
+TEST(Problem, TrustedWrapsRowsUncopiedAndReleasesThem) {
+  // Weights whose sum depends on the order of addition: total_weight()
+  // must sum in row order, as a validated Problem's does.
+  const std::vector<double> weights = {0.1, 0.7, 1e16, 0.2};
+  const geo::PointSet points = geo::PointSet::from_rows(
+      {{0.0, 0.0}, {1.0, 1.0}, {2.0, 0.5}, {3.0, 3.5}});
+  const Problem checked(points, weights, 1.5, geo::l1_metric(),
+                        RewardShape::kBinary);
 
-TEST(Problem, RowOperationsMatchAFreshProblem) {
-  // Weights whose sum depends on the order of addition: a running total
-  // would drift from a fresh Problem's left-to-right sum.
-  Problem p(geo::PointSet::from_rows({{0.0, 0.0}, {1.0, 1.0}, {2.0, 0.5}}),
-            {0.1, 0.7, 1e16}, 1.0, geo::l2_metric());
-  const std::vector<double> a = {3.0, 3.5};
-  p.append_row(a, 0.2);
-  expect_same_rows(
-      p, Problem(geo::PointSet::from_rows(
-                     {{0.0, 0.0}, {1.0, 1.0}, {2.0, 0.5}, {3.0, 3.5}}),
-                 {0.1, 0.7, 1e16, 0.2}, 1.0, geo::l2_metric()));
-  // A middle row leaves: the last row takes its place.
-  p.swap_remove_row(1);
-  expect_same_rows(
-      p, Problem(geo::PointSet::from_rows({{0.0, 0.0}, {3.0, 3.5}, {2.0, 0.5}}),
-                 {0.1, 0.2, 1e16}, 1.0, geo::l2_metric()));
-  // A move, then a weight-only change.
-  const std::vector<double> b = {-1.0, 4.0};
-  p.overwrite_row(0, b, 0.3);
-  p.overwrite_row(2, std::vector<double>{2.0, 0.5}, 5.0);
-  expect_same_rows(
-      p, Problem(geo::PointSet::from_rows({{-1.0, 4.0}, {3.0, 3.5}, {2.0, 0.5}}),
-                 {0.3, 0.2, 5.0}, 1.0, geo::l2_metric()));
-  // The last row leaves.
-  p.swap_remove_row(2);
-  expect_same_rows(
-      p, Problem(geo::PointSet::from_rows({{-1.0, 4.0}, {3.0, 3.5}}),
-                 {0.3, 0.2}, 1.0, geo::l2_metric()));
-}
+  geo::PointSet lent = points;
+  std::vector<double> lent_weights = weights;
+  const double* const coords = lent.raw().data();
+  const double* const weight_data = lent_weights.data();
+  Problem trusted =
+      Problem::trusted(std::move(lent), std::move(lent_weights), 1.5,
+                       geo::l1_metric(), RewardShape::kBinary);
+  EXPECT_EQ(trusted.points().raw().data(), coords);
+  EXPECT_EQ(trusted.weights().data(), weight_data);
+  EXPECT_EQ(trusted.size(), checked.size());
+  EXPECT_EQ(trusted.weights(), checked.weights());
+  EXPECT_EQ(trusted.total_weight(), checked.total_weight());  // bitwise
+  EXPECT_EQ(trusted.radius(), checked.radius());
+  EXPECT_EQ(trusted.metric().norm(), checked.metric().norm());
+  EXPECT_EQ(trusted.reward_shape(), checked.reward_shape());
 
-TEST(Problem, RowOperationsValidateAndNeverEmpty) {
-  Problem p(two_points(), {1.0, 2.0}, 1.0, geo::l2_metric());
-  const std::vector<double> three = {1.0, 2.0, 3.0};
-  const std::vector<double> two = {1.0, 2.0};
-  EXPECT_THROW(p.append_row(three, 1.0), InvalidArgument);
-  EXPECT_THROW(p.append_row(two, 0.0), InvalidArgument);
-  EXPECT_THROW(p.overwrite_row(2, two, 1.0), InvalidArgument);
-  EXPECT_THROW(p.overwrite_row(0, two, -1.0), InvalidArgument);
-  EXPECT_THROW(p.swap_remove_row(2), InvalidArgument);
-  EXPECT_EQ(p.size(), 2u);  // nothing above changed a row
-  EXPECT_EQ(p.weights(), (std::vector<double>{1.0, 2.0}));
-  p.swap_remove_row(0);
-  EXPECT_THROW(p.swap_remove_row(0), InvalidArgument);  // the only row
-  EXPECT_EQ(p.size(), 1u);
-  EXPECT_EQ(p.weight(0), 2.0);
+  Problem::Rows rows = std::move(trusted).release();
+  EXPECT_EQ(rows.points.raw().data(), coords);
+  EXPECT_EQ(rows.weights.data(), weight_data);
+  EXPECT_EQ(rows.weights, weights);
+  EXPECT_EQ(std::vector<double>(rows.points.raw().begin(),
+                                rows.points.raw().end()),
+            std::vector<double>(points.raw().begin(), points.raw().end()));
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
-// InstanceStore: churn semantics, swap-remove integrity, and the epoch
+// InstanceStore: churn semantics, swap-remove integrity, the epoch
 // contract the serving layer relies on (snapshot epochs strictly increase
-// across mutations, stay put without them).
+// across mutations, stay put without them), and row loans.
 
 #include "mmph/serve/instance_store.hpp"
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "mmph/support/error.hpp"
 
@@ -90,6 +94,43 @@ TEST(InstanceStore, EpochsAreMonotoneAcrossSnapshots) {
   EXPECT_EQ(store.snapshot().epoch, last);
   store.remove(0);
   EXPECT_GT(store.snapshot().epoch, last);
+}
+
+TEST(InstanceStore, LendRowsHandsOutTheArraysUncopied) {
+  InstanceStore store(2);
+  for (std::uint64_t id = 0; id < 6; ++id) {
+    const double x = static_cast<double>(id);
+    store.upsert(user(id, x, 0.5 * x, 1.0 + x));
+  }
+  store.remove(2);
+  const StoreSnapshot before = store.snapshot();
+  const double* const coords = store.point(0).data();
+
+  InstanceStore::Rows rows = store.lend_rows();
+  EXPECT_EQ(rows.coords.data(), coords);
+  EXPECT_EQ(rows.weights, before.weights);
+  EXPECT_EQ(rows.coords, std::vector<double>(before.points.raw().begin(),
+                                             before.points.raw().end()));
+  // The ids and the epoch stay with the store while it lends its rows.
+  EXPECT_EQ(store.size(), 5u);
+  EXPECT_EQ(store.epoch(), before.epoch);
+  store.return_rows(std::move(rows));
+
+  EXPECT_EQ(store.point(0).data(), coords);
+  const StoreSnapshot after = store.snapshot();
+  EXPECT_EQ(after.ids, before.ids);
+  EXPECT_EQ(after.weights, before.weights);
+  EXPECT_EQ(std::vector<double>(after.points.raw().begin(),
+                                after.points.raw().end()),
+            std::vector<double>(before.points.raw().begin(),
+                                before.points.raw().end()));
+  // Mutations after the loan write the returned arrays.
+  EXPECT_TRUE(store.remove(0));
+  EXPECT_FALSE(store.upsert(user(5, 9.0, 9.5, 4.0)));
+  const auto moved = store.find(5);
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_EQ(moved->interest, (std::vector<double>{9.0, 9.5}));
+  EXPECT_EQ(store.row_of(5), std::optional<std::size_t>(2));
 }
 
 TEST(InstanceStore, RejectsBadInput) {
