@@ -260,17 +260,6 @@ class PlacementService {
  private:
   void apply_add_locked(const std::vector<UserRecord>& users);
   void apply_remove_locked(const std::vector<std::uint64_t>& ids);
-  /// One store shard: mirrors an upsert the store just applied into the
-  /// carried gains (an insert; an update's gains mirror before the store
-  /// op, while the old position is still there) and index. \p row is the
-  /// user's row before the upsert, nullopt for an insert.
-  void mirror_upsert_locked(std::optional<std::size_t> row, geo::ConstVec to);
-  /// One store shard: mirrors the swap-remove of \p row, which the store
-  /// just applied, into the carried index (the gains mirror before the
-  /// store op).
-  void mirror_remove_locked(std::size_t row);
-  /// Whether index_ or gains_ holds rows a mutation mirrors.
-  [[nodiscard]] bool carries_rows_locked() const noexcept;
   /// Drops the placement history and everything carried across epochs
   /// (restores, an emptied store).
   void forget_population_locked();

@@ -59,20 +59,6 @@ void mirror_gains(core::GainCache& gains, Op&& op) noexcept {
   }
 }
 
-/// Mirrors one row operation, which the store already applied, into the
-/// carried grid. A failure (an allocation, or the fault hook firing at
-/// kFaultSpatialAllocFail) marks the grid \p dirty instead, and the next
-/// solve rebuilds it; the mutation itself never fails for it.
-template <typename Op>
-void mirror_index(const FaultHook& hook, bool& dirty, Op&& op) noexcept {
-  try {
-    if (hook && hook(kFaultSpatialAllocFail)) throw std::bad_alloc();
-    op();
-  } catch (...) {
-    dirty = true;
-  }
-}
-
 /// The rows one solve or evaluation reads, as a core::Problem that lives
 /// as long as the guard. At one store shard they are the shard's own
 /// arrays, lent uncopied and handed back when the guard goes, a throw
@@ -434,31 +420,48 @@ void PlacementService::apply_add_locked(const std::vector<UserRecord>& users) {
   try {
     for (const UserRecord& user : users) {
       const geo::ConstVec to(user.interest.data(), user.interest.size());
-      // One shard: one row lookup feeds every mirror (none while nothing
-      // is carried, as in a bulk load before the first solve). An update's
-      // gains need its old position, so they mirror while the store still
-      // holds it (the upsert itself cannot throw past the validation).
-      const bool mirrored = nshards == 1 && carries_rows_locked();
-      std::optional<std::size_t> row;
-      if (mirrored) {
-        const InstanceStore& rows = store_.shard(0);
-        row = rows.row_of(user.id);
-        if (row.has_value()) {
-          mirror_gains(gains_,
-                       [&] { gains_.update(*row, rows.point(*row), to); });
-        }
+      if (nshards == 1) {
+        // An update overwrites the row in place: record its old position
+        // while the store still holds it (the upsert itself cannot throw
+        // past the validation above).
+        mirror_gains(gains_, [&] {
+          const InstanceStore& rows = store_.shard(0);
+          if (const auto row = rows.row_of(user.id)) {
+            gains_.update(*row, rows.point(*row), to);
+          }
+        });
       }
       const auto route = store_.upsert(user);
-      if (mirrored) {
-        mirror_upsert_locked(row, to);
-      } else if (nshards > 1 && index_ != nullptr) {
-        // Rows of the global concatenation shifted (any mutation moves
-        // every later shard's rows); the next solve rebuilds.
-        index_dirty_ = true;
+      if (nshards == 1 && route.inserted) {
+        mirror_gains(gains_, [&] { gains_.insert(to); });
       }
       ++churn_since_solve_;
       bound_gains_locked();
       metrics_.count_shard_mutations(route.to, 1);
+      if (index_ != nullptr && !index_dirty_) {
+        if (nshards > 1) {
+          // Rows of the global concatenation shifted (any mutation moves
+          // every later shard's rows); the next solve rebuilds.
+          index_dirty_ = true;
+        } else {
+          // Mirror the mutation into the carried index. A failure here
+          // must not fail the mutation (the store and WAL already agree):
+          // the index just goes dirty and the next solve rebuilds it.
+          try {
+            if (config_.fault_hook &&
+                config_.fault_hook(kFaultSpatialAllocFail)) {
+              throw std::bad_alloc();
+            }
+            if (route.inserted) {
+              index_->add(to);
+            } else {
+              index_->update(*store_.shard(0).row_of(user.id), to);
+            }
+          } catch (...) {
+            index_dirty_ = true;
+          }
+        }
+      }
       recent_points_.push_back(user.interest);
     }
   } catch (...) {
@@ -515,54 +518,38 @@ void PlacementService::apply_remove_locked(
     append_wal_locked(records, "apply_remove");
   }
   for (const std::uint64_t id : effective) {
-    // One shard: the row, captured before the store forgets the id, feeds
-    // every mirror; the gains also need the positions the swap-remove
-    // overwrites.
-    const bool mirrored = nshards == 1 && carries_rows_locked();
-    std::size_t row = 0;
-    if (mirrored) {
-      const InstanceStore& rows = store_.shard(0);
-      row = *rows.row_of(id);
+    if (nshards == 1) {
       mirror_gains(gains_, [&] {
+        const InstanceStore& rows = store_.shard(0);
+        const std::size_t row = *rows.row_of(id);
         gains_.swap_remove(row, rows.point(row), rows.point(rows.size() - 1));
       });
     }
-    const auto from = store_.remove(id);  // present per the filter above
-    if (mirrored) {
-      mirror_remove_locked(row);
-    } else if (nshards > 1 && index_ != nullptr) {
-      index_dirty_ = true;  // global rows shifted; rebuild at solve
+    if (index_ != nullptr && !index_dirty_) {
+      if (nshards > 1) {
+        index_dirty_ = true;  // global rows shifted; rebuild at solve
+      } else {
+        // The index's swap_remove relocates the same last row the store's
+        // does, so rows keep corresponding; capture the row before the
+        // store forgets the id.
+        const std::size_t row = *store_.shard(0).row_of(id);
+        try {
+          if (config_.fault_hook &&
+              config_.fault_hook(kFaultSpatialAllocFail)) {
+            throw std::bad_alloc();
+          }
+          index_->swap_remove(row);
+        } catch (...) {
+          index_dirty_ = true;
+        }
+      }
     }
+    const auto from = store_.remove(id);  // present per the filter above
     ++churn_since_solve_;
     bound_gains_locked();
     metrics_.count_shard_mutations(*from, 1);
   }
   metrics_.count_mutations(effective.size());
-}
-
-void PlacementService::mirror_upsert_locked(std::optional<std::size_t> row,
-                                            geo::ConstVec to) {
-  // The grid relocates rows exactly as the store does, so the two keep
-  // corresponding row for row.
-  if (!row.has_value()) mirror_gains(gains_, [&] { gains_.insert(to); });
-  if (index_ == nullptr || index_dirty_) return;
-  mirror_index(config_.fault_hook, index_dirty_, [&] {
-    if (row.has_value()) {
-      index_->update(*row, to);
-    } else {
-      index_->add(to);
-    }
-  });
-}
-
-void PlacementService::mirror_remove_locked(std::size_t row) {
-  if (index_ == nullptr || index_dirty_) return;
-  mirror_index(config_.fault_hook, index_dirty_,
-               [&] { index_->swap_remove(row); });
-}
-
-bool PlacementService::carries_rows_locked() const noexcept {
-  return index_ != nullptr || !gains_.empty();
 }
 
 void PlacementService::bound_gains_locked() {
