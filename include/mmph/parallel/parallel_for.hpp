@@ -6,7 +6,8 @@
 /// Scheduling is dynamic: workers claim fixed-size index chunks from a
 /// shared atomic counter, so uneven per-iteration cost (e.g. branch-and-
 /// bound subtrees in the exhaustive solver) load-balances automatically.
-/// Exceptions thrown by the body are rethrown at the call site.
+/// Exceptions thrown by the body are rethrown at the call site, after every
+/// chunk already claimed has finished.
 
 #include <algorithm>
 #include <atomic>
@@ -61,9 +62,18 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
   for (std::size_t i = 0; i < helpers; ++i) {
     pool.submit(group.wrap(run_chunks));
   }
-  // The caller works too; its exceptions propagate directly, workers' via
-  // the group.
-  run_chunks();
+  // The caller works too. Its exception waits for the helpers, which read
+  // body and group on this frame until they finish; workers' exceptions
+  // come through the group.
+  try {
+    run_chunks();
+  } catch (...) {
+    try {
+      group.wait();
+    } catch (...) {
+    }
+    throw;
+  }
   group.wait();
 }
 

@@ -1,17 +1,12 @@
 #pragma once
 
 /// \file kd_index.hpp
-/// \brief Kd-tree SpatialIndex: the high-dimension / clustered fallback.
+/// \brief Kd-tree SpatialIndex: the high-dimension fallback.
 ///
 /// Wraps geometry::KdTree behind the SpatialIndex interface. The tree is
-/// frozen over a snapshot of the rows taken at (re)build time; rows mutated
-/// since then ("loose" rows — added, moved, or relocated by a swap_remove)
-/// fall out of the tree's view and are scanned linearly per query until
-/// their count crosses a fraction of the population, at which point the
-/// tree rebuilds. That keeps incremental ops O(1) amortized (the rebuild
-/// cost is spread over the mutations that forced it) while queries stay
-/// exact: tree hits plus the loose scan union to the exact closed metric
-/// ball, sorted ascending.
+/// built once over the rows it is given and never changes: a solve that
+/// needs an index above kGridMaxDim builds one, queries it and drops it.
+/// Queries return the exact closed metric ball, sorted ascending.
 ///
 /// Unlike the grid, masked points stay in the tree (removing from a kd-tree
 /// is not O(1)); they are filtered at query time.
@@ -34,7 +29,9 @@ class KdTreeIndex final : public SpatialIndex {
   [[nodiscard]] std::size_t size() const noexcept override {
     return masked_.size();
   }
-  [[nodiscard]] std::size_t dim() const noexcept override { return dim_; }
+  [[nodiscard]] std::size_t dim() const noexcept override {
+    return points_.dim();
+  }
   [[nodiscard]] double radius() const noexcept override { return radius_; }
 
   void query(geo::ConstVec center,
@@ -42,42 +39,13 @@ class KdTreeIndex final : public SpatialIndex {
 
   void mask(std::size_t id) override;
   void unmask_all() override;
-  [[nodiscard]] bool masked(std::size_t id) const override;
-
-  void add(geo::ConstVec p) override;
-  void update(std::size_t id, geo::ConstVec p) override;
-  void swap_remove(std::size_t id) override;
-
-  void rebuild() override;
-  [[nodiscard]] bool verify() const override;
-
-  [[nodiscard]] geo::ConstVec point(std::size_t id) const override {
-    MMPH_ASSERT(id < size(), "KdTreeIndex: id out of range");
-    return geo::ConstVec(coords_.data() + id * dim_, dim_);
-  }
-
-  /// Rows currently outside the frozen tree (exposed for tests pinning the
-  /// amortized-rebuild policy).
-  [[nodiscard]] std::size_t loose_count() const noexcept {
-    return loose_ids_.size();
-  }
 
  private:
-  void maybe_rebuild();
-
-  std::size_t dim_;
+  geo::PointSet points_;  ///< owned copy of the rows the tree indexes
+  std::unique_ptr<geo::KdTree> tree_;  ///< null for an empty set
   double radius_;
   geo::Metric metric_;
-  std::vector<double> coords_;  ///< live rows, row-major (owned copy)
   std::vector<char> masked_;
-  /// Frozen row snapshot the tree indexes into; base id b corresponds to
-  /// live id b while in_tree_[b] is true.
-  geo::PointSet base_;
-  std::unique_ptr<geo::KdTree> tree_;
-  std::vector<char> in_tree_;  ///< per live id: coords match base row id
-  /// Ids to scan linearly. May hold duplicates and stale (>= size()) ids;
-  /// query() filters, rebuild() clears.
-  std::vector<std::size_t> loose_ids_;
 };
 
 }  // namespace mmph::spatial

@@ -5,9 +5,9 @@
 ///
 /// The serve tier shards its InstanceStore (and its write-ahead log) by
 /// *region*: the region of a point is its uniform-grid cell — the same
-/// floor(v / cell) assignment UniformGridIndex buckets by — and a cell
-/// maps to a shard by FNV-1a hash of its integer coordinates, so the
-/// mapping:
+/// spatial::cell_coord UniformGridIndex buckets by, saturated so every
+/// finite coordinate has one — and a cell maps to a shard by FNV-1a hash
+/// of its integer coordinates, so the mapping:
 ///
 ///   - is a pure function of the coordinates (arrival order, churn
 ///     history, and process lifetime never change a user's shard),
@@ -23,11 +23,11 @@
 /// bit-identity mode: a 1-shard store behaves exactly like the unsharded
 /// store it replaced.
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
 #include "mmph/geometry/point_set.hpp"
+#include "mmph/spatial/spatial_index.hpp"
 #include "mmph/support/assert.hpp"
 
 namespace mmph::spatial {
@@ -48,11 +48,6 @@ class RegionMap {
   [[nodiscard]] double cell_size() const noexcept { return cell_; }
   [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
 
-  /// Integer cell coordinate along one axis (UniformGridIndex's floor).
-  [[nodiscard]] std::int64_t cell_coord(double v) const {
-    return static_cast<std::int64_t>(std::floor(v / cell_));
-  }
-
   /// Shard owning the region \p p falls in.
   [[nodiscard]] std::size_t shard_of(geo::ConstVec p) const {
     MMPH_ASSERT(p.size() == dim_, "RegionMap: point dimension mismatch");
@@ -62,7 +57,7 @@ class RegionMap {
     // evenly instead of striping.
     std::uint64_t h = 1469598103934665603ull;
     for (std::size_t d = 0; d < dim_; ++d) {
-      h ^= static_cast<std::uint64_t>(cell_coord(p[d]));
+      h ^= static_cast<std::uint64_t>(cell_coord(p[d], cell_));
       h *= 1099511628211ull;
     }
     return static_cast<std::size_t>(h % shards_);

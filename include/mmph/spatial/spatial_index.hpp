@@ -24,17 +24,18 @@
 ///     (residuals never increase) — so masking preserves sums bit for bit.
 ///     This is the index-side analog of kernels::ActiveSet compaction.
 ///
-/// Incremental maintenance mirrors serve::InstanceStore's mutation model
-/// (append / overwrite-in-place / swap-remove) in O(1) amortized per op, so
-/// a serving layer can carry one index across churn epochs instead of
-/// rebuilding per solve. Ids are dense row numbers [0, size()); after
-/// swap_remove(id) the last row takes over id, exactly like the store.
+/// The interface is what solvers and evaluators read: queries and masks.
+/// Ids are dense row numbers [0, size()). Only UniformGridIndex follows a
+/// store's rows through churn (its own add / update / swap_remove);
+/// KdTreeIndex is built once over its rows.
 ///
 /// Thread-safety: query(), walk() and stats() are safe to call
-/// concurrently (the counters are atomics); mutations, mask(), unmask_all()
-/// and rebuild() require external serialization and must not race queries.
+/// concurrently (the counters are atomics); mask(), unmask_all() and the
+/// grid's row operations require external serialization and must not race
+/// queries.
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -49,12 +50,27 @@ namespace mmph::spatial {
 /// only built for low dimensions; above this the kd-tree takes over.
 inline constexpr std::size_t kGridMaxDim = 4;
 
+/// Cell coordinates saturate at +-2^62: every finite coordinate has a
+/// defined cell, and a grid walk's `++cur <= hi` cannot overflow.
+inline constexpr std::int64_t kCellCoordLimit = std::int64_t{1} << 62;
+
+/// Integer cell coordinate floor(v / cell) along one axis, clamped to
+/// [-kCellCoordLimit, kCellCoordLimit] (NaN takes the lower bound). The
+/// grid buckets by it and RegionMap hashes it, so a region is a grid cell.
+[[nodiscard]] inline std::int64_t cell_coord(double v, double cell) noexcept {
+  constexpr double kLimit = static_cast<double>(kCellCoordLimit);
+  const double c = std::floor(v / cell);
+  if (c >= kLimit) return kCellCoordLimit;
+  if (!(c > -kLimit)) return -kCellCoordLimit;
+  return static_cast<std::int64_t>(c);
+}
+
 /// Point-in-time copy of an index's observability counters.
 struct IndexStats {
   std::uint64_t queries = 0;              ///< query() calls
   std::uint64_t points_touched = 0;       ///< ids returned across queries
-  std::uint64_t incremental_updates = 0;  ///< add + update + swap_remove
-  std::uint64_t rebuilds = 0;             ///< bulk (re)builds, ctor included
+  std::uint64_t incremental_updates = 0;  ///< grid add + update + swap_remove
+  std::uint64_t rebuilds = 0;             ///< bulk builds (the constructor)
 
   IndexStats& operator+=(const IndexStats& other) noexcept {
     queries += other.queries;
@@ -100,23 +116,6 @@ class SpatialIndex {
   virtual void mask(std::size_t id) = 0;
   /// Restores every masked point (start of a fresh solve).
   virtual void unmask_all() = 0;
-  [[nodiscard]] virtual bool masked(std::size_t id) const = 0;
-
-  /// Appends a point; its id is the previous size(). O(1) amortized.
-  virtual void add(geo::ConstVec p) = 0;
-  /// Moves point \p id to \p p (overwrite-in-place). O(1) amortized.
-  virtual void update(std::size_t id, geo::ConstVec p) = 0;
-  /// Removes \p id; the last row takes over id (InstanceStore semantics).
-  virtual void swap_remove(std::size_t id) = 0;
-
-  /// Rebuilds the search structure from the current rows (recovery path
-  /// after a failed incremental update). Masks are preserved.
-  virtual void rebuild() = 0;
-  /// Structural self-check: every unmasked row findable exactly once.
-  [[nodiscard]] virtual bool verify() const = 0;
-
-  /// Coordinates of row \p id (owned by the index, valid until mutation).
-  [[nodiscard]] virtual geo::ConstVec point(std::size_t id) const = 0;
 
   [[nodiscard]] IndexStats stats() const noexcept {
     IndexStats s;

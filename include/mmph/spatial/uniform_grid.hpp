@@ -5,15 +5,19 @@
 ///
 /// Points bucket into axis-aligned cubes of side `cell_size` (default: the
 /// query radius, so a radius query touches at most 3^dim cells). Cells live
-/// in a hash map keyed on integer cell coordinates — the domain is
-/// unbounded, cells materialize only when occupied, and incremental
-/// add/update/swap_remove stay O(1) amortized with no bounding box to
-/// outgrow or rebuild.
+/// in a hash map keyed on integer cell coordinates (spatial::cell_coord) —
+/// the domain is unbounded and cells materialize only when occupied.
 ///
 /// A walk enumerates the cell box covering [c - r, c + r] per dimension
 /// and concatenates the buckets; a query is that walk sorted ascending —
 /// the sort keeps the bit-identity contract of SpatialIndex::query
 /// (ascending superset of the L-infinity ball, hence of every p-norm ball).
+///
+/// The grid is the one index that follows a store's rows: add / update /
+/// swap_remove mirror serve::InstanceStore's append / overwrite-in-place /
+/// swap-remove in O(1) amortized, with no bounding box to outgrow, so the
+/// serving layer carries one grid across churn epochs. After
+/// swap_remove(id) the last row takes over id, exactly like the store.
 ///
 /// Masked points are removed from their bucket (queries never touch them —
 /// the ActiveSet-style payoff) and re-bucketed by unmask_all().
@@ -54,16 +58,20 @@ class UniformGridIndex final : public SpatialIndex {
 
   void mask(std::size_t id) override;
   void unmask_all() override;
-  [[nodiscard]] bool masked(std::size_t id) const override;
 
-  void add(geo::ConstVec p) override;
-  void update(std::size_t id, geo::ConstVec p) override;
-  void swap_remove(std::size_t id) override;
+  /// Appends a point; its id is the previous size(). O(1) amortized.
+  void add(geo::ConstVec p);
+  /// Moves point \p id to \p p (overwrite-in-place). O(1) amortized.
+  void update(std::size_t id, geo::ConstVec p);
+  /// Removes \p id; the last row takes over id (InstanceStore semantics).
+  void swap_remove(std::size_t id);
 
-  void rebuild() override;
-  [[nodiscard]] bool verify() const override;
+  /// Structural self-check (tests): every unmasked row bucketed exactly
+  /// once, in its own cell, and no empty bucket.
+  [[nodiscard]] bool verify() const;
 
-  [[nodiscard]] geo::ConstVec point(std::size_t id) const override {
+  /// Coordinates of row \p id (owned by the grid, valid until mutation).
+  [[nodiscard]] geo::ConstVec point(std::size_t id) const {
     MMPH_ASSERT(id < size(), "UniformGridIndex: id out of range");
     return geo::ConstVec(coords_.data() + id * dim_, dim_);
   }
@@ -83,7 +91,6 @@ class UniformGridIndex final : public SpatialIndex {
   };
 
   [[nodiscard]] Cell cell_of_vec(geo::ConstVec p) const;
-  [[nodiscard]] std::int64_t cell_coord(double v) const;
   void bucket_insert(const Cell& cell, std::size_t id);
   void bucket_erase(const Cell& cell, std::size_t id);
   void bucket_rename(const Cell& cell, std::size_t from, std::size_t to);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -337,11 +338,16 @@ void PlacementService::apply_add_locked(const std::vector<UserRecord>& users) {
   // Validate the whole batch up front: a batch is atomic — either every
   // row goes in (logged first when a WAL is attached) or the store is
   // exactly what it was. Without this, a mid-batch validation throw used
-  // to leave the earlier rows applied.
+  // to leave the earlier rows applied. Non-finite values are refused as
+  // the wire and log codecs refuse them.
   for (const UserRecord& user : users) {
     MMPH_REQUIRE(user.interest.size() == config_.dim,
                  "apply_add: interest dimension mismatch");
-    MMPH_REQUIRE(user.weight > 0.0, "apply_add: weight must be positive");
+    MMPH_REQUIRE(std::isfinite(user.weight) && user.weight > 0.0,
+                 "apply_add: weight must be finite and positive");
+    MMPH_REQUIRE(std::all_of(user.interest.begin(), user.interest.end(),
+                             [](double v) { return std::isfinite(v); }),
+                 "apply_add: interest must be finite");
   }
   if (users.empty()) return;
   const std::size_t nshards = store_.shard_count();

@@ -1,51 +1,33 @@
 #include "mmph/spatial/kd_index.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "mmph/support/assert.hpp"
 
 namespace mmph::spatial {
 
-namespace {
-
-/// Loose rows are rescanned on every query, so cap them at a fraction of
-/// the population (plus a floor for small sets) before folding them back
-/// into the tree — the rebuild cost amortizes over the mutations that
-/// forced it.
-[[nodiscard]] std::size_t loose_limit(std::size_t n) noexcept {
-  return n / 8 + 64;
-}
-
-}  // namespace
-
 KdTreeIndex::KdTreeIndex(const geo::PointSet& points, double radius,
                          geo::Metric metric)
-    : dim_(points.dim()),
+    : points_(points),
       radius_(radius),
       metric_(metric),
-      coords_(points.raw().begin(), points.raw().end()),
-      masked_(points.size(), 0),
-      base_(points.dim()) {
+      masked_(points.size(), 0) {
   MMPH_REQUIRE(radius > 0.0, "KdTreeIndex: radius must be positive");
-  rebuild();
+  if (!points_.empty()) tree_ = std::make_unique<geo::KdTree>(points_);
+  count_rebuild();
 }
 
 void KdTreeIndex::query(geo::ConstVec center,
                         std::vector<std::size_t>& out) const {
-  MMPH_REQUIRE(center.size() == dim_, "KdTreeIndex: query dimension mismatch");
+  MMPH_REQUIRE(center.size() == dim(),
+               "KdTreeIndex: query dimension mismatch");
   out.clear();
   if (tree_) {
-    tree_->for_each_in_ball(center, radius_, metric_, [&](std::size_t b) {
-      if (b < size() && in_tree_[b] && !masked_[b]) out.push_back(b);
+    tree_->for_each_in_ball(center, radius_, metric_, [&](std::size_t id) {
+      if (!masked_[id]) out.push_back(id);
     });
   }
-  for (const std::size_t id : loose_ids_) {
-    if (id >= size() || in_tree_[id] || masked_[id]) continue;
-    if (metric_.distance(center, point(id)) <= radius_) out.push_back(id);
-  }
   std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   count_query(out.size());
 }
 
@@ -56,86 +38,6 @@ void KdTreeIndex::mask(std::size_t id) {
 
 void KdTreeIndex::unmask_all() {
   std::fill(masked_.begin(), masked_.end(), 0);
-}
-
-bool KdTreeIndex::masked(std::size_t id) const {
-  MMPH_ASSERT(id < size(), "KdTreeIndex: id out of range");
-  return masked_[id] != 0;
-}
-
-void KdTreeIndex::add(geo::ConstVec p) {
-  MMPH_REQUIRE(p.size() == dim_, "KdTreeIndex: add dimension mismatch");
-  const std::size_t id = size();
-  coords_.insert(coords_.end(), p.begin(), p.end());
-  masked_.push_back(0);
-  in_tree_.push_back(0);
-  loose_ids_.push_back(id);
-  count_update();
-  maybe_rebuild();
-}
-
-void KdTreeIndex::update(std::size_t id, geo::ConstVec p) {
-  MMPH_ASSERT(id < size(), "KdTreeIndex: update id out of range");
-  MMPH_REQUIRE(p.size() == dim_, "KdTreeIndex: update dimension mismatch");
-  std::copy(p.begin(), p.end(),
-            coords_.begin() + static_cast<std::ptrdiff_t>(id * dim_));
-  if (in_tree_[id]) {
-    in_tree_[id] = 0;
-    loose_ids_.push_back(id);
-  }
-  count_update();
-  maybe_rebuild();
-}
-
-void KdTreeIndex::swap_remove(std::size_t id) {
-  MMPH_ASSERT(id < size(), "KdTreeIndex: swap_remove id out of range");
-  const std::size_t last = size() - 1;
-  if (id != last) {
-    std::copy(coords_.begin() + static_cast<std::ptrdiff_t>(last * dim_),
-              coords_.begin() + static_cast<std::ptrdiff_t>((last + 1) * dim_),
-              coords_.begin() + static_cast<std::ptrdiff_t>(id * dim_));
-    masked_[id] = masked_[last];
-    if (in_tree_[id]) {
-      in_tree_[id] = 0;
-      loose_ids_.push_back(id);
-    }
-  }
-  masked_.pop_back();
-  in_tree_.pop_back();
-  coords_.resize(masked_.size() * dim_);
-  count_update();
-  maybe_rebuild();
-}
-
-void KdTreeIndex::rebuild() {
-  base_ = geo::PointSet(dim_, coords_);
-  tree_ = base_.empty() ? nullptr : std::make_unique<geo::KdTree>(base_);
-  in_tree_.assign(size(), 1);
-  loose_ids_.clear();
-  count_rebuild();
-}
-
-bool KdTreeIndex::verify() const {
-  if (base_.size() != (tree_ ? tree_->size() : 0)) return false;
-  const std::unordered_set<std::size_t> loose(loose_ids_.begin(),
-                                              loose_ids_.end());
-  for (std::size_t id = 0; id < size(); ++id) {
-    if (in_tree_[id]) {
-      if (id >= base_.size()) return false;
-      const geo::ConstVec live = point(id);
-      const geo::ConstVec frozen = base_[id];
-      for (std::size_t d = 0; d < dim_; ++d) {
-        if (live[d] != frozen[d]) return false;
-      }
-    } else if (!loose.contains(id)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void KdTreeIndex::maybe_rebuild() {
-  if (loose_ids_.size() > loose_limit(size())) rebuild();
 }
 
 }  // namespace mmph::spatial

@@ -1,7 +1,6 @@
 #include "mmph/spatial/uniform_grid.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "mmph/support/assert.hpp"
 
@@ -37,13 +36,9 @@ UniformGridIndex::UniformGridIndex(const geo::PointSet& points, double radius,
   count_rebuild();
 }
 
-std::int64_t UniformGridIndex::cell_coord(double v) const {
-  return static_cast<std::int64_t>(std::floor(v / cell_));
-}
-
 UniformGridIndex::Cell UniformGridIndex::cell_of_vec(geo::ConstVec p) const {
   Cell c{};  // unused dimensions stay 0 so Cell compares/hashes uniformly
-  for (std::size_t d = 0; d < dim_; ++d) c[d] = cell_coord(p[d]);
+  for (std::size_t d = 0; d < dim_; ++d) c[d] = cell_coord(p[d], cell_);
   return c;
 }
 
@@ -65,8 +60,8 @@ void UniformGridIndex::walk(geo::ConstVec center,
   }
   Cell lo{}, hi{}, cur{};
   for (std::size_t d = 0; d < dim_; ++d) {
-    lo[d] = cell_coord(center[d] - radius_);
-    hi[d] = cell_coord(center[d] + radius_);
+    lo[d] = cell_coord(center[d] - radius_, cell_);
+    hi[d] = cell_coord(center[d] + radius_, cell_);
     cur[d] = lo[d];
   }
   // Odometer over the cell box covering the L-infinity ball.
@@ -105,11 +100,6 @@ void UniformGridIndex::unmask_all() {
     }
   }
   masked_count_ = 0;
-}
-
-bool UniformGridIndex::masked(std::size_t id) const {
-  MMPH_ASSERT(id < size(), "UniformGridIndex: id out of range");
-  return masked_[id] != 0;
 }
 
 void UniformGridIndex::add(geo::ConstVec p) {
@@ -153,14 +143,6 @@ void UniformGridIndex::swap_remove(std::size_t id) {
   coords_.resize(masked_.size() * dim_);
   if (id_masked) --masked_count_;
   count_update();
-}
-
-void UniformGridIndex::rebuild() {
-  buckets_.clear();
-  for (std::size_t id = 0; id < size(); ++id) {
-    if (!masked_[id]) bucket_insert(cell_of(id), id);
-  }
-  count_rebuild();
 }
 
 bool UniformGridIndex::verify() const {

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "mmph/parallel/parallel_for.hpp"
@@ -75,6 +78,30 @@ TEST(ParallelForChunks, ChunksAreDisjointAndCover) {
     for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
   });
   for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1);
+}
+
+TEST(ParallelForChunks, CallerExceptionWaitsForHelperChunks) {
+  // The calling thread's chunk throws while the helper is still inside its
+  // own chunk. The helper reads the loop's frame until it finishes, so the
+  // exception must not reach the caller before then.
+  std::atomic<bool> helper_started{false};
+  std::atomic<bool> caller_threw{false};
+  std::atomic<bool> helper_finished{false};
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto body = [&](std::size_t, std::size_t) {
+    if (std::this_thread::get_id() == caller) {
+      while (!helper_started.load()) std::this_thread::yield();
+      caller_threw.store(true);
+      throw std::runtime_error("caller chunk");
+    }
+    helper_started.store(true);
+    while (!caller_threw.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    helper_finished.store(true);
+  };
+  ThreadPool pool(2);  // one helper; two chunks of one index
+  EXPECT_THROW(parallel_for_chunks(pool, 0, 2, body, 1), std::runtime_error);
+  EXPECT_TRUE(helper_finished.load());
 }
 
 TEST(ParallelReduce, SumMatchesSerial) {

@@ -6,6 +6,8 @@
 // preserves the same contract when the log fails.
 
 #include <cstdint>
+#include <future>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -57,6 +59,29 @@ TEST(AtomicityTest, InvalidRowMidBatchLeavesStoreUntouched) {
   EXPECT_THROW(service.apply_add(bad_dim), InvalidArgument);
   EXPECT_EQ(service.population(), 1u);
   EXPECT_EQ(service.epoch(), epoch);
+}
+
+TEST(AtomicityTest, NonFiniteRowsAreRejectedOnBothPaths) {
+  // The wire and log codecs refuse non-finite values; the service refuses
+  // them too, on the direct and the batched path, before any store write.
+  PlacementService service(config_with(nullptr));
+  service.apply_add({user(1, 1.0, 0.1, 0.2)});
+  const std::uint64_t epoch = service.epoch();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<UserRecord>> batches = {
+      {user(2, 1.0, 0.3, 0.4), user(3, 1.0, nan, 0.6)},
+      {user(2, inf, 0.3, 0.4)},
+      {user(2, 1.0, 0.3, -inf)},
+  };
+  for (const std::vector<UserRecord>& batch : batches) {
+    EXPECT_THROW(service.apply_add(batch), InvalidArgument);
+    std::future<Response> reply = service.submit(Request::add_users(batch));
+    EXPECT_EQ(service.pump(), 1u);
+    EXPECT_EQ(reply.get().status, ResponseStatus::kBadRequest);
+    EXPECT_EQ(service.population(), 1u);
+    EXPECT_EQ(service.epoch(), epoch);
+  }
 }
 
 TEST(AtomicityTest, FailedWalAppendLeavesStoreUntouched) {

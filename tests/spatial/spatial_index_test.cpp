@@ -1,14 +1,16 @@
 // mmph::spatial unit tests: the radius-query contract (ascending superset
-// of the closed metric ball, exact unmasked-only results), residual-aware
-// masking, and — the invariant the serve layer leans on — a randomized
-// add/update/swap-remove churn schedule leaving the incremental index
-// answering queries identically to an index built from scratch over the
-// same rows.
+// of the closed metric ball, exact unmasked-only results) on both indexes,
+// saturated cell coordinates, residual-aware masking, and — the invariant
+// the serve layer leans on — a randomized add/update/swap-remove churn
+// schedule leaving the carried grid answering queries identically to a
+// grid built from scratch over the same rows.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "mmph/geometry/point_set.hpp"
 #include "mmph/random/rng.hpp"
 #include "mmph/spatial/kd_index.hpp"
+#include "mmph/spatial/region_map.hpp"
 #include "mmph/spatial/spatial_index.hpp"
 #include "mmph/spatial/uniform_grid.hpp"
 
@@ -34,33 +37,29 @@ geo::PointSet random_points(std::size_t n, std::size_t dim, rnd::Rng& rng,
   return points;
 }
 
-/// Closed-ball reference: every unmasked id with d(center, p) <= radius.
-std::vector<std::size_t> brute_ball(const SpatialIndex& index,
-                                    geo::ConstVec center,
+/// Closed-ball reference: every id of \p points with d(center, p) <= radius.
+std::vector<std::size_t> brute_ball(const geo::PointSet& points,
+                                    geo::ConstVec center, double radius,
                                     const geo::Metric& metric) {
   std::vector<std::size_t> out;
-  for (std::size_t id = 0; id < index.size(); ++id) {
-    if (index.masked(id)) continue;
-    if (metric.distance(center, index.point(id)) <= index.radius()) {
-      out.push_back(id);
-    }
+  for (std::size_t id = 0; id < points.size(); ++id) {
+    if (metric.distance(center, points[id]) <= radius) out.push_back(id);
   }
   return out;
 }
 
-/// The query contract: ascending, no duplicates, unmasked only, and a
-/// superset of the closed metric ball.
-void expect_query_contract(const SpatialIndex& index, geo::ConstVec center,
+/// The query contract on an unmasked index over \p points: ascending, no
+/// duplicates, and a superset of the closed metric ball.
+void expect_query_contract(const SpatialIndex& index,
+                           const geo::PointSet& points, geo::ConstVec center,
                            const geo::Metric& metric) {
   std::vector<std::size_t> got;
   index.query(center, got);
   ASSERT_TRUE(std::is_sorted(got.begin(), got.end()));
   ASSERT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
-  for (const std::size_t id : got) {
-    ASSERT_LT(id, index.size());
-    EXPECT_FALSE(index.masked(id));
-  }
-  for (const std::size_t id : brute_ball(index, center, metric)) {
+  for (const std::size_t id : got) ASSERT_LT(id, index.size());
+  for (const std::size_t id :
+       brute_ball(points, center, index.radius(), metric)) {
     EXPECT_TRUE(std::binary_search(got.begin(), got.end(), id))
         << "ball point " << id << " missing from query";
   }
@@ -80,7 +79,44 @@ TEST(SpatialIndex, GridQueryIsAscendingSupersetOfBall) {
         for (std::size_t d = 0; d < dim; ++d) {
           center[d] = rng.uniform(-5.0, 5.0);
         }
-        expect_query_contract(index, center, metric);
+        expect_query_contract(index, points, center, metric);
+      }
+    }
+  }
+}
+
+TEST(SpatialIndex, CellCoordSaturatesBeyondTheLimit) {
+  EXPECT_EQ(cell_coord(2.5, 1.0), 2);
+  EXPECT_EQ(cell_coord(-0.5, 1.0), -1);
+  EXPECT_EQ(cell_coord(-3.0, 0.5), -6);
+  EXPECT_EQ(cell_coord(1e300, 1.0), kCellCoordLimit);
+  EXPECT_EQ(cell_coord(-1e300, 1.0), -kCellCoordLimit);
+  EXPECT_EQ(cell_coord(1e300, 1e-300), kCellCoordLimit);
+  const double limit = static_cast<double>(kCellCoordLimit);
+  EXPECT_EQ(cell_coord(limit, 1.0), kCellCoordLimit);
+  EXPECT_EQ(cell_coord(-limit, 1.0), -kCellCoordLimit);
+  EXPECT_EQ(cell_coord(limit / 2, 1.0), kCellCoordLimit / 2);
+}
+
+/// A finite coordinate far beyond any representable cell (the wire accepts
+/// any finite interest) lands in a saturated cell, and the grid still
+/// keeps the query contract around it and around the origin.
+TEST(SpatialIndex, GridQueryKeepsContractAtExtremeCoordinates) {
+  const double big = 1e300;
+  geo::PointSet points(2);
+  for (const double x : {-big, -1.0, 0.0, 0.5, big}) {
+    for (const double y : {-big, 0.0, big}) {
+      const double p[] = {x, y};
+      points.push_back(p);
+    }
+  }
+  const UniformGridIndex index(points, 1.0);
+  EXPECT_TRUE(index.verify());
+  for (const geo::Metric& metric : {geo::l2_metric(), geo::linf_metric()}) {
+    for (const double cx : {-big, 0.0, big}) {
+      for (const double cy : {-big, 0.0, big}) {
+        const double center[] = {cx, cy};
+        expect_query_contract(index, points, center, metric);
       }
     }
   }
@@ -106,7 +142,7 @@ TEST_P(CellGridQuerySweep, MatchesBruteForceAcrossMetrics) {
     for (auto& v : center) v = rng.uniform(-1.0, 5.0);
     const double radius = rng.uniform(0.1, 2.5);
     const UniformGridIndex index(points, radius, cell_size);
-    expect_query_contract(index, center, metric);
+    expect_query_contract(index, points, center, metric);
   }
 }
 
@@ -128,7 +164,7 @@ TEST(SpatialIndex, KdQueryIsExactClosedBall) {
       std::vector<std::size_t> got;
       index.query(center, got);
       // The kd-tree answers the exact ball, not just a superset.
-      EXPECT_EQ(got, brute_ball(index, center, metric));
+      EXPECT_EQ(got, brute_ball(points, center, index.radius(), metric));
     }
   }
 }
@@ -142,15 +178,25 @@ TEST(SpatialIndex, FactoryPicksGridLowDimKdHigh) {
             IndexKind::kKdTree);
 }
 
+/// Masks checked through query() alone: a masked id leaves every ball, the
+/// rest stay, and unmask_all() restores the first answer. Both kinds, and
+/// the kd-tree at dim 6, where it is the only index.
 TEST(SpatialIndex, MaskingDropsPointsAndUnmaskRestores) {
-  for (const IndexKind kind : {IndexKind::kGrid, IndexKind::kKdTree}) {
+  const std::tuple<IndexKind, std::size_t, double> inputs[] = {
+      {IndexKind::kGrid, 2, 1.0},
+      {IndexKind::kKdTree, 2, 1.0},
+      {IndexKind::kKdTree, 6, 5.0},
+  };
+  for (const auto& [kind, dim, radius] : inputs) {
     rnd::Rng rng(17);
-    const geo::PointSet points = random_points(120, 2, rng);
-    const auto index = make_index(kind, points, 1.0, geo::l2_metric());
-    const double center[] = {0.0, 0.0};
+    const geo::PointSet points = random_points(120, dim, rng);
+    const auto index = make_index(kind, points, radius, geo::l2_metric());
+    const std::string label =
+        std::string(index_kind_name(kind)) + " dim " + std::to_string(dim);
+    const std::vector<double> center(dim, 0.0);
     std::vector<std::size_t> before;
     index->query(center, before);
-    ASSERT_FALSE(before.empty()) << index_kind_name(kind);
+    ASSERT_GE(before.size(), 2u) << label;
 
     for (std::size_t i = 0; i < before.size(); i += 2) {
       index->mask(before[i]);
@@ -158,103 +204,92 @@ TEST(SpatialIndex, MaskingDropsPointsAndUnmaskRestores) {
     }
     std::vector<std::size_t> masked;
     index->query(center, masked);
+    std::vector<std::size_t> own;
     for (std::size_t i = 0; i < before.size(); ++i) {
       const bool expect_present = (i % 2) != 0;
       EXPECT_EQ(std::binary_search(masked.begin(), masked.end(), before[i]),
                 expect_present)
-          << index_kind_name(kind);
+          << label;
+      // Centered on the point itself: masked ids leave every ball.
+      index->query(points[before[i]], own);
+      EXPECT_EQ(std::binary_search(own.begin(), own.end(), before[i]),
+                expect_present)
+          << label;
     }
-    EXPECT_TRUE(index->verify()) << index_kind_name(kind);
 
     index->unmask_all();
     std::vector<std::size_t> after;
     index->query(center, after);
-    EXPECT_EQ(after, before) << index_kind_name(kind);
-    EXPECT_TRUE(index->verify()) << index_kind_name(kind);
+    EXPECT_EQ(after, before) << label;
   }
 }
 
 /// The serve-layer invariant: a randomized interleave of add / update /
-/// swap_remove (mirroring InstanceStore churn) leaves the incremental
-/// index answering every query identically to a from-scratch build over
-/// the same final rows — and identically after an explicit rebuild().
+/// swap_remove (mirroring InstanceStore churn) leaves the carried grid
+/// structurally sound and answering every query identically to a
+/// from-scratch build over the same final rows.
 TEST(SpatialIndex, RandomChurnMatchesFreshRebuild) {
-  for (const IndexKind kind : {IndexKind::kGrid, IndexKind::kKdTree}) {
-    const geo::Metric metric = geo::l2_metric();
-    rnd::Rng rng(kind == IndexKind::kGrid ? 23 : 29);
-    const std::size_t dim = 2;
-    geo::PointSet points = random_points(80, dim, rng);
-    const auto index = make_index(kind, points, 1.0, metric);
+  rnd::Rng rng(23);
+  const std::size_t dim = 2;
+  const geo::PointSet points = random_points(80, dim, rng);
+  UniformGridIndex index(points, 1.0);
 
-    // Shadow copy of the rows, mutated in lockstep.
-    std::vector<std::vector<double>> rows;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      rows.emplace_back(points[i].begin(), points[i].end());
-    }
-
-    std::vector<double> p(dim);
-    std::vector<double> center(dim);
-    for (int step = 0; step < 600; ++step) {
-      const std::int64_t op = rng.uniform_int(0, 2);
-      if (op == 0 || rows.empty()) {
-        for (std::size_t d = 0; d < dim; ++d) p[d] = rng.uniform(-4.0, 4.0);
-        index->add(p);
-        rows.push_back(p);
-      } else if (op == 1) {
-        const auto id = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(rows.size()) - 1));
-        for (std::size_t d = 0; d < dim; ++d) p[d] = rng.uniform(-4.0, 4.0);
-        index->update(id, p);
-        rows[id] = p;
-      } else {
-        const auto id = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(rows.size()) - 1));
-        index->swap_remove(id);
-        rows[id] = rows.back();
-        rows.pop_back();
-      }
-      if (step % 40 == 0) {
-        ASSERT_TRUE(index->verify())
-            << index_kind_name(kind) << " step " << step;
-      }
-      ASSERT_EQ(index->size(), rows.size());
-
-      // Occasionally compare against a from-scratch build over the rows.
-      if (step % 25 != 0) continue;
-      std::vector<double> flat;
-      for (const auto& row : rows) {
-        flat.insert(flat.end(), row.begin(), row.end());
-      }
-      const geo::PointSet fresh_points(dim, flat);
-      const auto fresh = make_index(kind, fresh_points, 1.0, metric);
-      for (int q = 0; q < 10; ++q) {
-        for (std::size_t d = 0; d < dim; ++d) {
-          center[d] = rng.uniform(-5.0, 5.0);
-        }
-        std::vector<std::size_t> got, want;
-        index->query(center, got);
-        fresh->query(center, want);
-        ASSERT_EQ(got, want)
-            << index_kind_name(kind) << " step " << step << " query " << q;
-      }
-    }
-
-    // Coordinates survived the churn exactly.
-    for (std::size_t id = 0; id < rows.size(); ++id) {
-      for (std::size_t d = 0; d < dim; ++d) {
-        ASSERT_EQ(index->point(id)[d], rows[id][d]);
-      }
-    }
-
-    // An explicit rebuild (the corruption-recovery path) changes nothing.
-    std::vector<std::size_t> before, after;
-    const double origin[] = {0.0, 0.0};
-    index->query(origin, before);
-    index->rebuild();
-    EXPECT_TRUE(index->verify());
-    index->query(origin, after);
-    EXPECT_EQ(after, before) << index_kind_name(kind);
+  // Shadow copy of the rows, mutated in lockstep.
+  std::vector<std::vector<double>> rows;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    rows.emplace_back(points[i].begin(), points[i].end());
   }
+
+  std::vector<double> p(dim);
+  std::vector<double> center(dim);
+  for (int step = 0; step < 600; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 2);
+    if (op == 0 || rows.empty()) {
+      for (std::size_t d = 0; d < dim; ++d) p[d] = rng.uniform(-4.0, 4.0);
+      index.add(p);
+      rows.push_back(p);
+    } else if (op == 1) {
+      const auto id = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(rows.size()) - 1));
+      for (std::size_t d = 0; d < dim; ++d) p[d] = rng.uniform(-4.0, 4.0);
+      index.update(id, p);
+      rows[id] = p;
+    } else {
+      const auto id = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(rows.size()) - 1));
+      index.swap_remove(id);
+      rows[id] = rows.back();
+      rows.pop_back();
+    }
+    if (step % 40 == 0) ASSERT_TRUE(index.verify()) << "step " << step;
+    ASSERT_EQ(index.size(), rows.size());
+
+    // Occasionally compare against a from-scratch build over the rows.
+    if (step % 25 != 0) continue;
+    std::vector<double> flat;
+    for (const auto& row : rows) {
+      flat.insert(flat.end(), row.begin(), row.end());
+    }
+    const geo::PointSet fresh_points(dim, flat);
+    const UniformGridIndex fresh(fresh_points, 1.0);
+    for (int q = 0; q < 10; ++q) {
+      for (std::size_t d = 0; d < dim; ++d) {
+        center[d] = rng.uniform(-5.0, 5.0);
+      }
+      std::vector<std::size_t> got, want;
+      index.query(center, got);
+      fresh.query(center, want);
+      ASSERT_EQ(got, want) << "step " << step << " query " << q;
+    }
+  }
+
+  // Coordinates survived the churn exactly.
+  for (std::size_t id = 0; id < rows.size(); ++id) {
+    for (std::size_t d = 0; d < dim; ++d) {
+      ASSERT_EQ(index.point(id)[d], rows[id][d]);
+    }
+  }
+  EXPECT_TRUE(index.verify());
 }
 
 TEST(SpatialIndex, StatsCountQueriesTouchesUpdatesRebuilds) {
@@ -280,29 +315,30 @@ TEST(SpatialIndex, StatsCountQueriesTouchesUpdatesRebuilds) {
   index.update(0, p);
   index.swap_remove(0);
   EXPECT_EQ(index.stats().incremental_updates, 3u);
-
-  index.rebuild();
-  EXPECT_EQ(index.stats().rebuilds, 2u);
+  EXPECT_EQ(index.stats().rebuilds, 1u);  // row operations never rebuild
 }
 
-TEST(SpatialIndex, KdLooseRowsFoldBackViaAmortizedRebuild) {
-  rnd::Rng rng(37);
-  const geo::PointSet points = random_points(64, 2, rng);
-  KdTreeIndex index(points, 1.0, geo::l2_metric());
-  const std::uint64_t builds = index.stats().rebuilds;
-  std::vector<double> p(2);
-  // Push far past the loose-row threshold; the index must have folded the
-  // overlay back into the tree at least once and stayed queryable.
-  for (int i = 0; i < 300; ++i) {
-    p[0] = rng.uniform(-4.0, 4.0);
-    p[1] = rng.uniform(-4.0, 4.0);
-    index.add(p);
+/// Cells saturate rather than overflow, so every finite interest has a
+/// shard; a cell that fits hashes exactly as floor(v / cell) always did.
+TEST(RegionMap, FarCoordinatesMapToAShardAndNearOnesKeepTheirHash) {
+  const RegionMap map(2, 0.5, 4);
+  for (const double x : {-1e300, -1e19, 0.0, 1e19, 1e300}) {
+    for (const double y : {-1e300, 0.0, 1e300}) {
+      const double p[] = {x, y};
+      EXPECT_LT(map.shard_of(p), 4u) << x << ", " << y;
+    }
   }
-  EXPECT_GT(index.stats().rebuilds, builds);
-  EXPECT_LE(index.loose_count(), index.size() / 8 + 64);
-  EXPECT_TRUE(index.verify());
-  const double center[] = {0.0, 0.0};
-  expect_query_contract(index, center, geo::l2_metric());
+  rnd::Rng rng(41);
+  for (int i = 0; i < 200; ++i) {
+    const double p[] = {rng.uniform(-1e6, 1e6), rng.uniform(-3.0, 3.0)};
+    std::uint64_t h = 1469598103934665603ull;
+    for (const double v : p) {
+      h ^= static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(std::floor(v / 0.5)));
+      h *= 1099511628211ull;
+    }
+    EXPECT_EQ(map.shard_of(p), static_cast<std::size_t>(h % 4));
+  }
 }
 
 }  // namespace

@@ -41,14 +41,18 @@
 #                               # — the fast WAL gate; the chaos sweep
 #                               # above is the thorough one.
 #   tools/check.sh index        # build + every spatial-labeled test (the
-#                               # mmph::spatial query/churn contracts, the
-#                               # indexed-vs-unindexed solver differential
-#                               # corpus, the coverage evaluator's own
-#                               # suites (kernels_test, solver_base_test),
-#                               # the sharded solver's suites, whose shards
-#                               # build grids and sweep them
+#                               # mmph::spatial query contract of both
+#                               # indexes and the carried grid's churn
+#                               # contract, saturated cell coordinates,
+#                               # the indexed-vs-unindexed solver
+#                               # differential corpus, the coverage
+#                               # evaluator's own suites (kernels_test,
+#                               # solver_base_test), the sharded solver's
+#                               # suites, whose shards build grids and
+#                               # sweep them on the thread pool
 #                               # (sharded_solver_test,
-#                               # sharded_determinism_test), the serve-path
+#                               # sharded_determinism_test, thread_pool_test,
+#                               # parallel_for_test), the serve-path
 #                               # warm-index test).
 #                               # MMPH_SANITIZE=ON tools/check.sh index
 #                               # runs the same gate under ASan/UBSan —
